@@ -13,11 +13,12 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 
 from . import __version__, cobar, crystal, derham, stacks
-from .exactlin import AbGroup
+from .exactlin import _FP_DENSE_LIMIT, AbGroup, _is_prime
 from .gralg import FP
-from .utils import PROPERTY_SEEDS, parallel_map, thread_count
+from .utils import PROPERTY_SEEDS
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
 
@@ -50,27 +51,22 @@ _SCHEMAS = {
 
 _STR_PARAMS = {"model", "stack", "expect"}
 _BOOL_PARAMS = {"fast"}
-_GLOBAL_KEYS = {"format", "out", "threads"}
+_GLOBAL_KEYS = {"format", "out"}
 
 
 class RunConfig:
     """One resolved invocation: command, parameters, output routing."""
 
-    def __init__(self, command, params, fmt="text", out=None, threads=None):
+    def __init__(self, command, params, fmt="text", out=None):
         if command not in _SCHEMAS:
             raise ConfigError("unknown command %r" % command)
         self.command = command
         self.params = dict(params)
         self.fmt = fmt
         self.out = out
-        self.threads = thread_count(threads)
         _validate(command, self.params)
         if fmt not in ("text", "json"):
             raise ConfigError("unknown format %r" % fmt)
-
-
-def _is_prime(m):
-    return m >= 2 and all(m % q for q in range(2, int(m ** 0.5) + 1))
 
 
 def _prime_power_base(m):
@@ -97,8 +93,11 @@ def _validate(command, params):
                               % (key, command))
         if value is None:
             continue
-        if key == "p" and not _is_prime(value):
-            raise ConfigError("p must be prime, got %r" % (value,))
+        if key == "p" and not (_is_prime(value)
+                               and value < _FP_DENSE_LIMIT):
+            # the dense mod-p eliminator behind most suites stops at 2^31
+            raise ConfigError("p must be a prime below 2^31, got %r"
+                              % (value,))
         if key in ("nmax", "wmax", "depth", "vars", "pairs", "rmax", "n"):
             if value < 0 or (key in ("depth", "vars") and value < 1):
                 raise ConfigError("%s out of range: %r" % (key, value))
@@ -147,11 +146,10 @@ def _crystal_models(p, depth, wmax, model):
 # -- runners; each returns a list of entry dicts carrying "ok" --------------
 
 
-def _run_bga(ps, threads):
+def _run_bga(ps):
     nmax, wmax = ps["nmax"], ps["wmax"]
     jobs = [(n, w) for n in range(nmax + 1) for w in range(wmax + 1)]
-    groups = parallel_map(lambda nw: cobar.group_cohomology(*nw), jobs,
-                          threads)
+    groups = [cobar.group_cohomology(n, w) for n, w in jobs]
     entries, zeros = [], 0
     for (n, w), g in zip(jobs, groups):
         ok = _bga_strand_ok(n, w, g)
@@ -169,7 +167,7 @@ def _run_bga(ps, threads):
 
 
 def _squarefree(m):
-    return all(m % (q * q) for q in range(2, int(m ** 0.5) + 1))
+    return all(m % (q * q) for q in range(2, isqrt(m) + 1))
 
 
 def _bga_strand_ok(n, w, g):
@@ -187,15 +185,14 @@ def _bga_strand_ok(n, w, g):
     return ok
 
 
-def _run_bga_fp(ps, threads):
+def _run_bga_fp(ps):
     p, nmax, wmax = ps["p"], ps["nmax"], ps["wmax"]
     if p == 2:
         oracle = cobar.hilbert_dims_f2(nmax, wmax)
     else:
         oracle = cobar.hilbert_dims_odd(p, nmax, wmax)
     jobs = [(n, w) for n in range(nmax + 1) for w in range(wmax + 1)]
-    dims = parallel_map(lambda nw: cobar.group_cohomology(*nw, ring=FP(p)),
-                        jobs, threads)
+    dims = [cobar.group_cohomology(n, w, ring=FP(p)) for n, w in jobs]
     entries, zeros = [], 0
     for (n, w), d in zip(jobs, dims):
         expect = oracle.get((n, w), 0)
@@ -208,7 +205,7 @@ def _run_bga_fp(ps, threads):
     return entries
 
 
-def _run_bockstein(ps, threads):
+def _run_bockstein(ps):
     p = ps["p"]
     entries = []
     w1 = cobar.w_class(p, 0)
@@ -232,7 +229,7 @@ def _run_bockstein(ps, threads):
     return entries
 
 
-def _run_cartier(ps, threads):
+def _run_cartier(ps):
     entries = list(derham.verify_cartier_iso(ps["p"], ps["vars"],
                                              ps["wmax"]))
     fails = derham.cartier_multiplicativity(ps["p"], ps["vars"], ps["wmax"],
@@ -243,12 +240,12 @@ def _run_cartier(ps, threads):
     return entries
 
 
-def _run_cech_alexander(ps, threads):
+def _run_cech_alexander(ps):
     wmax = ps["wmax"] if ps["wmax"] is not None else ps["p"] ** 2
     return list(derham.cech_alexander_compare(ps["p"], wmax))
 
 
-def _run_acrys(ps, threads):
+def _run_acrys(ps):
     p, depth, wmax = ps["p"], ps["depth"], ps["wmax"]
     s, _ = _crystal_models(p, depth, wmax, ps["model"])
     a = crystal.acrys_mod(s, p * p)
@@ -303,33 +300,32 @@ def _run_acrys(ps, threads):
     return entries
 
 
-def _run_kappa(ps, threads):
+def _run_kappa(ps):
     p = ps["p"]
     rmax = ps["rmax"] if ps["rmax"] is not None else p - 1
     s, _ = _crystal_models(p, ps["depth"], ps["wmax"], ps["model"])
     return list(crystal.verify_kappa_iso(s, rmax))
 
 
-def _run_di_split(ps, threads):
+def _run_di_split(ps):
     p = ps["p"]
     s, lift = _crystal_models(p, ps["depth"], ps["wmax"], ps["model"])
     _, entries = crystal.di_splitting(s, lift, r_max=ps["rmax"])
     return list(entries)
 
 
-def _run_unfold(ps, threads):
+def _run_unfold(ps):
     p = ps["p"]
     wmax = ps["wmax"] if ps["wmax"] is not None else p * p
     depth = ps["depth"] if ps["depth"] is not None else (3 if p == 2 else 2)
     return list(crystal.unfold_derham(p, wmax, depth=depth))
 
 
-def _run_hodge(ps, threads):
+def _run_hodge(ps):
     stack = _parse_stack(ps["stack"])
     nmax = ps["nmax"]
     jobs = [(pp, q) for pp in range(nmax + 1) for q in range(nmax + 1)]
-    dims = parallel_map(lambda pq: stacks.hodge_cohomology(stack, *pq),
-                        jobs, threads)
+    dims = [stacks.hodge_cohomology(stack, pp, q) for pp, q in jobs]
     entries = []
     for (pp, q), d in zip(jobs, dims):
         if stack.kind == "bgm":
@@ -348,11 +344,10 @@ def _run_hodge(ps, threads):
     return entries
 
 
-def _run_derham_stack(ps, threads):
+def _run_derham_stack(ps):
     stack = _parse_stack(ps["stack"])
     nmax = ps["nmax"]
-    dims = parallel_map(lambda n: stacks.derham_cohomology(stack, n),
-                        range(nmax + 1), threads)
+    dims = [stacks.derham_cohomology(stack, n) for n in range(nmax + 1)]
     entries = []
     if stack.kind == "bga":
         for n, d in enumerate(dims):
@@ -372,7 +367,7 @@ def _run_derham_stack(ps, threads):
     return entries
 
 
-def _run_hdr(ps, threads):
+def _run_hdr(ps):
     stack = _parse_stack(ps["stack"])
     rep = stacks.hdr_report(stack, ps["nmax"])
     expect = ps["expect"]
@@ -396,7 +391,7 @@ def _run_hdr(ps, threads):
     return entries
 
 
-def _run_census(ps, threads):
+def _run_census(ps):
     p, n, wmax = ps["p"], ps["n"], ps["wmax"]
     data = cobar.torsion_census(p, n, wmax)
     entries, cum, distinct = [], 0, 0
@@ -463,7 +458,7 @@ _SELFTEST = [
 ]
 
 
-def _run_selftest(ps, threads):
+def _run_selftest(ps):
     entries = []
     for name, cmd, params, fast_override in _SELFTEST:
         if ps["fast"] and fast_override == "skip":
@@ -473,7 +468,7 @@ def _run_selftest(ps, threads):
         if ps["fast"] and isinstance(fast_override, dict):
             sub.update(fast_override)
         _validate(cmd, sub)
-        rows = _RUNNERS[cmd](sub, threads)
+        rows = _RUNNERS[cmd](sub)
         bad = sum(1 for r in rows if not r.get("ok", True))
         entries.append({"suite": name, "checks": len(rows), "failed": bad,
                         "ok": bad == 0})
@@ -519,7 +514,7 @@ def _jsonable(x):
 
 def run(config):
     """Execute one configured command; returns (report, exit_code)."""
-    entries = _RUNNERS[config.command](config.params, config.threads)
+    entries = _RUNNERS[config.command](config.params)
     entries = [_jsonable(e) for e in entries]
     failed = sum(1 for e in entries if not e.get("ok", True))
     skipped = sum(1 for e in entries if e.get("skipped") is True)
@@ -602,7 +597,6 @@ def _build_parser():
                 sp.add_argument("--" + key, type=int, default=None)
         sp.add_argument("--format", choices=("text", "json"), default=None)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--config", type=str, default=None)
     return parser
 
@@ -642,9 +636,7 @@ def build_config(argv=None):
             params[key] = filecfg[key]
     fmt = args.format or filecfg.get("format") or "text"
     out = args.out or filecfg.get("out")
-    threads = args.threads if args.threads is not None \
-        else filecfg.get("threads")
-    return RunConfig(args.command, params, fmt=fmt, out=out, threads=threads)
+    return RunConfig(args.command, params, fmt=fmt, out=out)
 
 
 def main(argv=None):

@@ -19,12 +19,10 @@ from __future__ import annotations
 from math import comb
 
 from .exactlin import (
-    AbGroup, IntMat, cohomology_of_pair, field_rank, fp_rank, fp_solve,
-    kernel_basis, smith_normal_form, snf_diagonal, solve_columns, QQ,
-    SolveFailed,
+    AbGroup, IntMat, SolveFailed, fp_solve, snf_diagonal, solve_columns,
+    strand_cohomology,
 )
 from .gralg import FP, QQ_R, ZZ
-from .utils import parallel_map
 
 __all__ = [
     "NotACocycle", "LiftNotExact", "StrandComplex", "CohClass",
@@ -145,16 +143,11 @@ class StrandComplex:
         return self.strands[(n, w)][1]
 
 
-def standard_complex(n_max, w_max, ring=ZZ, threads=None):
+def standard_complex(n_max, w_max, ring=ZZ):
     if n_max < 0 or w_max < 0 or w_max % 2:
         raise ValueError("need n_max >= 0 and even w_max >= 0")
-    jobs = [(n, w) for w in range(0, w_max + 1, 2) for n in range(n_max + 1)]
-
-    def build(job):
-        n, w = job
-        return job, (strand_basis(n, w), strand_matrix(n, w))
-
-    strands = dict(parallel_map(build, jobs, threads))
+    strands = {(n, w): (strand_basis(n, w), strand_matrix(n, w))
+               for w in range(0, w_max + 1, 2) for n in range(n_max + 1)}
     for w in range(0, w_max + 1, 2):
         for n in range(n_max):
             d0 = strands[(n, w)][1]
@@ -168,15 +161,7 @@ def group_cohomology(n, w, ring=ZZ):
     """H^n(G_a)_w: an AbGroup over Z, a dimension over Q or F_p."""
     d_in = strand_matrix(n - 1, w) if n >= 1 else IntMat.zeros(
         len(strand_basis(0, w)), 0)
-    d_out = strand_matrix(n, w)
-    if ring is ZZ:
-        return cohomology_of_pair(d_in, d_out)
-    if ring is QQ_R:
-        dim_ker = d_out.ncols - field_rank(d_out.to_rows(), d_out.ncols, QQ)
-        return dim_ker - field_rank(d_in.to_rows(), d_in.ncols, QQ)
-    p = ring.p
-    dim_ker = d_out.ncols - fp_rank(d_out.to_numpy_mod(p), p)
-    return dim_ker - fp_rank(d_in.to_numpy_mod(p), p)
+    return strand_cohomology(d_in, strand_matrix(n, w), ring)
 
 
 class CohClass:
@@ -321,9 +306,7 @@ def torsion_census(p, n, w_max):
 
     The number of Z/p summands in a strand group g is g.torsion_count(p).
     """
-    jobs = list(range(0, w_max + 1, 2))
-    groups = parallel_map(lambda w: group_cohomology(n, w, ZZ), jobs)
-    return list(zip(jobs, groups))
+    return [(w, group_cohomology(n, w, ZZ)) for w in range(0, w_max + 1, 2)]
 
 
 def phi_span_divisors(n):

@@ -17,8 +17,8 @@ from math import comb, factorial, gcd
 import numpy as np
 
 from .derham import DgaForms, TruncationTooSmall, de_rham_cohomology
-from .exactlin import (IntMat, fp_rank, fp_rank_sparse, fp_rref,
-                       smith_normal_form)
+from .exactlin import (IntMat, _is_prime, fp_rank, fp_rref,
+                       smith_normal_form, strand_cohomology)
 from .gralg import FP, PDContext, TruncationOverflow, ZP2
 
 __all__ = [
@@ -43,7 +43,7 @@ class SemiperfectModel:
     """
 
     def __init__(self, p, nvars, relators, depth, w_max, names=None):
-        if p < 2 or any(p % q == 0 for q in range(2, p)):
+        if not _is_prime(p):
             raise ValueError("characteristic must be prime")
         if depth < 1:
             raise ValueError("semiperfect models need depth >= 1")
@@ -62,11 +62,6 @@ class SemiperfectModel:
     def tautological_lift(self):
         return LiftModel(self.p, self.nvars, self.relators, self.depth,
                          self.w_max)
-
-    def frobenius_covers_depth(self, shallow):
-        """Every monomial of denominator p^shallow is a p-th power in the
-        model; structural sanity for the semiperfectness assumption."""
-        return shallow + 1 <= self.depth
 
 
 class LiftModel:
@@ -574,24 +569,23 @@ def _unfold_strand_dims(p, depth, w_cap, w):
     b2 = lvl2.strand_basis(w)
     i1 = {k: i for i, k in enumerate(b1)}
     i2 = {k: i for i, k in enumerate(b2)}
-    d0 = {}
+    ent0 = {}
     for c, key in enumerate(b0):
         el = lvl0.monomial(key[0], key[1], 1)
         img = _coface01(lvl1, el, 0) - _coface01(lvl1, el, 1)
         for k2, v in img.terms.items():
-            d0[(i1[k2], c)] = int(v)
-    d1 = {}
+            ent0[(i1[k2], c)] = int(v)
+    ent1 = {}
     for c, key in enumerate(b1):
         el = lvl1.monomial(key[0], key[1], 1)
         img = (_coface12(lvl2, el, 0) - _coface12(lvl2, el, 1)
                + _coface12(lvl2, el, 2))
         for k2, v in img.terms.items():
-            d1[(i2[k2], c)] = int(v)
-    r0 = fp_rank_sparse(d0, len(b1), len(b0), p)
-    r1 = fp_rank_sparse(d1, len(b2), len(b1), p)
-    h0 = len(b0) - r0
-    h1 = (len(b1) - r1) - r0
-    return h0, h1
+            ent1[(i2[k2], c)] = int(v)
+    d0 = IntMat(len(b1), len(b0), ent0)
+    d1 = IntMat(len(b2), len(b1), ent1)
+    return (strand_cohomology(IntMat.zeros(len(b0), 0), d0, FP(p)),
+            strand_cohomology(d0, d1, FP(p)))
 
 
 def unfold_derham(p, w_max, N=2, depth=None):

@@ -14,10 +14,9 @@ import numpy as np
 from math import factorial
 
 from .exactlin import (
-    AbGroup, IntMat, cohomology_of_pair, field_rank, fp_kernel, fp_rank,
-    fp_rref, fp_solve, QQ,
+    IntMat, fp_kernel, fp_rank, fp_rref, fp_solve, strand_cohomology,
 )
-from .gralg import FP, MultiPoly, PDContext, PolyContext, ZP2, ZZ, QQ_R
+from .gralg import FP, PDContext, PolyContext, ZP2
 
 __all__ = [
     "UnsupportedBase", "NotCharP", "TruncationTooSmall", "DgaForms", "Form",
@@ -254,23 +253,10 @@ def _in_out(dga, n, w):
 def de_rham_cohomology(dga, n, w):
     """H^n of the de Rham strand w: AbGroup over Z, dimension over fields."""
     ring = dga.ring
-    d_in, d_out = _in_out(dga, n, w)
-    if ring is ZZ:
-        return cohomology_of_pair(d_in, d_out)
-    if ring is QQ_R:
-        kdim = d_out.ncols - field_rank(d_out.to_rows(), d_out.ncols, QQ)
-        return kdim - field_rank(d_in.to_rows(), d_in.ncols, QQ)
-    p = ring.p
-    if ring.modulus != p:
+    if ring.p is not None and ring.modulus != ring.p:
         raise UnsupportedBase("cohomology over Z/p^2 is not strand-finite"
                               " in this model")
-    kdim = d_out.ncols - fp_rank(d_out.to_numpy_mod(p), p)
-    return kdim - fp_rank(d_in.to_numpy_mod(p), p)
-
-
-def de_rham_total_dims(dga, n, w_range):
-    """Sum of strand dimensions of H^n over the given weights (fields)."""
-    return sum(de_rham_cohomology(dga, n, w) for w in w_range)
+    return strand_cohomology(*_in_out(dga, n, w), ring)
 
 
 # -- Cartier ------------------------------------------------------------------
@@ -659,7 +645,6 @@ def _ca_d_matrix(ca, ctx, keys, w):
 
 def _ca_tot_dims(ca, w):
     """(dim H^0, dim H^1) of the truncated totalization in weight w."""
-    p = ca.p
     b0 = ca.d1.strand_basis(w)        # Tot^0 = D(1)
     b1f = ca.d1.strand_basis(w - 1)   # Omega^1(D(1)) component of Tot^1
     b1c = ca.d2.strand_basis(w)       # D(2) component of Tot^1
@@ -680,9 +665,7 @@ def _ca_tot_dims(ca, w):
         vec = _pd_vector(df.get((0,), ca.d1.zero()), b1f)
         vec += _pd_vector(ca.delta1(el), b1c)
         cols0.append(vec)
-    n1 = len(b1f) + len(b1c)
-    d0 = (np.array(cols0, dtype=np.int64).T % p if cols0
-          else np.zeros((n1, 0), dtype=np.int64))
+    d0 = IntMat.from_columns(cols0, len(b1f) + len(b1c))
 
     # D^1: (omega, v) -> (delta1 omega - d v, delta2 v)
     cols1 = []
@@ -697,14 +680,7 @@ def _ca_tot_dims(ca, w):
         vec = vec_d2_forms({k: -v for k, v in dv.items()})
         vec += _pd_vector(ca.delta2(el), b2c)
         cols1.append(vec)
-    n2 = 2 * len(b2f) + len(b2c)
-    d1 = (np.array(cols1, dtype=np.int64).T % p if cols1
-          else np.zeros((n2, 0), dtype=np.int64))
-
-    if d1.size and d0.size and (d1.dot(d0) % p).any():
-        raise AssertionError("tot differential does not square to zero")
-    h0 = (d0.shape[1] - fp_rank(d0, p)) if d0.size else len(b0)
-    rank0 = fp_rank(d0, p) if d0.size else 0
-    kdim1 = d1.shape[1] - (fp_rank(d1, p) if d1.size else 0)
-    h1 = kdim1 - rank0
-    return h0, h1
+    d1 = IntMat.from_columns(cols1, 2 * len(b2f) + len(b2c))
+    fp = FP(ca.p)
+    return (strand_cohomology(IntMat.zeros(len(b0), 0), d0, fp),
+            strand_cohomology(d0, d1, fp))

@@ -2,7 +2,8 @@
 
 Everything here is exact: integer work uses arbitrary-precision ints and
 Smith normal forms with tracked unimodular transforms, mod-p work uses
-dense elimination on exact small-int arrays, rational work uses Fractions.
+sparse elimination in Python ints or dense elimination on exact
+small-int arrays (p < 2^31), rational work uses Fractions.
 No floating point is ever produced.
 
 The central consumer-facing pieces are
@@ -10,7 +11,9 @@ The central consumer-facing pieces are
 * :func:`smith_normal_form` -- U @ M @ V = D with U, V unimodular, the
   diagonal nonnegative and forming a divisibility chain d1 | d2 | ...;
 * :func:`cohomology_of_pair` -- the finitely generated abelian group
-  ker(d_out)/im(d_in) of a pair of integer matrices,
+  ker(d_out)/im(d_in) of a pair of integer matrices;
+* :func:`strand_cohomology` -- the same quotient over Z, Q or F_p, the
+  one place that picks the eliminator for each ring,
 
 >>> m = IntMat.from_rows([[2, 4], [6, 8]])
 >>> smith_normal_form(m)[1].diagonal()
@@ -20,9 +23,11 @@ The central consumer-facing pieces are
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
+
+from .gralg import QQ_R, ZZ
 
 
 class ExactLinError(Exception):
@@ -131,18 +136,10 @@ class AbGroup:
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial division by 2 and the odd numbers up to isqrt(n)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 class IntMat:
@@ -557,10 +554,6 @@ def kernel_basis(mat):
     return IntMat.from_columns(cols, n)
 
 
-def rank_z(mat):
-    return len(snf_diagonal(mat))
-
-
 def solve_columns(mat, rhs):
     """Solve mat @ X = rhs over Z; raise SolveFailed if impossible."""
     if mat.nrows != rhs.nrows:
@@ -631,6 +624,38 @@ def cohomology_of_pair(d_in, d_out):
     return AbGroup(n - rank_in - rank_out, torsion)
 
 
+def strand_cohomology(d_in, d_out, ring):
+    """ker(d_out)/im(d_in) over ``ring``: an AbGroup over Z, a dimension
+    over Q or F_p.  Each ring has exactly one route:
+
+    * ZZ -- :func:`cohomology_of_pair`;
+    * QQ_R -- the rank of that group, exact since Q is flat over Z;
+    * FP(p) -- sparse ranks mod p of both maps, after checking
+      d_out @ d_in == 0 mod p (else :class:`CompositionNonzero`).
+
+    Any other ring, such as Z/p^2, raises ValueError.
+
+    >>> from hodgelab.gralg import FP
+    >>> d = IntMat.from_rows([[2]])
+    >>> strand_cohomology(d, IntMat.zeros(0, 1), ZZ)
+    AbGroup(rank=0, torsion=(2,))
+    >>> strand_cohomology(d, IntMat.zeros(0, 1), FP(2))
+    1
+    """
+    if ring is ZZ:
+        return cohomology_of_pair(d_in, d_out)
+    if ring is QQ_R:
+        return cohomology_of_pair(d_in, d_out).rank
+    p = ring.p
+    if p is None or ring.modulus != p:
+        raise ValueError("no strand cohomology route over %r" % (ring,))
+    if any(v % p for v in d_out.matmul(d_in).entries.values()):
+        raise CompositionNonzero("d_out @ d_in != 0 mod %d" % p)
+    rank_out = fp_rank_sparse(d_out.entries, d_out.nrows, d_out.ncols, p)
+    rank_in = fp_rank_sparse(d_in.entries, d_in.nrows, d_in.ncols, p)
+    return d_out.ncols - rank_out - rank_in
+
+
 def lattice_quotient(ambient_dim, sub_gens):
     """Z^ambient_dim / (columns of sub_gens) as an AbGroup."""
     if sub_gens.ncols == 0 or sub_gens.is_zero():
@@ -644,8 +669,19 @@ def lattice_quotient(ambient_dim, sub_gens):
 # dense exact mod-p elimination (numpy int64 as an exact container)
 
 
+# entries stay below p, so the products in fp_rref fit in int64
+_FP_DENSE_LIMIT = 1 << 31
+
+
 def fp_rref(a, p):
-    """Row-reduce an int64 array mod p; returns (rref, pivot_cols)."""
+    """Row-reduce an int64 array mod p; returns (rref, pivot_cols).
+
+    Raises ValueError for p >= 2^31, where int64 products overflow;
+    :func:`fp_rank_sparse` works in Python ints for any p.
+    """
+    if p >= _FP_DENSE_LIMIT:
+        raise ValueError("dense mod-p elimination needs p < 2^31, got %d"
+                         % p)
     a = np.array(a, dtype=np.int64) % p
     m, n = a.shape
     pivots = []
@@ -854,24 +890,6 @@ def field_solve(rows, ncols, rhs, fld):
     for i, c in enumerate(piv):
         x[c] = r[i][ncols]
     return x
-
-
-def field_span_dim(vectors, ncols, fld):
-    if not vectors:
-        return 0
-    return field_rank(vectors, ncols, fld)
-
-
-def field_in_span(vectors, ncols, target, fld):
-    """Is target in the row-span of vectors?"""
-    if all(fld.is_zero(t) for t in target):
-        return True
-    if not vectors:
-        return False
-    cols = [[vectors[i][j] for i in range(len(vectors))]
-            for j in range(ncols)]
-    rows = [[cols[j][i] for i in range(len(vectors))] for j in range(ncols)]
-    return field_solve(rows, len(vectors), list(target), fld) is not None
 
 
 # ---------------------------------------------------------------------------

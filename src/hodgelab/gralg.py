@@ -864,47 +864,3 @@ def _int_ctx(ctx):
 def teichmuller_scalar(c, p):
     """Teichmuller lift of c in F_p to Z/p^2 (the p-th power of any lift)."""
     return pow(int(c) % p, p, p * p)
-
-
-# functional aliases for the operator methods above
-
-
-def poly_add(f, g):
-    return f + g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_substitute(f, assignment):
-    return f.substitute(assignment)
-
-
-def pd_mul(a, b):
-    return a * b
-
-
-def relative_frobenius(f):
-    """x -> x^p on every generator, coefficients untouched."""
-    return f.frobenius()
-
-
-def frobenius_twist(f):
-    """Coefficient-side Frobenius twist.
-
-    Over F_p and Z/p^2 (Teichmuller-free coordinates) the twist acts
-    trivially on coefficients, so this is the identity; it still guards
-    the characteristic.
-    """
-    if f.ctx.ring.p is None and f.ctx.ring.char == 0:
-        raise WrongCharacteristic("twist needs p-typed coefficients")
-    return f
-
-
-def witt2_add(a, b):
-    return a + b
-
-
-def witt2_mul(a, b):
-    return a * b

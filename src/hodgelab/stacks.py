@@ -14,7 +14,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import cobar
-from .exactlin import QQ, IntMat, cohomology_of_pair, field_rank
+from .exactlin import QQ, IntMat, field_rank, strand_cohomology
 from .gralg import QQ_R
 from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
 from .utils import PROPERTY_SEEDS
@@ -476,7 +476,7 @@ class _TotModel:
             len(self.basis[0]), 0)
         d_out = self.mats[n] if n < self.cap else IntMat.zeros(
             0, len(self.basis[n]))
-        return cohomology_of_pair(d_in, d_out).rank
+        return strand_cohomology(d_in, d_out, QQ_R)
 
 
 def _require_rational(ring):
@@ -520,7 +520,7 @@ def _gm_group_cohomology(m, bound):
                     ent[(tgt[key], col)] = coeff
         mats.append(IntMat(len(bases[s + 1]), len(bases[s]), ent))
     d_in = mats[m - 1] if m else IntMat.zeros(len(bases[0]), 0)
-    return cohomology_of_pair(d_in, mats[m]).rank
+    return strand_cohomology(d_in, mats[m], QQ_R)
 
 
 def _ga_group_cohomology(m, w_cap=10):
@@ -603,7 +603,7 @@ def _koszul_dim(stack, p, q, bound):
     nq = len(basis.get(q, []))
     d_in = mats[q - 1] if q else IntMat.zeros(nq, 0)
     d_out = mats[q] if q < cap else IntMat.zeros(0, nq)
-    return cohomology_of_pair(d_in, d_out).rank
+    return strand_cohomology(d_in, d_out, QQ_R)
 
 
 def koszul_consistency(stack, p, trunc=2):

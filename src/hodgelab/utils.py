@@ -1,9 +1,6 @@
-"""Shared plumbing: deterministic parallel fan-out and recorded seeds."""
+"""Shared plumbing: recorded seeds."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 # Fixed seeds for every randomized property suite; recorded here so runs
 # are reproducible and the CLI selftest exercises the same instances.
@@ -17,24 +14,6 @@ PROPERTY_SEEDS = {
 }
 
 
-def thread_count(explicit=None):
-    """Resolve the parallelism degree: explicit arg, env, then 1."""
-    if explicit is not None:
-        n = int(explicit)
-    else:
-        n = int(os.environ.get("HODGELAB_THREADS", "1") or "1")
-    return max(1, n)
-
-
-def parallel_map(fn, items, threads=None):
-    """Map fn over items, possibly in a thread pool; order preserved.
-
-    Jobs must be independent pure computations; results are collected in
-    input order so reports stay deterministic regardless of parallelism.
-    """
-    items = list(items)
-    n = thread_count(threads)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def thread_count():
+    # Every computation runs in one thread; perfbench/run.py checks this.
+    return 1

@@ -15,7 +15,7 @@ from hodgelab.cobar import (
     torsion_class, v_one, w_class,
 )
 from hodgelab.exactlin import AbGroup
-from hodgelab.gralg import FP, QQ_R, ZZ
+from hodgelab.gralg import FP, QQ_R, ZP2, ZZ
 
 
 def test_strand_basis_shape():
@@ -73,9 +73,11 @@ def test_integral_strand_values():
 
 def test_universal_coefficients_oracle():
     # dim H^n(F_p) = dim H^n(Z) (x) F_p + dim Tor(H^{n+1}(Z), F_p)
+    # the F_p side runs the sparse mod-p eliminator, the Z side the
+    # Smith form, so this checks one against the other
     for p in (2, 3, 5):
-        for n in (1, 2):
-            for w in range(0, 21, 2):
+        for n in range(4):
+            for w in range(0, 25, 2):
                 lhs = group_cohomology(n, w, FP(p))
                 hz = group_cohomology(n, w, ZZ)
                 hz1 = group_cohomology(n + 1, w, ZZ)
@@ -86,6 +88,12 @@ def test_rational_dimensions():
     assert group_cohomology(1, 2, QQ_R) == 1
     assert group_cohomology(2, 4, QQ_R) == 0
     assert group_cohomology(1, 4, QQ_R) == 0
+
+
+def test_no_strand_route_over_z_mod_p_squared():
+    # Z/4 is no field, so no dimension answers this; the F_2 one is 1
+    with pytest.raises(ValueError):
+        group_cohomology(2, 4, ZP2(2))
 
 
 def test_torsion_class_order_p():

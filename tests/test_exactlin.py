@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgelab.exactlin import (AbGroup, CompositionNonzero, IntMat, GFp, QQ,
-                               cohomology_of_pair, field_kernel, field_rank,
-                               field_solve, fp_kernel, fp_rank, fp_solve,
-                               kernel_basis, lattice_quotient,
-                               smith_normal_form, snf_diagonal, solve_columns)
+                               _is_prime, cohomology_of_pair, field_kernel,
+                               field_rank, field_solve, fp_kernel, fp_rank,
+                               fp_rank_sparse, fp_solve, kernel_basis,
+                               lattice_quotient, smith_normal_form,
+                               snf_diagonal, solve_columns, strand_cohomology)
+from hodgelab.gralg import FP, QQ_R, ZZ
 from hodgelab.utils import PROPERTY_SEEDS
 
 
@@ -166,6 +168,18 @@ def test_cohomology_composition_check():
     d_out = IntMat.from_rows([[1, 0]])
     with pytest.raises(CompositionNonzero):
         cohomology_of_pair(d_in, d_out)
+    for ring in (ZZ, QQ_R, FP(3)):
+        with pytest.raises(CompositionNonzero):
+            strand_cohomology(d_in, d_out, ring)
+
+
+def test_strand_cohomology_checks_composition_mod_p():
+    # d_out @ d_in = (3): a cochain pair over F_3 but not over F_2
+    d_in = IntMat.from_rows([[1]])
+    d_out = IntMat.from_rows([[3]])
+    assert strand_cohomology(d_in, d_out, FP(3)) == 0
+    with pytest.raises(CompositionNonzero):
+        strand_cohomology(d_in, d_out, FP(2))
 
 
 def test_cohomology_random_consistency():
@@ -216,13 +230,29 @@ def test_field_helpers_q_and_fp():
     assert (rows5[0][0] * sol[0] + rows5[0][1] * sol[1]) % 5 == 1
 
 
+def test_dense_mod_p_rank_rejects_int64_overflow():
+    # rank 1 (second row = 7 * first); int64 products overflow past 2^31
+    a = [[3, 5], [21, 35]]
+    with pytest.raises(ValueError):
+        fp_rank(a, 2 ** 61 - 1)
+    entries = {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row)}
+    assert fp_rank_sparse(entries, 2, 2, 2 ** 61 - 1) == 1
+    for p in (2147483647, 998244353):
+        assert fp_rank(a, p) == 1
+
+
+def test_is_prime_matches_sieve():
+    limit = 10 ** 4
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, limit):
+        if sieve[q]:
+            for m in range(q * q, limit, q):
+                sieve[m] = False
+    assert [n for n in range(-3, limit) if _is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+
+
 def test_sparse_rank_matches_dense():
-    import random
-
-    import numpy as np
-
-    from hodgelab.exactlin import fp_rank, fp_rank_sparse
-
     rng = random.Random(PROPERTY_SEEDS["snf"])
     for _ in range(150):
         p = rng.choice([2, 3, 5])
