@@ -327,7 +327,7 @@ def _image_columns(a, p):
     """A column basis of the image of a (mod p)."""
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=np.int64)
-    cols = fp_rref(a % p, p)[1]
+    cols = fp_rref(a, p)[1]
     return a[:, list(cols)] % p
 
 

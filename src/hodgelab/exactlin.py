@@ -669,7 +669,9 @@ def lattice_quotient(ambient_dim, sub_gens):
 # dense exact mod-p elimination (numpy int64 as an exact container)
 
 
-# entries stay below p, so the products in fp_rref fit in int64
+# entries stay below p < 2^31, so each product in fp_rref's rank-1
+# update is below (p-1)^2 < 2^62 and each difference above -2^62:
+# int64 holds every intermediate exactly
 _FP_DENSE_LIMIT = 1 << 31
 
 
@@ -698,11 +700,13 @@ def fp_rref(a, p):
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p) if p > 2 else int(a[r, c])
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            a[r, c:] = (a[r, c:] * inv) % p
+        # row r is zero left of c, so one rank-1 update over columns >= c
+        # clears column c in every other row that has a nonzero there
         rows = np.nonzero(a[:, c])[0]
-        for i in rows:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgelab.exactlin import (AbGroup, CompositionNonzero, IntMat, GFp, QQ,
-                               _is_prime, cohomology_of_pair, field_kernel,
-                               field_rank, field_solve, fp_kernel, fp_rank,
-                               fp_rank_sparse, fp_solve, kernel_basis,
+from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
+                               IntMat, GFp, QQ, _is_prime, cohomology_of_pair,
+                               field_kernel, field_rank, field_rref,
+                               field_solve, fp_kernel, fp_rank,
+                               fp_rank_sparse, fp_rref, fp_solve, kernel_basis,
                                lattice_quotient, smith_normal_form,
                                snf_diagonal, solve_columns, strand_cohomology)
 from hodgelab.gralg import FP, QQ_R, ZZ
@@ -183,8 +184,10 @@ def test_strand_cohomology_checks_composition_mod_p():
 
 
 def test_cohomology_random_consistency():
-    # H of (A, B) with B @ A = 0 built from a factored pair
+    # H of (A, B) with B @ A = 0 built from a factored pair; the rank is
+    # checked against an exact kernel, not the modular rank the code uses
     rng = random.Random(13)
+    seen_rank = seen_torsion = False
     for _ in range(15):
         n = rng.randint(2, 5)
         # build d_out with known kernel, then d_in inside that kernel
@@ -192,10 +195,25 @@ def test_cohomology_random_consistency():
         k = kernel_basis(d_out)
         if k.ncols == 0:
             continue
-        coeffs = IntMat.from_rows([[rng.randint(-3, 3)] for _ in range(k.ncols)])
+        ncols_in = rng.randint(1, 3)
+        coeffs = IntMat.from_rows([[rng.randint(-3, 3) for _ in range(ncols_in)]
+                                   for _ in range(k.ncols)])
         d_in = k.matmul(coeffs)
         h = cohomology_of_pair(d_in, d_out)
-        assert h.rank >= 0
+        diag_in = snf_diagonal(d_in)
+        assert h.rank == k.ncols - len(diag_in)
+        assert h.torsion == AbGroup(0, diag_in).torsion
+        seen_rank = seen_rank or h.rank > 0
+        seen_torsion = seen_torsion or bool(h.torsion)
+    assert seen_rank and seen_torsion
+
+
+def test_cohomology_of_pair_falls_back_to_exact_kernel():
+    # rank 1 over Z, rank 0 mod both certifying primes: the modular rank
+    # never reaches the bound, so only the exact kernel gives H = 0
+    d_out = IntMat.from_rows([[2147483647 * 998244353]])
+    assert all(fp_rank(d_out.to_numpy_mod(p), p) == 0 for p in _RANK_PRIMES)
+    assert cohomology_of_pair(IntMat.zeros(1, 0), d_out) == AbGroup(0)
 
 
 def test_lattice_quotient():
@@ -228,6 +246,44 @@ def test_field_helpers_q_and_fp():
     sol = field_solve(rows5, 2, [1, 1], f5)
     assert sol is not None
     assert (rows5[0][0] * sol[0] + rows5[0][1] * sol[1]) % 5 == 1
+
+
+def _random_fp_rows(rng, m, n, p):
+    # full range, low rank, or every entry p - 1, with a zero row and a
+    # zero column when there is room for them
+    mode = rng.choice(("full", "low", "top"))
+    if mode == "full":
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    elif mode == "top":
+        rows = [[p - 1] * n for _ in range(m)]
+    else:
+        k = rng.randint(0, min(m, n))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(row[t] * right[t][j] for t in range(k)) % p
+                 for j in range(n)] for row in left]
+    if m > 2 and n > 2:
+        i, j = rng.randrange(m), rng.randrange(n)
+        rows[i] = [0] * n
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_fp_rref_matches_field_rref_exactly():
+    rng = random.Random(PROPERTY_SEEDS["snf"])
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (40, 40), (40, 7), (7, 40),
+              (25, 25), (12, 30), (30, 12), (3, 3), (2, 9)]
+    for p in (2, 3, 998244353, 2147483647):
+        for m, n in shapes:
+            rows = _random_fp_rows(rng, m, n, p)
+            a = np.array(rows, dtype=np.int64).reshape(m, n)
+            before = a.copy()
+            rref, piv = fp_rref(a, p)
+            want, want_piv = field_rref(rows, n, GFp(p))
+            assert piv == want_piv
+            assert rref.tolist() == want
+            assert np.array_equal(a, before)
 
 
 def test_dense_mod_p_rank_rejects_int64_overflow():
