@@ -283,7 +283,7 @@ def _run_acrys(ps):
         el = alg.ctx.zero()
         for num in range(1, (wmax * den) // 2 + 1):
             for key in alg.strand_basis(Fraction(num, den)):
-                if rng.random() < 0.25:
+                if rng.randrange(4) == 0:
                     el = el + alg.ctx.monomial(*key) * rng.randrange(1, p + 2)
         return el
 
@@ -347,7 +347,7 @@ def _run_hodge(ps):
 def _run_derham_stack(ps):
     stack = _parse_stack(ps["stack"])
     nmax = ps["nmax"]
-    dims = [stacks.derham_cohomology(stack, n) for n in range(nmax + 1)]
+    dims = stacks.derham_cohomology(stack, nmax)
     entries = []
     if stack.kind == "bga":
         for n, d in enumerate(dims):

@@ -17,8 +17,8 @@ from math import comb, factorial, gcd
 import numpy as np
 
 from .derham import DgaForms, TruncationTooSmall, de_rham_cohomology
-from .exactlin import (IntMat, _is_prime, fp_rank, fp_rref,
-                       smith_normal_form, strand_cohomology)
+from .exactlin import (IntMat, _is_prime, complex_cohomology, fp_rank,
+                       fp_rref, smith_normal_form)
 from .gralg import FP, PDContext, TruncationOverflow, ZP2
 
 __all__ = [
@@ -584,8 +584,7 @@ def _unfold_strand_dims(p, depth, w_cap, w):
             ent1[(i2[k2], c)] = int(v)
     d0 = IntMat(len(b1), len(b0), ent0)
     d1 = IntMat(len(b2), len(b1), ent1)
-    return (strand_cohomology(IntMat.zeros(len(b0), 0), d0, FP(p)),
-            strand_cohomology(d0, d1, FP(p)))
+    return tuple(complex_cohomology([len(b0), len(b1)], [d0, d1], FP(p)))
 
 
 def unfold_derham(p, w_max, N=2, depth=None):

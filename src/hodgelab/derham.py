@@ -14,7 +14,8 @@ import numpy as np
 from math import factorial
 
 from .exactlin import (
-    IntMat, fp_kernel, fp_rank, fp_rref, fp_solve, strand_cohomology,
+    IntMat, complex_cohomology, fp_kernel, fp_rank, fp_rref, fp_solve,
+    strand_cohomology,
 )
 from .gralg import FP, PDContext, PolyContext, ZP2
 
@@ -681,6 +682,5 @@ def _ca_tot_dims(ca, w):
         vec += _pd_vector(ca.delta2(el), b2c)
         cols1.append(vec)
     d1 = IntMat.from_columns(cols1, 2 * len(b2f) + len(b2c))
-    fp = FP(ca.p)
-    return (strand_cohomology(IntMat.zeros(len(b0), 0), d0, fp),
-            strand_cohomology(d0, d1, fp))
+    return tuple(complex_cohomology([len(b0), d0.nrows], [d0, d1],
+                                    FP(ca.p)))

@@ -13,7 +13,9 @@ The central consumer-facing pieces are
 * :func:`cohomology_of_pair` -- the finitely generated abelian group
   ker(d_out)/im(d_in) of a pair of integer matrices;
 * :func:`strand_cohomology` -- the same quotient over Z, Q or F_p, the
-  one place that picks the eliminator for each ring,
+  one place that picks the eliminator for each ring;
+* :func:`complex_cohomology` -- every degree of one complex at once,
+  ranking each map once over F_p,
 
 >>> m = IntMat.from_rows([[2, 4], [6, 8]])
 >>> smith_normal_form(m)[1].diagonal()
@@ -630,8 +632,7 @@ def strand_cohomology(d_in, d_out, ring):
 
     * ZZ -- :func:`cohomology_of_pair`;
     * QQ_R -- the rank of that group, exact since Q is flat over Z;
-    * FP(p) -- sparse ranks mod p of both maps, after checking
-      d_out @ d_in == 0 mod p (else :class:`CompositionNonzero`).
+    * FP(p) -- degree 1 of :func:`complex_cohomology` on the pair.
 
     Any other ring, such as Z/p^2, raises ValueError.
 
@@ -646,14 +647,45 @@ def strand_cohomology(d_in, d_out, ring):
         return cohomology_of_pair(d_in, d_out)
     if ring is QQ_R:
         return cohomology_of_pair(d_in, d_out).rank
+    return complex_cohomology([d_in.ncols, d_in.nrows], [d_in, d_out],
+                              ring)[1]
+
+
+def complex_cohomology(dims, mats, ring):
+    """[H^0, ..., H^(len(dims)-1)] of the complex with dim C^n = dims[n]
+    and d: C^n -> C^(n+1) given by mats[n]; maps past the end of mats
+    are zero.  Over Z and Q each degree is one :func:`strand_cohomology`
+    call.  Over F_p each consecutive pair is checked to compose to zero
+    mod p (else :class:`CompositionNonzero`) and each map is ranked once
+    with :func:`fp_rank_sparse`.
+
+    >>> from hodgelab.gralg import FP
+    >>> d = IntMat.from_rows([[2]])
+    >>> complex_cohomology([1, 1], [d], ZZ)
+    [AbGroup(rank=0, torsion=()), AbGroup(rank=0, torsion=(2,))]
+    >>> complex_cohomology([1, 1], [d], FP(2))
+    [1, 1]
+    """
+    top = len(dims)
+    outs = list(mats[:top])
+    for n in range(len(outs), top):
+        outs.append(IntMat.zeros(dims[n + 1] if n + 1 < top else 0, dims[n]))
+    for n, d in enumerate(outs):
+        if d.ncols != dims[n] or (n + 1 < top and d.nrows != dims[n + 1]):
+            raise ValueError("chain degrees do not line up")
+    if ring is ZZ or ring is QQ_R:
+        ins = [IntMat.zeros(dims[0], 0)] + outs[:-1] if top else []
+        return [strand_cohomology(d_in, d_out, ring)
+                for d_in, d_out in zip(ins, outs)]
     p = ring.p
     if p is None or ring.modulus != p:
         raise ValueError("no strand cohomology route over %r" % (ring,))
-    if any(v % p for v in d_out.matmul(d_in).entries.values()):
-        raise CompositionNonzero("d_out @ d_in != 0 mod %d" % p)
-    rank_out = fp_rank_sparse(d_out.entries, d_out.nrows, d_out.ncols, p)
-    rank_in = fp_rank_sparse(d_in.entries, d_in.nrows, d_in.ncols, p)
-    return d_out.ncols - rank_out - rank_in
+    for d_in, d_out in zip(outs, outs[1:]):
+        if any(v % p for v in d_out.matmul(d_in).entries.values()):
+            raise CompositionNonzero("d_out @ d_in != 0 mod %d" % p)
+    ranks = [fp_rank_sparse(d.entries, d.nrows, d.ncols, p) for d in outs]
+    return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(top)]
 
 
 def lattice_quotient(ambient_dim, sub_gens):

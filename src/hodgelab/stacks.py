@@ -7,14 +7,18 @@ Koszul model of the exterior powers of the cotangent complex (group
 cohomology via cobar for the classifying stacks); de Rham cohomology
 from a truncated Cech totalization over the action nerve X x G^s,
 reduced to the weight-zero strand, with a small Cartan model as an
-independent second route.
+independent second route.  Each complex is built once, up to the top
+degree asked for, and every degree is read from it; the filtered
+complexes for the spectral sequences come from one coordinate
+filtration builder.
 """
 
 from itertools import combinations, product
 from math import comb
 
 from . import cobar
-from .exactlin import QQ, IntMat, field_rank, strand_cohomology
+from .exactlin import (QQ, IntMat, complex_cohomology, field_rank,
+                       strand_cohomology)
 from .gralg import QQ_R
 from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
 from .utils import PROPERTY_SEEDS
@@ -292,36 +296,32 @@ def _comult(group, content, bound):
 
 
 def _slot_tuples(group, bound, s, max_forms, weight=None):
-    """Normalized s-slot tuples, optionally of a fixed G_a weight."""
-    if s == 0:
-        return [()] if weight in (None, 0) else []
+    """Normalized s-slot tuples with at most max_forms form slots and,
+    when weight is given, of that total weight; in product order."""
     fs, ws = _slot_contents(group, bound)
-    if weight is None:
-        out = []
-        for combo in product(fs + ws, repeat=s):
-            if sum(1 for c in combo if c[0] == "w") <= max_forms:
-                out.append(combo)
-        return out
-    # fixed-weight enumeration with pruning (every G_a slot weighs >= 1)
-    pool = [(c, _slot_weight(group, c)) for c in fs + ws]
+    pool = [(c, c[0] == "w", _slot_weight(group, c)) for c in fs + ws]
+    lightest = min(cw for _, _, cw in pool)
+    heaviest = max(cw for _, _, cw in pool)
     out = []
 
-    def grow(prefix, left, forms):
+    def grow(prefix, forms, left):
         k = len(prefix)
         if k == s:
-            if left == 0:
+            if not left:
                 out.append(tuple(prefix))
             return
-        if left < s - k:
+        if left is not None and not (
+                (s - k) * lightest <= left <= (s - k) * heaviest):
             return
-        for c, cw in pool:
-            if cw > left or (c[0] == "w" and forms == 0):
+        for c, is_form, cw in pool:
+            if (is_form and not forms) or (left is not None and cw > left):
                 continue
             prefix.append(c)
-            grow(prefix, left - cw, forms - (1 if c[0] == "w" else 0))
+            grow(prefix, forms - is_form,
+                 None if left is None else left - cw)
             prefix.pop()
 
-    grow([], weight, max_forms)
+    grow([], max_forms, weight)
     return out
 
 
@@ -334,6 +334,8 @@ class _TotModel:
     Keys are (sector_id, exps, idxs, slots); the total degree is
     chart-Cech + #dx + #slots + #dlog-slots.  All differentials are
     assembled as sparse integer column maps and d o d = 0 is asserted.
+    basis[n] and mats[n] for n < degree_cap do not depend on the cap, so
+    one model serves every degree below it.
     """
 
     def __init__(self, stack, degree_cap, g_bound, x_bound, weight=None):
@@ -344,8 +346,7 @@ class _TotModel:
         self.g_bound = g_bound
         self.x_bound = x_bound
         self.weight = weight
-        self.basis = {n: [] for n in range(degree_cap + 1)}
-        self.index = {}
+        self.basis = [[] for _ in range(degree_cap + 1)]
         x_table = _x_basis(stack, x_bound)
         for s in range(degree_cap + 1):
             for xdeg, xs in x_table.items():
@@ -359,10 +360,8 @@ class _TotModel:
                     if n <= degree_cap:
                         for sid, exps, idxs in xs:
                             self.basis[n].append((sid, exps, idxs, slots))
-        for n in self.basis:
-            self.basis[n].sort()
-            for j, key in enumerate(self.basis[n]):
-                self.index[key] = (n, j)
+        for keys in self.basis:
+            keys.sort()
         self.mats = [self._matrix(n) for n in range(degree_cap)]
         for n in range(degree_cap - 1):
             if not self.mats[n + 1].matmul(self.mats[n]).is_zero():
@@ -468,15 +467,10 @@ class _TotModel:
         n = self.secs[sid].cech + len(idxs) + len(slots) + nf
         return n <= self.cap
 
-    def dims(self):
-        return [len(self.basis[n]) for n in range(self.cap + 1)]
-
-    def cohomology_dim(self, n):
-        d_in = self.mats[n - 1] if n else IntMat.zeros(
-            len(self.basis[0]), 0)
-        d_out = self.mats[n] if n < self.cap else IntMat.zeros(
-            0, len(self.basis[n]))
-        return strand_cohomology(d_in, d_out, QQ_R)
+    def cohomology(self, n_max):
+        """[dim H^0, ..., dim H^n_max]; exact for n_max < cap."""
+        return complex_cohomology([len(b) for b in self.basis[:n_max + 1]],
+                                  self.mats, QQ_R)
 
 
 def _require_rational(ring):
@@ -494,11 +488,7 @@ def _gm_group_cohomology(m, bound):
         return 0
     cap = m + 2
 
-    def tuples(s):
-        fs = [("f", a) for a in range(-bound, bound + 1) if a]
-        return [combo for combo in product(fs, repeat=s)]
-
-    bases = {s: tuples(s) for s in range(cap + 1)}
+    bases = {s: _slot_tuples("gm", bound, s, 0) for s in range(cap + 1)}
     mats = []
     for s in range(cap):
         tgt = {k: j for j, k in enumerate(bases[s + 1])}
@@ -560,21 +550,19 @@ def hodge_cohomology(stack, p, q, ring=QQ_R, trunc=2):
 
 def _koszul_complex(stack, p, bound):
     """Stages Lambda^(p-j) Omega^1 (tensor the trivial line) of the
-    weight-zero Koszul model, as {degree: basis} plus matrices."""
+    weight-zero Koszul model, as per-degree bases plus matrices."""
     secs = _sectors(stack)
-    basis = {}
+    table = {}
     for j in range(p + 1):
         for sid, sec in enumerate(secs):
             for exps, idxs in _sector_monomials(sec, 0, bound, p - j):
                 deg = sec.cech + j
-                basis.setdefault(deg, []).append((j, sid, exps, idxs))
-    cap = max(basis) if basis else 0
-    for deg in basis:
-        basis[deg].sort()
+                table.setdefault(deg, []).append((j, sid, exps, idxs))
+    basis = [sorted(table.get(n, []))
+             for n in range(max(table, default=0) + 1)]
     mats = []
-    for n in range(cap):
-        src = basis.get(n, [])
-        tgt = {k: i for i, k in enumerate(basis.get(n + 1, []))}
+    for src, dst in zip(basis, basis[1:]):
+        tgt = {k: i for i, k in enumerate(dst)}
         ent = {}
         for col, (j, sid, exps, idxs) in enumerate(src):
             sec = secs[sid]
@@ -592,17 +580,16 @@ def _koszul_complex(stack, p, bound):
                 if key in tgt:
                     ent[(tgt[key], col)] = ent.get(
                         (tgt[key], col), 0) + csign * coeff
-        mats.append(IntMat(len(basis.get(n + 1, [])), len(src), ent))
-    return basis, mats, cap
+        mats.append(IntMat(len(dst), len(src), ent))
+    return basis, mats
 
 
 def _koszul_dim(stack, p, q, bound):
-    basis, mats, cap = _koszul_complex(stack, p, bound)
-    if q > cap:
+    basis, mats = _koszul_complex(stack, p, bound)
+    if q >= len(basis):
         return 0
-    nq = len(basis.get(q, []))
-    d_in = mats[q - 1] if q else IntMat.zeros(nq, 0)
-    d_out = mats[q] if q < cap else IntMat.zeros(0, nq)
+    d_in = mats[q - 1] if q else IntMat.zeros(len(basis[q]), 0)
+    d_out = mats[q] if q < len(mats) else IntMat.zeros(0, len(basis[q]))
     return strand_cohomology(d_in, d_out, QQ_R)
 
 
@@ -616,61 +603,42 @@ def koszul_consistency(stack, p, trunc=2):
     """
     if stack.kind in ("bgm", "bga"):
         raise UnsupportedStack("Koszul model applies to quotient models")
-    basis, mats, cap = _koszul_complex(stack, p, trunc)
-    dims = [len(basis.get(n, [])) for n in range(cap + 1)]
-    diffs = []
-    for n in range(cap):
-        rows = [[0] * dims[n] for _ in range(dims[n + 1])]
-        for (i, j), v in mats[n].entries.items():
-            rows[i][j] = v
-        diffs.append(rows)
-    filt = []
-    for r in range(1, p + 1):
-        level = []
-        for n in range(cap + 1):
-            vecs = []
-            for i, (j, _, _, _) in enumerate(basis.get(n, [])):
-                if j >= r:
-                    v = [0] * dims[n]
-                    v[i] = 1
-                    vecs.append(v)
-            level.append(vecs)
-        if not any(level):
-            break
-        filt.append(level)
-    fc = FilteredComplex(QQ_R, dims, diffs, filt)
-    stable = pages(fc)[-1]
-    out = []
-    for q in range(cap + 1):
-        direct = _koszul_dim(stack, p, q, trunc)
-        out.append({"q": q, "direct": direct, "ss_total": stable.total(q),
-                    "ok": direct == stable.total(q)})
-    return out
+    basis, mats = _koszul_complex(stack, p, trunc)
+    stable = pages(_coordinate_filtered(basis, mats, lambda key: key[0]))[-1]
+    direct = complex_cohomology([len(b) for b in basis], mats, QQ_R)
+    return [{"q": q, "direct": d, "ss_total": stable.total(q),
+             "ok": d == stable.total(q)} for q, d in enumerate(direct)]
 
 
-def derham_cohomology(stack, n, ring=QQ_R, g_bound=1, x_bound=2):
-    """dim H^n_dR over Q via the truncated Cech totalization.
+def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
+    """[dim H^0, ..., dim H^n_max] over Q via the truncated Cech
+    totalization ([] for n_max < 0).
 
-    G_m-type models are recomputed at an enlarged truncation and must
-    agree; the B G_a complex splits by exact finite weight strands, so
-    its answer needs no stability pass.
+    Every degree is read from one model of degree cap n_max + 2.  G_m-type
+    models are rebuilt once at an enlarged truncation and must agree in
+    every degree.  The B G_a complex splits into exact finite weight
+    strands, one model per weight w <= n_max + 2, and degree n sums the
+    strands w <= n + 2; its answer needs no stability pass.
     """
     _require_rational(ring)
-    if n < 0:
-        return 0
+    if n_max < 0:
+        return []
+    cap = n_max + 2
     if stack.kind == "bga":
-        return sum(_bga_strand_dims(n + 2, w)[n] for w in range(0, n + 3))
-    lo = _TotModel(stack, n + 2, g_bound, x_bound).cohomology_dim(n)
-    hi = _TotModel(stack, n + 2, g_bound + 1, x_bound + 1).cohomology_dim(n)
-    if lo != hi:
-        raise AssertionError(
-            "de Rham dim not stable under truncation at degree %d" % n)
+        dims = [0] * (n_max + 1)
+        for w in range(cap + 1):
+            strand = _TotModel(stack, cap, max(w, 1), 0, weight=w)
+            for n, d in enumerate(strand.cohomology(n_max)):
+                if w <= n + 2:
+                    dims[n] += d
+        return dims
+    lo = _TotModel(stack, cap, g_bound, x_bound).cohomology(n_max)
+    hi = _TotModel(stack, cap, g_bound + 1, x_bound + 1).cohomology(n_max)
+    for n in range(n_max + 1):
+        if lo[n] != hi[n]:
+            raise AssertionError(
+                "de Rham dim not stable under truncation at degree %d" % n)
     return lo
-
-
-def _bga_strand_dims(cap, w):
-    model = _TotModel(GmQuotient("bga"), cap, max(w, 1), 0, weight=w)
-    return [model.cohomology_dim(n) for n in range(cap - 1)]
 
 
 def cartan_model_dims(stack, n_max, x_bound=3):
@@ -682,64 +650,58 @@ def cartan_model_dims(stack, n_max, x_bound=3):
     return cohomology_dims(fc)[:n_max + 1]
 
 
-def _cartan_complex(stack, n_max, x_bound, as_filtered=True):
+def _cartan_complex(stack, n_max, x_bound):
     """The Cartan model as a FilteredComplex (Hodge filtration by
     form degree + u power)."""
     secs = _sectors(stack)
     x_table = _x_basis(stack, x_bound)
     cap = n_max + 1
-    basis = {n: [] for n in range(cap + 1)}
+    basis = [[] for _ in range(cap + 1)]
     for xdeg, xs in x_table.items():
         for j in range(0, (cap - xdeg) // 2 + 1):
             n = xdeg + 2 * j
             if n <= cap:
                 for key in xs:
                     basis[n].append((j,) + key)
-    for n in basis:
-        basis[n].sort()
-    dims = [len(basis[n]) for n in range(cap + 1)]
-    diffs = []
-    for n in range(cap):
-        tgt = {k: i for i, k in enumerate(basis[n + 1])}
-        rows = [[0] * dims[n] for _ in range(dims[n + 1])]
-        for col, (j, sid, exps, idxs) in enumerate(basis[n]):
+    for keys in basis:
+        keys.sort()
+    mats = []
+    for src, dst in zip(basis, basis[1:]):
+        tgt = {k: i for i, k in enumerate(dst)}
+        ent = {}
+
+        def add(key, col, coeff):
+            if key in tgt:
+                ent[(tgt[key], col)] = ent.get((tgt[key], col), 0) + coeff
+
+        for col, (j, sid, exps, idxs) in enumerate(src):
             sec = secs[sid]
             res = _restrict_to_overlap(stack, sid, exps, idxs)
             if res is not None:
                 coeff, e2, i2 = res
                 if all(abs(e) <= x_bound for e in e2):
-                    key = (j, 2, e2, i2)
-                    if key in tgt:
-                        rows[tgt[key]][col] += coeff
+                    add((j, 2, e2, i2), col, coeff)
             csign = -1 if sec.cech % 2 else 1
             for coeff, e2, i2 in _d_x(sec, exps, idxs):
-                key = (j, sid, e2, i2)
-                if key in tgt:
-                    rows[tgt[key]][col] += csign * coeff
+                add((j, sid, e2, i2), col, csign * coeff)
             for coeff, e2, i2 in _iota(sec, exps, idxs):
-                key = (j + 1, sid, e2, i2)
-                if key in tgt:
-                    rows[tgt[key]][col] -= csign * coeff
-        diffs.append(rows)
-    if not as_filtered:
-        return basis, dims, diffs
+                add((j + 1, sid, e2, i2), col, -csign * coeff)
+        mats.append(IntMat(len(dst), len(src), ent))
     # Hodge filtration: F^r is spanned by u^j (form degree i) with i+j >= r
-    max_level = cap
-    filt = []
-    for r in range(1, max_level + 1):
-        level = []
-        for n in range(cap + 1):
-            vecs = []
-            for i, (j, sid, exps, idxs) in enumerate(basis[n]):
-                if j + len(idxs) >= r:
-                    v = [0] * dims[n]
-                    v[i] = 1
-                    vecs.append(v)
-            level.append(vecs)
-        if not any(level):
-            break
-        filt.append(level)
-    return FilteredComplex(QQ_R, dims, diffs, filt)
+    return _coordinate_filtered(basis, mats, lambda key: key[0] + len(key[3]))
+
+
+def _coordinate_filtered(basis, mats, level):
+    """The complex with per-degree bases ``basis`` and differentials
+    ``mats`` as a FilteredComplex over Q, filtered by coordinates: F^r
+    is spanned by the basis vectors whose key has level(key) >= r."""
+    dims = [len(keys) for keys in basis]
+    top = max((level(key) for keys in basis for key in keys), default=0)
+    filt = [[[[int(i == t) for t in range(len(keys))]
+              for i, key in enumerate(keys) if level(key) >= r]
+             for keys in basis]
+            for r in range(1, top + 1)]
+    return FilteredComplex(QQ_R, dims, [m.to_rows() for m in mats], filt)
 
 
 def verify_cartan_homotopy(stack, levels=2, x_bound=3, seed=None):
@@ -823,31 +785,11 @@ def _homotopy_identity(stack, sec, sid, k, s, bound):
 
 
 def _bga_strand_filtered(w, cap):
-    """One B G_a weight strand as a Hodge-filtered complex."""
-    model = _TotModel(GmQuotient("bga"), cap, max(w, 1), 0, weight=w)
-    dims = model.dims()
-    diffs = []
-    for n in range(cap):
-        rows = [[0] * dims[n] for _ in range(dims[n + 1])]
-        for (i, j), v in model.mats[n].entries.items():
-            rows[i][j] = v
-        diffs.append(rows)
-    filt = []
-    for r in range(1, cap + 1):
-        level = []
-        for n in range(cap + 1):
-            vecs = []
-            for i, key in enumerate(model.basis[n]):
-                nf = sum(1 for c in key[3] if c[0] == "w") + len(key[2])
-                if nf >= r:
-                    v = [0] * dims[n]
-                    v[i] = 1
-                    vecs.append(v)
-            level.append(vecs)
-        if not any(level):
-            break
-        filt.append(level)
-    return FilteredComplex(QQ_R, dims, diffs, filt)
+    """One B G_a weight strand, Hodge-filtered by its form count."""
+    model = _TotModel(BGa(), cap, max(w, 1), 0, weight=w)
+    return _coordinate_filtered(
+        model.basis, model.mats,
+        lambda key: len(key[2]) + sum(1 for c in key[3] if c[0] == "w"))
 
 
 def _located_d1(fc):
@@ -884,7 +826,7 @@ def hdr_report(stack, n_max):
                     hodge[(p2, q)] = d
     e1_totals = [sum(d for (p2, q), d in hodge.items() if p2 + q == n)
                  for n in range(n_max + 1)]
-    derham = [derham_cohomology(stack, n) for n in range(n_max + 1)]
+    derham = derham_cohomology(stack, n_max)
     entry = {
         "stack": repr(stack),
         "n_max": n_max,

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgelab.cobar import strand_basis, strand_matrix
 from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
                                IntMat, GFp, QQ, _is_prime, cohomology_of_pair,
-                               field_kernel, field_rank, field_rref,
-                               field_solve, fp_kernel, fp_rank,
+                               complex_cohomology, field_kernel, field_rank,
+                               field_rref, field_solve, fp_kernel, fp_rank,
                                fp_rank_sparse, fp_rref, fp_solve, kernel_basis,
                                lattice_quotient, smith_normal_form,
                                snf_diagonal, solve_columns, strand_cohomology)
@@ -181,6 +182,41 @@ def test_strand_cohomology_checks_composition_mod_p():
     assert strand_cohomology(d_in, d_out, FP(3)) == 0
     with pytest.raises(CompositionNonzero):
         strand_cohomology(d_in, d_out, FP(2))
+
+
+def test_complex_cohomology_matches_per_degree_strands():
+    # cobar strands of G_a carry torsion over Z; cutting mats short
+    # leaves zero maps past its end
+    seen_torsion = False
+    for w in (4, 6, 12):
+        dims = [len(strand_basis(n, w)) for n in range(w // 2 + 1)]
+        full = [strand_matrix(n, w) for n in range(len(dims))]
+        for cut in (len(dims), len(dims) - 1, 2):
+            padded = full[:cut] + [IntMat.zeros(dims[n + 1], dims[n])
+                                   for n in range(cut, len(dims) - 1)]
+            if cut < len(dims):
+                padded.append(IntMat.zeros(0, dims[-1]))
+            ins = [IntMat.zeros(dims[0], 0)] + padded[:-1]
+            for ring in (ZZ, QQ_R, FP(3)):
+                want = [strand_cohomology(d_in, d_out, ring)
+                        for d_in, d_out in zip(ins, padded)]
+                got = complex_cohomology(dims, full[:cut], ring)
+                assert got == want, (w, cut, ring)
+                seen_torsion |= ring is ZZ and any(h.torsion for h in got)
+    assert seen_torsion
+    assert complex_cohomology([], [], FP(3)) == []
+    with pytest.raises(ValueError):
+        complex_cohomology([1, 2], [IntMat.zeros(1, 1)], QQ_R)
+
+
+def test_complex_cohomology_checks_every_pair_mod_p():
+    # the pair in degree 2 is a cochain pair mod 3 but not mod 2
+    dims = [1, 1, 1, 1]
+    mats = [IntMat.zeros(1, 1), IntMat.from_rows([[1]]),
+            IntMat.from_rows([[3]])]
+    assert complex_cohomology(dims, mats, FP(3)) == [1, 0, 0, 1]
+    with pytest.raises(CompositionNonzero):
+        complex_cohomology(dims, mats, FP(2))
 
 
 def test_cohomology_random_consistency():

@@ -2,16 +2,23 @@
 dual-route agreement, and the non-degeneration witness for B G_a."""
 
 import random
+from itertools import product
 
 import pytest
 
+from hodgelab import stacks
 from hodgelab.gralg import FP
+from hodgelab.specseq import pages
 from hodgelab.stacks import (
     BGa,
     BGm,
     GradedAffine,
     TwoChartP1,
     UnsupportedStack,
+    _cartan_complex,
+    _slot_contents,
+    _slot_tuples,
+    _slot_weight,
     cartan_model_dims,
     derham_cohomology,
     hdr_report,
@@ -50,16 +57,16 @@ def test_affine_line_hodge_pinned():
 
 
 def test_bga_is_de_rham_contractible():
-    assert [derham_cohomology(BGa(), n) for n in range(5)] == [1, 0, 0, 0, 0]
+    assert derham_cohomology(BGa(), 4) == [1, 0, 0, 0, 0]
 
 
 def test_bgm_derham_is_a_polynomial_ring_on_a_degree_two_class():
-    assert [derham_cohomology(BGm(), n) for n in range(5)] == [1, 0, 1, 0, 1]
+    assert derham_cohomology(BGm(), 4) == [1, 0, 1, 0, 1]
 
 
 def test_affine_line_quotient_matches_bgm():
     a1 = GradedAffine((1,))
-    dims = [derham_cohomology(a1, n) for n in range(5)]
+    dims = derham_cohomology(a1, 4)
     assert dims == [1, 0, 1, 0, 1]
     assert cartan_model_dims(a1, 4) == dims
 
@@ -68,7 +75,7 @@ def test_p1_quotient_counts_both_fixed_points():
     """The scaling action on P^1 has two fixed points, so every even
     degree above 0 carries two classes."""
     p1 = TwoChartP1(1)
-    dims = [derham_cohomology(p1, n) for n in range(5)]
+    dims = derham_cohomology(p1, 4)
     assert dims == [1, 0, 2, 0, 2]
     assert cartan_model_dims(p1, 4) == dims
 
@@ -76,8 +83,56 @@ def test_p1_quotient_counts_both_fixed_points():
 def test_cech_and_cartan_routes_agree_everywhere():
     for stack in (BGm(), GradedAffine((1,)), GradedAffine((2,)),
                   GradedAffine((1, 1)), TwoChartP1(1), TwoChartP1(2)):
-        cech = [derham_cohomology(stack, n) for n in range(4)]
+        cech = derham_cohomology(stack, 3)
         assert cartan_model_dims(stack, 3) == cech, repr(stack)
+
+
+def test_derham_degrees_do_not_depend_on_the_top_degree():
+    """Degrees below the model's cap are read from the same bases and
+    maps whatever the cap, so a shorter list is a prefix."""
+    for stack in (BGm(), BGa(), GradedAffine((1,)), TwoChartP1(1)):
+        assert derham_cohomology(stack, 2) == derham_cohomology(stack, 4)[:3]
+
+
+def _slot_tuples_oracle(group, bound, s):
+    """(tuple, form count, weight) for every s-slot tuple, product order."""
+    fs, ws = _slot_contents(group, bound)
+    return [(t, sum(1 for c in t if c[0] == "w"),
+             sum(_slot_weight(group, c) for c in t))
+            for t in product(fs + ws, repeat=s)]
+
+
+def test_slot_tuples_match_the_product_oracle():
+    # every cell of bounds 0-3 and s <= 5 but G_m at (3, 5): its 13^5
+    # tuples cost seconds and the models use G_m bounds <= 2 only
+    checked = 0
+    for group in ("gm", "ga"):
+        for bound in range(4):
+            for s in range(6):
+                if (group, bound, s) == ("gm", 3, 5):
+                    continue
+                oracle = _slot_tuples_oracle(group, bound, s)
+                for max_forms in range(s + 2):
+                    for weight in (None,) + tuple(range(9)):
+                        want = [t for t, nf, wt in oracle if nf <= max_forms
+                                and weight in (None, wt)]
+                        got = _slot_tuples(group, bound, s, max_forms, weight)
+                        assert got == want, (group, bound, s, max_forms,
+                                             weight)
+                        checked += 1
+    assert checked == (2 * 4 * sum(s + 2 for s in range(6)) - 7) * 10
+
+
+def test_cartan_e1_page_is_the_hodge_table():
+    """The Hodge filtration of the Cartan model (form degree + u power)
+    has E_1 equal to Hodge cohomology from the Koszul model; a wrong
+    filtration level moves the P^1 classes off the diagonal."""
+    for stack in (TwoChartP1(1), GradedAffine((1, 2))):
+        e1 = pages(_cartan_complex(stack, 3, 3), 1)[1]
+        for n in range(4):
+            for p in range(n + 1):
+                assert e1.dim(p, n) == hodge_cohomology(stack, p, n - p), \
+                    (repr(stack), p, n)
 
 
 def test_cartan_homotopy_is_an_exact_matrix_identity():
@@ -195,4 +250,39 @@ def test_unstable_truncation_is_detected():
 def test_negative_degrees_vanish():
     assert hodge_cohomology(BGm(), -1, 0) == 0
     assert hodge_cohomology(BGm(), 0, -2) == 0
-    assert derham_cohomology(BGm(), -1) == 0
+    assert derham_cohomology(BGm(), -1) == []
+
+
+# negative controls: corrupt one ingredient, the verdict must turn
+
+
+def test_koszul_consistency_flags_a_corrupted_direct_route(monkeypatch):
+    true_complex_cohomology = stacks.complex_cohomology
+
+    def off_by_one(dims, mats, ring):
+        out = true_complex_cohomology(dims, mats, ring)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(stacks, "complex_cohomology", off_by_one)
+    rows = koszul_consistency(GradedAffine((1,)), 1)
+    assert [r["ok"] for r in rows] == [True] * (len(rows) - 1) + [False]
+
+
+def test_cartan_homotopy_flags_a_doubled_contraction(monkeypatch):
+    true_iota = stacks._iota
+
+    def doubled(sec, exps, idxs):
+        return [(2 * c, e2, i2) for c, e2, i2 in true_iota(sec, exps, idxs)]
+
+    monkeypatch.setattr(stacks, "_iota", doubled)
+    entries = verify_cartan_homotopy(GradedAffine((1,)))
+    assert any(e["dim"] for e in entries)
+    assert not all(e["ok"] for e in entries)
+
+
+def test_hdr_report_rejects_a_wrong_cartan_route(monkeypatch):
+    monkeypatch.setattr(stacks, "cartan_model_dims",
+                        lambda stack, n_max: [1] * (n_max + 1))
+    with pytest.raises(AssertionError, match="Cartan"):
+        hdr_report(BGm(), 2)
