@@ -324,18 +324,17 @@ def _run_unfold(ps):
 def _run_hodge(ps):
     stack = _parse_stack(ps["stack"])
     nmax = ps["nmax"]
-    jobs = [(pp, q) for pp in range(nmax + 1) for q in range(nmax + 1)]
-    dims = [stacks.hodge_cohomology(stack, pp, q) for pp, q in jobs]
     entries = []
-    for (pp, q), d in zip(jobs, dims):
-        if stack.kind == "bgm":
-            ok = d == (1 if pp == q else 0)
-        elif stack.kind == "bga":
-            ok = d == (1 if q - pp in (0, 1) else 0)
-        else:
-            ok = True
-        if d or not ok:
-            entries.append({"p": pp, "q": q, "dim": d, "ok": ok})
+    for pp in range(nmax + 1):
+        for q, d in enumerate(stacks.hodge_cohomology(stack, pp, nmax)):
+            if stack.kind == "bgm":
+                ok = d == (1 if pp == q else 0)
+            elif stack.kind == "bga":
+                ok = d == (1 if q - pp in (0, 1) else 0)
+            else:
+                ok = True
+            if d or not ok:
+                entries.append({"p": pp, "q": q, "dim": d, "ok": ok})
     if stack.kind in ("affine", "p1"):
         for pp in range(1, nmax + 1):
             rows = stacks.koszul_consistency(stack, pp)

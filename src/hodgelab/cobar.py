@@ -25,8 +25,8 @@ from .exactlin import (
 from .gralg import FP, QQ_R, ZZ
 
 __all__ = [
-    "NotACocycle", "LiftNotExact", "StrandComplex", "CohClass",
-    "strand_basis", "strand_matrix", "standard_complex", "group_cohomology",
+    "NotACocycle", "LiftNotExact", "CohClass",
+    "strand_basis", "strand_matrix", "group_cohomology",
     "phi_class", "torsion_class", "cup", "bockstein", "torsion_census",
     "class_is_zero", "classes_equal", "hilbert_dims_f2", "hilbert_dims_odd",
     "kzthree_group", "apply_d",
@@ -121,40 +121,6 @@ def apply_d(n, w, cochain):
             else:
                 out.pop(key, None)
     return out
-
-
-class StrandComplex:
-    """Table of strand bases and differentials for n <= n_max, w <= w_max.
-
-    dods = 0 is asserted for every stored consecutive pair at build time,
-    not left to the test suite.
-    """
-
-    def __init__(self, ring, n_max, w_max, strands):
-        self.ring = ring
-        self.n_max = n_max
-        self.w_max = w_max
-        self.strands = strands  # (n, w) -> (basis, IntMat)
-
-    def basis(self, n, w):
-        return self.strands[(n, w)][0]
-
-    def differential(self, n, w):
-        return self.strands[(n, w)][1]
-
-
-def standard_complex(n_max, w_max, ring=ZZ):
-    if n_max < 0 or w_max < 0 or w_max % 2:
-        raise ValueError("need n_max >= 0 and even w_max >= 0")
-    strands = {(n, w): (strand_basis(n, w), strand_matrix(n, w))
-               for w in range(0, w_max + 1, 2) for n in range(n_max + 1)}
-    for w in range(0, w_max + 1, 2):
-        for n in range(n_max):
-            d0 = strands[(n, w)][1]
-            d1 = strands[(n + 1, w)][1]
-            if not d1.matmul(d0).is_zero():
-                raise AssertionError("d o d != 0 at (n=%d, w=%d)" % (n, w))
-    return StrandComplex(ring, n_max, w_max, strands)
 
 
 def group_cohomology(n, w, ring=ZZ):

@@ -7,18 +7,18 @@ Koszul model of the exterior powers of the cotangent complex (group
 cohomology via cobar for the classifying stacks); de Rham cohomology
 from a truncated Cech totalization over the action nerve X x G^s,
 reduced to the weight-zero strand, with a small Cartan model as an
-independent second route.  Each complex is built once, up to the top
-degree asked for, and every degree is read from it; the filtered
-complexes for the spectral sequences come from one coordinate
-filtration builder.
+independent second route.  Both sides of the comparison build each
+complex once, up to the top degree asked for, and read every degree
+from it: de Rham dimensions once per stack, Hodge dimensions once per
+exterior power p.  The filtered complexes for the spectral sequences
+come from one coordinate filtration builder.
 """
 
 from itertools import combinations, product
 from math import comb
 
 from . import cobar
-from .exactlin import (QQ, IntMat, complex_cohomology, field_rank,
-                       strand_cohomology)
+from .exactlin import QQ, IntMat, complex_cohomology, field_rank
 from .gralg import QQ_R
 from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
 from .utils import PROPERTY_SEEDS
@@ -481,16 +481,14 @@ def _require_rational(ring):
 # -- group cohomology of the two groups -------------------------------------
 
 
-def _gm_group_cohomology(m, bound):
-    """dim H^m(G_m, Q) from the reduced bar complex of Q[t,1/t],
-    truncated to |exponent| <= bound."""
-    if m < 0:
-        return 0
-    cap = m + 2
-
-    bases = {s: _slot_tuples("gm", bound, s, 0) for s in range(cap + 1)}
+def _gm_group_cohomology(m_max, bound):
+    """[dim H^0, ..., dim H^m_max](G_m, Q) from one reduced bar complex
+    of Q[t,1/t], truncated to |exponent| <= bound."""
+    if m_max < 0:
+        return []
+    bases = [_slot_tuples("gm", bound, s, 0) for s in range(m_max + 2)]
     mats = []
-    for s in range(cap):
+    for s in range(m_max + 1):
         tgt = {k: j for j, k in enumerate(bases[s + 1])}
         ent = {}
         for col, combo in enumerate(bases[s]):
@@ -509,43 +507,58 @@ def _gm_group_cohomology(m, bound):
                 if coeff and not any(c is None for c in key):
                     ent[(tgt[key], col)] = coeff
         mats.append(IntMat(len(bases[s + 1]), len(bases[s]), ent))
-    d_in = mats[m - 1] if m else IntMat.zeros(len(bases[0]), 0)
-    return strand_cohomology(d_in, mats[m], QQ_R)
+    return complex_cohomology([len(b) for b in bases[:-1]], mats, QQ_R)
 
 
-def _ga_group_cohomology(m, w_cap=10):
-    """dim H^m(G_a, Q), summed over the cobar weight window."""
-    if m < 0:
-        return 0
-    return sum(cobar.group_cohomology(m, w, ring=QQ_R)
-               for w in range(0, w_cap + 1))
+def _ga_group_cohomology(m_max, w_cap=10):
+    """[dim H^0, ..., dim H^m_max](G_a, Q), each summed over the cobar
+    weight window; one strand complex per weight."""
+    dims = [0] * (m_max + 1)
+    for w in range(w_cap + 1):
+        strand = complex_cohomology(
+            [len(cobar.strand_basis(n, w)) for n in range(m_max + 1)],
+            [cobar.strand_matrix(n, w) for n in range(m_max + 1)], QQ_R)
+        dims = [a + b for a, b in zip(dims, strand)]
+    return dims
 
 
 # -- the public operations ---------------------------------------------------
 
 
-def hodge_cohomology(stack, p, q, ring=QQ_R, trunc=2):
-    """dim H^q(X, Lambda^p of the cotangent complex) over Q.
+def hodge_cohomology(stack, p, q_max, ring=QQ_R, trunc=2):
+    """[dim H^0, ..., dim H^q_max](X, Lambda^p of the cotangent complex)
+    over Q ([] for q_max < 0, zeros for p < 0).
 
-    For the classifying stacks this is H^(q-p)(G, Sym^p g*) with the
+    For the classifying stacks H^q is H^(q-p)(G, Sym^p g*) with the
     one-dimensional Sym twist; for quotients it is H^q of the
-    weight-zero Koszul model, checked stable under the exponent
-    truncation.
+    weight-zero Koszul model, built once per truncation and checked
+    stable under it in every degree asked for.
+
+    >>> hodge_cohomology(TwoChartP1(1), 1, 3)
+    [0, 2, 0, 0]
+    >>> hodge_cohomology(BGa(), 1, 3)
+    [0, 1, 1, 0]
     """
     _require_rational(ring)
-    if p < 0 or q < 0:
-        return 0
+    if q_max < 0 or p < 0:
+        return [0] * (q_max + 1)
     ct = stack.cotangent()
-    if stack.kind == "bgm":
-        return ct.sym_dim(p) * _gm_group_cohomology(q - p, 2)
-    if stack.kind == "bga":
-        return ct.sym_dim(p) * _ga_group_cohomology(q - p)
-    lo = _koszul_dim(stack, p, q, trunc)
-    hi = _koszul_dim(stack, p, q, trunc + 1)
-    if lo != hi:
-        raise AssertionError(
-            "Koszul strand not stable under truncation at (%d, %d)" % (p, q))
-    return lo
+    if stack.kind in ("bgm", "bga"):
+        group = (_gm_group_cohomology(q_max - p, 2) if stack.kind == "bgm"
+                 else _ga_group_cohomology(q_max - p))
+        return ([0] * p + [ct.sym_dim(p) * d for d in group])[:q_max + 1]
+    rows = []
+    for bound in (trunc, trunc + 1):
+        basis, mats = _koszul_complex(stack, p, bound)
+        row = complex_cohomology([len(b) for b in basis[:q_max + 1]],
+                                 mats, QQ_R)
+        rows.append(row + [0] * (q_max + 1 - len(row)))
+    for q in range(q_max + 1):
+        if rows[0][q] != rows[1][q]:
+            raise AssertionError(
+                "Koszul strand not stable under truncation at (%d, %d)"
+                % (p, q))
+    return rows[0]
 
 
 def _koszul_complex(stack, p, bound):
@@ -584,15 +597,6 @@ def _koszul_complex(stack, p, bound):
     return basis, mats
 
 
-def _koszul_dim(stack, p, q, bound):
-    basis, mats = _koszul_complex(stack, p, bound)
-    if q >= len(basis):
-        return 0
-    d_in = mats[q - 1] if q else IntMat.zeros(len(basis[q]), 0)
-    d_out = mats[q] if q < len(mats) else IntMat.zeros(0, len(basis[q]))
-    return strand_cohomology(d_in, d_out, QQ_R)
-
-
 def koszul_consistency(stack, p, trunc=2):
     """Cross-check H^q of the Koszul model against the spectral
     sequence of its filtration by exterior-power stage.
@@ -623,15 +627,9 @@ def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
     _require_rational(ring)
     if n_max < 0:
         return []
-    cap = n_max + 2
     if stack.kind == "bga":
-        dims = [0] * (n_max + 1)
-        for w in range(cap + 1):
-            strand = _TotModel(stack, cap, max(w, 1), 0, weight=w)
-            for n, d in enumerate(strand.cohomology(n_max)):
-                if w <= n + 2:
-                    dims[n] += d
-        return dims
+        return _bga_derham(n_max)[0]
+    cap = n_max + 2
     lo = _TotModel(stack, cap, g_bound, x_bound).cohomology(n_max)
     hi = _TotModel(stack, cap, g_bound + 1, x_bound + 1).cohomology(n_max)
     for n in range(n_max + 1):
@@ -639,6 +637,20 @@ def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
             raise AssertionError(
                 "de Rham dim not stable under truncation at degree %d" % n)
     return lo
+
+
+def _bga_derham(n_max):
+    """B G_a de Rham dims [H^0, ..., H^n_max] and the weight strands
+    w = 0, ..., n_max + 2 (degree cap n_max + 2) that they sum."""
+    cap = n_max + 2
+    strands = [_TotModel(BGa(), cap, max(w, 1), 0, weight=w)
+               for w in range(cap + 1)]
+    dims = [0] * (n_max + 1)
+    for w, strand in enumerate(strands):
+        for n, d in enumerate(strand.cohomology(n_max)):
+            if w <= n + 2:
+                dims[n] += d
+    return dims, strands
 
 
 def cartan_model_dims(stack, n_max, x_bound=3):
@@ -784,9 +796,8 @@ def _homotopy_identity(stack, sec, sid, k, s, bound):
 # -- Hodge-to-de Rham assembly ----------------------------------------------
 
 
-def _bga_strand_filtered(w, cap):
+def _bga_strand_filtered(model):
     """One B G_a weight strand, Hodge-filtered by its form count."""
-    model = _TotModel(BGa(), cap, max(w, 1), 0, weight=w)
     return _coordinate_filtered(
         model.basis, model.mats,
         lambda key: len(key[2]) + sum(1 for c in key[3] if c[0] == "w"))
@@ -819,14 +830,15 @@ def hdr_report(stack, n_max):
     """
     hodge = {}
     for p2 in range(n_max + 2):
-        for q in range(n_max + 2):
-            if p2 + q <= n_max + 1:
-                d = hodge_cohomology(stack, p2, q)
-                if d:
-                    hodge[(p2, q)] = d
+        for q, d in enumerate(hodge_cohomology(stack, p2, n_max + 1 - p2)):
+            if d:
+                hodge[(p2, q)] = d
     e1_totals = [sum(d for (p2, q), d in hodge.items() if p2 + q == n)
                  for n in range(n_max + 1)]
-    derham = derham_cohomology(stack, n_max)
+    if stack.kind == "bga":
+        derham, strands = _bga_derham(n_max)
+    else:
+        derham = derham_cohomology(stack, n_max)
     entry = {
         "stack": repr(stack),
         "n_max": n_max,
@@ -844,11 +856,11 @@ def hdr_report(stack, n_max):
     entry["failures"] = failures
     if stack.kind == "bga":
         located = []
-        for w in range(1, n_max + 2):
-            located += _located_d1(_bga_strand_filtered(w, n_max + 2))
+        for strand in strands[1:n_max + 2]:
+            located += _located_d1(_bga_strand_filtered(strand))
         entry["located_d1"] = located
-        entry["specseq"] = degenerates_at(
-            _bga_strand_filtered(1, max(3, n_max)), 1)
+        entry["specseq"] = degenerates_at(_bga_strand_filtered(
+            _TotModel(BGa(), max(3, n_max), 1, 0, weight=1)), 1)
     else:
         fc = _cartan_complex(stack, n_max, 3)
         entry["specseq"] = degenerates_at(fc, 1)
