@@ -548,9 +548,6 @@ class CAComplex:
                     add(b, -base)
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def strand_keys(self, ctx, w):
-        return ctx.strand_basis(w)
-
     def element_a(self):
         """(x_1^p - x_2^p)/p constructed by exact division in Z/p^2."""
         p = self.p

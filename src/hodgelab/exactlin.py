@@ -87,9 +87,6 @@ class AbGroup:
         self.rank = int(rank)
         self.torsion = _divisor_chain(torsion)
 
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
-
     def is_free(self):
         return not self.torsion
 
@@ -113,9 +110,6 @@ class AbGroup:
     def tor_fp(self, p):
         """dim_Fp Tor_1(self, F_p)."""
         return self.torsion_count(p)
-
-    def to_dict(self):
-        return {"rank": self.rank, "torsion": list(self.torsion)}
 
     def __eq__(self, other):
         return (isinstance(other, AbGroup) and self.rank == other.rank

@@ -99,6 +99,7 @@ ZZ = _Ring("Z", 0)
 QQ_R = _Ring("Q", 0)
 _fp_cache = {}
 _zp2_cache = {}
+_unit_exp_cache = {}
 
 
 def FP(p):
@@ -120,6 +121,13 @@ def _exp_norm(e):
     if e.denominator == 1:
         return int(e)
     return e
+
+
+def _unit_exps(q, n):
+    """The shared list, at least n long, whose entry u is _exp_norm(u/q)."""
+    tab = _unit_exp_cache.setdefault(q, [])
+    tab.extend(_exp_norm(Fraction(u, q)) for u in range(len(tab), n))
+    return tab
 
 
 class PolyContext:
@@ -444,6 +452,9 @@ class PDContext:
                  names=None):
         if ring.p is None:
             raise WrongCharacteristic("PD model needs F_p or Z/p^2")
+        if not isinstance(depth, int) or depth < 0:
+            raise ValueError("root depth must be an int >= 0, got %r"
+                             % (depth,))
         self.ring = ring
         self.p = ring.p
         self.nvars = nvars
@@ -510,86 +521,52 @@ class PDContext:
 
     # -- strand enumeration --------------------------------------------------
 
-    def _exp_values_upto(self, wmax):
-        # all admissible single-variable exponents of weight <= wmax
-        step = Fraction(1, self.p ** self.depth)
-        vals = []
-        v = Fraction(0)
-        while v <= wmax:
-            vals.append(_exp_norm(v))
-            v += step
-        return vals
-
-    def _lead_bounds(self):
-        # per-variable upper bound (exclusive) from the normal form
-        bounds = [None] * self.nvars
-        for rel in self.relators:
-            bounds[rel[1]] = Fraction(1)
-        return bounds
-
     def strand_basis(self, w):
-        """Ordered list of normal-form keys of exact weight w."""
-        w = Fraction(w)
-        if w < 0:
+        """Ordered list of the normal-form keys of exact weight w.
+
+        Keys are (exps, pd) pairs in lexicographic order of (exponents
+        taken numerically, pd); an exponent is an ``int`` when integral
+        and a ``Fraction`` otherwise.  Exponents are enumerated as
+        integers in units of 1/q, q = p^depth, already in that order, and
+        looked up in a per-q table of exponents only when a key is emitted.
+
+        >>> PDContext(FP(2), 2, [], depth=1).strand_basis(1)
+        [((0, 1), ()), ((Fraction(1, 2), Fraction(1, 2)), ()), ((1, 0), ())]
+        """
+        q = self.p ** self.depth
+        W = Fraction(w) * q
+        if W < 0 or W.denominator != 1:
             return []
-        bounds = self._lead_bounds()
-        step = Fraction(1, self.p ** self.depth)
-        keys = []
+        W = int(W)
+        exp = _unit_exps(q, W + 1)
+        nv, npd = self.nvars, len(self.relators)
+        led = [False] * nv
+        for rel in self.relators:
+            led[rel[1]] = True
+        last = nv + npd - 1 if npd else nv
+        keys, slots = [], []
 
-        def rec_vars(i, remaining, exps):
-            if i == self.nvars:
-                rec_pd(0, remaining, exps, [])
+        # slots[:nv] are exponents in units, slots[nv:] PD exponents; the
+        # last PD slot takes the rest, and with no relators none may be left
+        def rec(i, left):
+            if i >= nv and left % q:
                 return
-            cap = remaining
-            if bounds[i] is not None:
-                cap = min(cap, Fraction(1) - step)
-            v = Fraction(0)
-            while v <= cap:
-                exps.append(_exp_norm(v))
-                rec_vars(i + 1, remaining - v, exps)
-                exps.pop()
-                v += step
+            if i == last:
+                if npd or not left:
+                    rest = (left // q,) if npd else ()
+                    keys.append((tuple(exp[u] for u in slots[:nv]),
+                                 tuple(slots[nv:]) + rest))
+                return
+            if i < nv:
+                top, unit = (min(left, q - 1) if led[i] else left), 1
+            else:
+                top, unit = left // q, q
+            for c in range(top + 1):
+                slots.append(c)
+                rec(i + 1, left - c * unit)
+                slots.pop()
 
-        def rec_pd(j, remaining, exps, pd):
-            if j == len(self.relators):
-                if remaining == 0:
-                    keys.append((tuple(exps), tuple(pd)))
-                return
-            if j == len(self.relators) - 1:
-                if remaining.denominator == 1 and remaining >= 0:
-                    rec_pd(j + 1, Fraction(0), exps, pd + [int(remaining)])
-                else:
-                    rec_pd(j + 1, remaining, exps, pd + [0])
-                return
-            k = 0
-            while k <= remaining:
-                rec_pd(j + 1, remaining - k, exps, pd + [k])
-                k += 1
-
-        if not self.relators:
-            def rec_only(i, remaining, exps):
-                if i == self.nvars:
-                    if remaining == 0:
-                        keys.append((tuple(exps), ()))
-                    return
-                if i == self.nvars - 1:
-                    if remaining >= 0 and (
-                            Fraction(remaining).denominator
-                            <= self.p ** self.depth and
-                            self.p ** self.depth
-                            % Fraction(remaining).denominator == 0):
-                        keys.append((tuple(exps) + (_exp_norm(remaining),), ()))
-                    return
-                v = Fraction(0)
-                while v <= remaining:
-                    exps.append(_exp_norm(v))
-                    rec_only(i + 1, remaining - v, exps)
-                    exps.pop()
-                    v += step
-            rec_only(0, w, [])
-        else:
-            rec_vars(0, w, [])
-        keys.sort(key=_key_sort)
+        rec(0, W)
         return keys
 
 
@@ -747,12 +724,6 @@ class PDElement:
         for key, c in self.terms.items():
             parts.setdefault(self.ctx.key_weight(key), {})[key] = c
         return {w: PDElement(self.ctx, t) for w, t in sorted(parts.items())}
-
-    def pd_degree_min(self):
-        """Smallest total PD exponent among terms (None if zero)."""
-        if not self.terms:
-            return None
-        return min(sum(k) for (_, k) in self.terms)
 
     def __repr__(self):
         if not self.terms:

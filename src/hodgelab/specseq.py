@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import GFp, QQ, field_rank, field_rref, field_solve
+from .exactlin import (GFp, QQ, field_kernel, field_rank, field_rref,
+                       field_solve)
 from .gralg import FP, QQ_R, ZZ
 
 __all__ = [
@@ -162,9 +163,6 @@ class SSPage:
     def total(self, n):
         return sum(v for (s, m), v in self.entries.items() if m == n)
 
-    def all_differentials_vanish(self):
-        return all(_mat_is_zero(m) for m in self.diffs.values())
-
 
 def _mat_is_zero(rows):
     return all(all(x == 0 or x == Fraction(0) for x in r) for r in rows)
@@ -189,7 +187,6 @@ def _z_space(fc, s, r, n):
     for t in tgt:
         cols.append(t)
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(m)]
-    from .exactlin import field_kernel
     ker = field_kernel(rows, len(cols), fld)
     out = []
     for kv in ker:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from hodgelab import cli, crystal
 from hodgelab.crystal import (
     CrysAlgebra, NotALift, SemiperfectModel, TruncationOverflow,
     TruncationTooSmall, acrys_mod, conj_fil, di_splitting, gr_conj_basis,
     hodge_fil, kappa, kappa_scalar, nygaard, unfold_derham, verify_kappa_iso,
 )
+from hodgelab.exactlin import CompositionNonzero
 from hodgelab.utils import PROPERTY_SEEDS
 
 HALF = Fraction(1, 2)
@@ -169,6 +171,20 @@ def test_kappa_iso_glued_model():
     assert entries and all(e["ok"] for e in entries)
 
 
+def test_kappa_iso_rejects_a_non_unit_kappa_scalar(monkeypatch):
+    # negative control: kappa_r with a scalar divisible by p is not
+    # invertible mod p, so some strand of grade r >= 1 must fail
+    S = cli._crystal_models(2, 2, 8, "point")[0]
+    assert all(e["ok"] for e in verify_kappa_iso(S, 1))
+    true_scalar = crystal.kappa_scalar
+    monkeypatch.setattr(crystal, "kappa_scalar", lambda p, k:
+                        p * true_scalar(p, k) if k >= 1
+                        else true_scalar(p, k))
+    entries = verify_kappa_iso(S, 1)
+    assert any(not e["ok"] for e in entries)
+    assert all(e["ok"] for e in entries if e["r"] == 0)
+
+
 def test_nygaard_one_reduces_to_the_pd_ideal():
     S = point_model(2, w_max=6)
     A2 = acrys_mod(S, 4)
@@ -275,6 +291,17 @@ def test_unfold_matches_de_rham_p3():
         assert by_w[w] == (1, 1)
     for w in (1, 2, 4, 5, 7, 8):
         assert by_w[w] == (0, 0)
+
+
+def test_unfold_rejects_a_dropped_coface(monkeypatch):
+    # negative control: without the third coface the unfolding is no
+    # longer a complex, and the d∘d check must refuse it
+    true_coface = crystal._coface12
+    monkeypatch.setattr(crystal, "_coface12", lambda lvl2, el, which:
+                        lvl2.zero() if which == 2
+                        else true_coface(lvl2, el, which))
+    with pytest.raises(CompositionNonzero):
+        unfold_derham(2, 4)
 
 
 def test_unfold_guards():

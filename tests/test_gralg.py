@@ -3,6 +3,7 @@ length-2 Witt vectors (with the Z/p^2 isomorphism as oracle)."""
 
 import pytest
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hodgelab.gralg import (
     FP, ZP2, ZZ, QQ_R, MultiPoly, PDContext, PolyContext,
     RingMismatch, TruncationOverflow, WeightOverflow, Witt2,
-    poly_div_int, teichmuller_scalar,
+    _exp_norm, _key_sort, poly_div_int, teichmuller_scalar,
 )
 
 
@@ -194,6 +195,50 @@ def test_pd_strand_enumeration():
     assert ctx.strand_basis(Fraction(5, 2)) == [((Fraction(1, 2),), (2,))]
     free = PDContext(FP(2), 2, [], depth=0)
     assert len(free.strand_basis(3)) == 4  # monomials of degree 3 in 2 vars
+
+
+def _strand_oracle(ctx, w_max):
+    """Brute force: every key of weight <= w_max, bucketed by weight."""
+    q = ctx.p ** ctx.depth
+    led = {rel[1] for rel in ctx.relators}
+    units = [range(q) if i in led else range(w_max * q + 1)
+             for i in range(ctx.nvars)]
+    pds = [range(w_max + 1)] * len(ctx.relators)
+    by_weight = {}
+    for us, pd in product(product(*units), product(*pds)):
+        w = Fraction(sum(us), q) + sum(pd)
+        if w <= w_max:
+            key = (tuple(_exp_norm(Fraction(u, q)) for u in us), pd)
+            by_weight.setdefault(w, []).append(key)
+    return {w: sorted(keys, key=_key_sort) for w, keys in by_weight.items()}
+
+
+def _key_types(keys):
+    return [(tuple(map(type, e)), tuple(map(type, k))) for e, k in keys]
+
+
+def test_pd_strand_basis_matches_brute_force():
+    shapes = [(1, []), (2, []), (1, [("var", 0)]), (2, [("diff", 0, 1)]),
+              (3, [("diff", 0, 1), ("var", 2)]),
+              (2, [("var", 0), ("var", 1)])]
+    for p, depths in ((2, (0, 1, 2)), (3, (0, 1, 2)), (5, (0, 1))):
+        for depth in depths:
+            q = p ** depth
+            weights = {Fraction(n, d) for d in (1, q, p * q, 3)
+                       for n in range(-2, 3 * d + 1)}
+            for nvars, relators in shapes:
+                ctx = PDContext(FP(p), nvars, relators, depth=depth)
+                want = _strand_oracle(ctx, 3)
+                for w in weights:
+                    got = ctx.strand_basis(w)
+                    assert got == want.get(w, []), (p, depth, relators, w)
+                    assert _key_types(got) == _key_types(want.get(w, []))
+
+
+def test_pd_context_rejects_bad_depth():
+    for depth in (-1, Fraction(1, 2), 1.0, "1"):
+        with pytest.raises(ValueError):
+            PDContext(FP(2), 1, [("var", 0)], depth=depth)
 
 
 def test_pd_weight_cap():
