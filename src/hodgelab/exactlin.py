@@ -1,7 +1,8 @@
 """Exact linear algebra over Z, F_p and Q.
 
 Everything here is exact: integer work uses arbitrary-precision ints and
-Smith normal forms with tracked unimodular transforms, mod-p work uses
+Smith normal forms, with tracked unimodular transforms or, when only the
+diagonal is wanted, modulo twice a nonsingular minor, mod-p work uses
 sparse elimination in Python ints or dense elimination on exact
 small-int arrays (p < 2^31), rational work uses Fractions.
 No floating point is ever produced.
@@ -24,6 +25,7 @@ The central consumer-facing pieces are
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -356,16 +358,261 @@ class _OpLog:
         return IntMat(self.n, self.n, ent)
 
 
+_RANK_PRIMES = (2147483647, 998244353)
+
+
+class _SchurWork:
+    # Sparse rows {i: {j: v}} with a column index and a lazy heap of row
+    # lengths, for the diagonal-only Smith route: entries are exact over
+    # Z, or residues mod `modulus` when one is given.
+
+    def __init__(self, entries, modulus=None):
+        self.mod = modulus
+        self.rows, self.cols = {}, {}
+        for (i, j), v in entries.items():
+            v = v % modulus if modulus else v
+            if v:
+                self.rows.setdefault(i, {})[j] = v
+                self.cols.setdefault(j, set()).add(i)
+        self.heap = [(len(row), i) for i, row in self.rows.items()]
+        heapq.heapify(self.heap)
+
+    def shortest_row(self):
+        # a shortest nonzero row not popped since it last changed, or None
+        while self.heap:
+            size, i = heapq.heappop(self.heap)
+            row = self.rows.get(i)
+            if row is not None and len(row) == size:
+                return i
+        return None
+
+    def _set_row(self, i, new):
+        old = self.rows.pop(i, {})
+        for j in old.keys() - new.keys():
+            self.cols[j].discard(i)
+        for j in new.keys() - old.keys():
+            self.cols.setdefault(j, set()).add(i)
+        if new:
+            self.rows[i] = new
+            heapq.heappush(self.heap, (len(new), i))
+
+    def _combine(self, a, x, b, y):
+        # the row a*x + b*y mod the modulus
+        out = {}
+        for j in x.keys() | y.keys():
+            v = (a * x.get(j, 0) + b * y.get(j, 0)) % self.mod
+            if v:
+                out[j] = v
+        return out
+
+    def pivot_out(self, i0, j0, factor):
+        # Schur complement on the pivot (i0, j0): every other row i with
+        # b = row_i[j0] becomes row_i - factor(b) * row_i0, which clears
+        # column j0; row i0 then holds the only entry of column j0, so
+        # column operations clear the rest of it without touching any
+        # other row, and it is dropped
+        prow = self.rows[i0]
+        self._set_row(i0, {})
+        for i in self.cols.pop(j0):
+            row = self.rows[i]
+            q = factor(row.pop(j0))
+            for j, v in prow.items():
+                if j == j0:
+                    continue
+                nv = row.get(j, 0) - q * v
+                nv = nv % self.mod if self.mod else nv
+                if nv:
+                    if j not in row:
+                        self.cols[j].add(i)
+                    row[j] = nv
+                elif j in row:
+                    del row[j]
+                    self.cols[j].discard(i)
+            if row:
+                heapq.heappush(self.heap, (len(row), i))
+            else:
+                del self.rows[i]
+
+    # the unimodular 2x2 steps below work mod the modulus only
+
+    def combine_rows(self, i0, i, j0):
+        # row step leaving gcd(a, b) at (i0, j0) and 0 at (i, j0)
+        x, y = self.rows[i0], self.rows[i]
+        a, b = x[j0], y[j0]
+        g, s, t = _xgcd(a, b)
+        self._set_row(i0, self._combine(s, x, t, y))
+        self._set_row(i, self._combine(b // g, x, -(a // g), y))
+
+    def combine_cols(self, j0, j, i0):
+        # the same step on columns, leaving 0 at (i0, j)
+        a, c = self.rows[i0][j0], self.rows[i0][j]
+        g, s, t = _xgcd(a, c)
+        for i in self.cols[j0] | self.cols[j]:
+            row = self.rows[i]
+            x, y = row.get(j0, 0), row.get(j, 0)
+            new = dict(row)
+            new[j0] = (s * x + t * y) % self.mod
+            new[j] = ((c // g) * x - (a // g) * y) % self.mod
+            self._set_row(i, {k: v for k, v in new.items() if v})
+
+
+def _xgcd(a, b):
+    # (g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _abs_det(rows):
+    # |det| of a nonsingular square integer matrix, by fraction-free
+    # (Bareiss) elimination: every intermediate entry is a minor
+    a = [list(r) for r in rows]
+    prev = 1
+    for k in range(len(a)):
+        s = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if s is None:
+            raise ExactLinError("minor is singular")
+        a[k], a[s] = a[s], a[k]
+        piv, rk = a[k][k], a[k]
+        for i in range(k + 1, len(a)):
+            ri, f = a[i], a[i][k]
+            a[i] = ri[:k + 1] + [(x * piv - f * y) // prev
+                                 for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        prev = piv
+    return abs(prev)
+
+
+def _coprime_parts(n):
+    # n > 0 as pairwise coprime factors: the full power of each prime
+    # below 2^10 that divides it, then the cofactor if it is not 1
+    parts = []
+    for f in range(2, 1 << 10):
+        if n % f == 0:
+            q = 1
+            while n % f == 0:
+                n, q = n // f, q * f
+            parts.append(q)
+    return parts + [n] if n > 1 else parts
+
+
+def _diagonal_mod(entries, modulus):
+    # gcd(pivot, modulus) for each pivot of a diagonalisation over
+    # Z/modulus: unimodular 2x2 steps first make each pivot's gcd with
+    # the modulus divide its row and column, then a Schur step drops it
+    work = _SchurWork(entries, modulus)
+    found = []
+    while (i := work.shortest_row()) is not None:
+        row = work.rows[i]
+        j = min(row, key=lambda c: (gcd(row[c], modulus), len(work.cols[c]),
+                                    c))
+        while True:
+            g = gcd(work.rows[i][j], modulus)
+            k = next((k for k in sorted(work.cols[j])
+                      if work.rows[k][j] % g), None)
+            if k is not None:
+                work.combine_rows(i, k, j)
+                continue
+            k = next((k for k in sorted(work.rows[i])
+                      if work.rows[i][k] % g), None)
+            if k is None:
+                break
+            work.combine_cols(j, k, i)
+        inv = pow(work.rows[i][j] // g, -1, modulus // g)
+        work.pivot_out(i, j, lambda b: b // g * inv)
+        found.append(g)
+    return found
+
+
+def _snf_diagonal_bounded(mat):
+    # The nonzero invariant factors of mat, without U or V and without
+    # bigint growth; None when no rank prime sees the full rank of the
+    # core, which sends the caller to the U/V elimination.
+    work = _SchurWork(mat.entries)
+    ones = 0
+    while (i := work.shortest_row()) is not None:
+        row = work.rows[i]
+        units = [j for j, v in row.items() if v == 1 or v == -1]
+        if units:
+            j = min(units, key=lambda c: (len(work.cols[c]), c))
+            u = row[j]
+            work.pivot_out(i, j, lambda b: b * u)
+            ones += 1
+    if not work.rows:
+        return [1] * ones
+    rows = {i: k for k, i in enumerate(sorted(work.rows))}
+    cols = {j: k for k, j in enumerate(sorted(j for j, s in work.cols.items()
+                                              if s))}
+    core = IntMat(len(rows), len(cols), {
+        (rows[i], cols[j]): v for i, row in work.rows.items()
+        for j, v in row.items()})
+    r = core.ncols - kernel_basis(core).ncols
+    for p in _RANK_PRIMES:
+        a = core.to_numpy_mod(p)
+        pivot_cols = fp_rref(a, p)[1]
+        if len(pivot_cols) == r:
+            pivot_rows = fp_rref(a[:, pivot_cols].T, p)[1]
+            break
+    else:
+        return None
+    n_mod = 2 * _abs_det([[core.get(i, j) for j in pivot_cols]
+                          for i in pivot_rows])
+    # Z/N is the product of the rings Z/part over coprime parts, so one
+    # diagonal mod N is the pivots' gcds mod every part, with each part's
+    # missing pivots as zeros (the part itself); the pairwise gcd/lcm
+    # normal form of them all is then the Smith form mod N
+    size = min(core.nrows, core.ncols)
+    found = []
+    for part in _coprime_parts(n_mod):
+        pivots = _diagonal_mod(core.entries, part)
+        found += pivots + [part] * (size - len(pivots))
+    chain = _divisor_chain(found)
+    torsion = [d for d in chain if d != n_mod]
+    if len(chain) - len(torsion) != size - r:
+        raise ExactLinError("Smith form mod %d lost the rank %d" % (n_mod, r))
+    return [1] * (ones + r - len(torsion)) + torsion
+
+
 def smith_normal_form(mat, need_u=True, need_v=True):
     """Return (U, D, V) with U @ mat @ V = D in Smith normal form.
 
     D has nonnegative diagonal d1 | d2 | ... and zeros elsewhere.  U and V
     are unimodular; pass need_u/need_v=False to skip tracking (returned as
-    None) when only D or a kernel is wanted.  Pivot selection is the
-    minimal absolute value with deterministic (row, col) tie-breaking.
+    None) when only D or a kernel is wanted.
+
+    With neither U nor V wanted, D comes from a diagonal-only route whose
+    entries stay below N = 2D, D = |det| of one nonsingular r x r minor:
+
+    1. +-1 pivots are eliminated exactly over Z by Schur complement, each
+       one an invariant factor 1;
+    2. the rank r of what is left (the core) is certified exactly, as its
+       column count minus the size of :func:`kernel_basis` of it;
+    3. for the first rank prime whose rank mod p is r, the pivot columns
+       and then pivot rows of the core give the minor, and D is its
+       |det| by fraction-free elimination;
+    4. the core is diagonalised over Z/N one coprime part of N at a time
+       (the power of each prime below 2^10, then the cofactor), keeping
+       gcd(pivot, part) for each pivot and the part for each missing one;
+    5. the pairwise gcd/lcm normal form of all of these is the Smith form
+       mod N; only then are the entries equal to N dropped, and exactly r
+       must remain, else :class:`ExactLinError`.
+
+    s_1...s_r divides D, so each s_i < N and gcd(s_i, N) = s_i.  When no
+    rank prime reaches r, which takes an input built for it such as
+    [[2147483647 * 998244353]], the U/V elimination answers instead.  It
+    picks pivots of minimal absolute value with deterministic (row, col)
+    tie-breaking.
     """
-    w = _SparseWork(mat)
     m, n = mat.nrows, mat.ncols
+    if not (need_u or need_v):
+        diag = _snf_diagonal_bounded(mat)
+        if diag is not None:
+            return None, IntMat(m, n, {(t, t): d
+                                       for t, d in enumerate(diag)}), None
+    w = _SparseWork(mat)
     ulog = _OpLog(m, rows=True) if need_u else None
     vlog = _OpLog(n, rows=False) if need_v else None
 
@@ -461,7 +708,16 @@ def smith_normal_form(mat, need_u=True, need_v=True):
 
 
 def snf_diagonal(mat):
-    """Just the list of nonzero invariant factors of mat."""
+    """The nonzero invariant factors of mat, ascending.
+
+    This is :func:`smith_normal_form` without U or V: the diagonal-only
+    route modulo twice a nonsingular minor's determinant, with the core's
+    rank certified by an exact kernel, and the U/V elimination as the
+    fallback when no rank prime sees that rank.
+
+    >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]))
+    [2, 4]
+    """
     _, d, _ = smith_normal_form(mat, need_u=False, need_v=False)
     out = []
     for t in range(min(mat.nrows, mat.ncols)):
@@ -574,9 +830,6 @@ def solve_columns(mat, rhs):
     return v.matmul(y)
 
 
-_RANK_PRIMES = (2147483647, 998244353)
-
-
 def cohomology_of_pair(d_in, d_out):
     """ker(d_out)/im(d_in) as an :class:`AbGroup`.
 
@@ -588,9 +841,14 @@ def cohomology_of_pair(d_in, d_out):
     quotient of the ambient lattice by the (saturated) kernel is free,
     so the sequence 0 -> ker/im -> C/im -> C/ker -> 0 splits.  Hence
     torsion comes straight from the elementary divisors of d_in, and
-    only the rank of d_out is needed on top.  That rank is certified
-    exactly whenever a modular rank meets the d o d = 0 upper bound
-    ncols - rank(d_in); otherwise fall back to an exact kernel.
+    only the rank of d_out is needed on top.  The divisors come from
+    :func:`snf_diagonal`: exact elimination of +-1 pivots, then a
+    diagonalisation modulo twice the determinant of a nonsingular minor
+    of the rest, whose rank an exact kernel certifies; the U/V
+    elimination is the fallback when no rank prime sees that rank.  The
+    rank of d_out is certified exactly whenever a modular rank meets the
+    d o d = 0 upper bound ncols - rank(d_in); otherwise fall back to an
+    exact kernel.
 
     >>> d0 = IntMat.zeros(2, 0)
     >>> d1 = IntMat.from_rows([[2, 0], [0, 3]])   # Z^2 --diag(2,3)--> Z^2
@@ -929,8 +1187,6 @@ def field_solve(rows, ncols, rhs, fld):
 
 def fp_rank_sparse(entries, nrows, ncols, p):
     """Rank mod p of a sparse matrix given as {(i, j): value}."""
-    import heapq
-
     cols = {}
     for (i, j), v in entries.items():
         v %= p

@@ -157,6 +157,10 @@ class PolyContext:
         self.weights = tuple(weights)
         self.invertible = tuple(inv)
         self.max_weight = max_weight
+        if depth is not None and (not isinstance(depth[1], int)
+                                  or depth[1] < 0):
+            raise ValueError("root depth must be an int >= 0, got %r"
+                             % (depth[1],))
         self.depth = depth  # (p, m) or None
 
     def nvars(self):

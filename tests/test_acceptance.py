@@ -26,7 +26,9 @@ from hodgelab.derham import (
     DgaForms, cartier_multiplicativity, cech_alexander_compare,
     verify_cartier_iso,
 )
-from hodgelab.exactlin import IntMat, smith_normal_form, snf_diagonal
+from hodgelab.exactlin import (
+    IntMat, fp_rank_sparse, kernel_basis, smith_normal_form, snf_diagonal,
+)
 from hodgelab.gralg import FP, PDContext, PolyContext, Witt2
 from hodgelab.specseq import FilteredComplex, cohomology_dims, pages
 from hodgelab.stacks import (
@@ -74,6 +76,26 @@ def test_integral_cohomology_census():
     v1 = v_one()
     assert classes_equal(cup(v1, v1), torsion_class(2, 1))
     assert time.monotonic() - start < 600
+
+
+def test_integral_census_past_the_smith_wall():
+    # integral H^4 for w <= 34 and H^5 for w <= 22: rank 0, squarefree
+    # torsion, and on the deepest strands a Z/l summand exactly where
+    # the rank of d_in drops mod l
+    start = time.monotonic()
+    for n, wmax in ((4, 34), (5, 22)):
+        for w in range(wmax + 1):
+            g = _zz(n, w)
+            assert g.rank == 0, (n, w)
+            assert all(_squarefree(t) for t in g.torsion), (n, w)
+    for n, w in ((4, 30), (4, 32), (4, 34), (5, 22)):
+        d_in = cobar.strand_matrix(n - 1, w)
+        rank_q = d_in.ncols - kernel_basis(d_in).ncols
+        for ell in (q for q, qi in _prime_powers(w // 2 + 3) if q == qi):
+            drop = rank_q - fp_rank_sparse(d_in.entries, d_in.nrows,
+                                           d_in.ncols, ell)
+            assert _zz(n, w).torsion_count(ell) == drop, (n, w, ell)
+    assert time.monotonic() - start < 60
 
 
 def test_mod_p_hilbert_series():

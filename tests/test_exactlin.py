@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgelab import exactlin
 from hodgelab.cobar import strand_basis, strand_matrix
 from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
                                IntMat, GFp, QQ, _is_prime, cohomology_of_pair,
@@ -250,6 +251,79 @@ def test_cohomology_of_pair_falls_back_to_exact_kernel():
     d_out = IntMat.from_rows([[2147483647 * 998244353]])
     assert all(fp_rank(d_out.to_numpy_mod(p), p) == 0 for p in _RANK_PRIMES)
     assert cohomology_of_pair(IntMat.zeros(1, 0), d_out) == AbGroup(0)
+
+
+def _unimodular(rng, n):
+    # a few elementary steps from the identity: sparse, small entries
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n + 1):
+        i, k = rng.randrange(n), rng.randrange(n)
+        step = rng.choice(("add", "swap", "neg"))
+        if step == "add" and i != k:
+            q = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
+        elif step == "swap":
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return IntMat.from_rows(rows)
+
+
+_BIG = (2147483647, 998244353, 2147483647 * 998244353)
+
+
+def _planted(rng, m, n, even):
+    # U diag V with the diagonal drawn from units, small torsion and the
+    # two rank primes and their product; `even` doubles every diagonal
+    # entry, so no entry of the product is a unit
+    pool = (1, 1, 1, 2, 3, 4, 6, 12) + _BIG
+    diag = {(t, t): rng.choice(pool) * (2 if even else 1)
+            for t in range(rng.randint(0, min(m, n)))}
+    return _unimodular(rng, m).matmul(IntMat(m, n, diag)).matmul(
+        _unimodular(rng, n))
+
+
+def test_snf_diagonal_matches_uv_elimination(monkeypatch):
+    # the diagonal-only route against the U/V elimination, with the core
+    # left after the unit pass recorded through its rank certificate
+    cores = []
+    real = exactlin.kernel_basis
+    monkeypatch.setattr(exactlin, "kernel_basis",
+                        lambda mat: cores.append(mat) or real(mat))
+    rng = random.Random(PROPERTY_SEEDS["snf"])
+    cases = [IntMat.zeros(3, 4), IntMat(0, 5), IntMat(5, 0),
+             IntMat.from_rows([[p] for p in _BIG]),
+             IntMat.from_rows([[_BIG[0], 0], [0, _BIG[1]]])]
+    cases += [_planted(rng, rng.randint(1, 7), rng.randint(1, 7), k % 3 == 0)
+              for k in range(150)]
+    kinds = set()
+    for m in cases:
+        before = len(cores)
+        assert snf_diagonal(m) == smith_normal_form(m)[1].diagonal(), \
+            m.to_rows()
+        if m.is_zero():
+            continue
+        if len(cores) == before:
+            kinds.add("emptied")
+        elif len(cores[before].entries) == len(m.entries):
+            kinds.add("untouched")
+        else:
+            kinds.add("reduced")
+    assert kinds == {"emptied", "untouched", "reduced"}
+
+
+def test_snf_diagonal_normalises_before_dropping_zeros():
+    # mod N = 79833600 the pivots need the gcd/lcm step before the
+    # entries equal to N (zeros mod N) are dropped
+    assert snf_diagonal(strand_matrix(2, 24)) == [1] * 9 + [66]
+
+
+def test_snf_diagonal_falls_back_when_no_rank_prime_sees_the_rank():
+    # rank 1 over Z, rank 0 mod both rank primes: no nonsingular minor is
+    # found, and the U/V elimination answers
+    m = IntMat.from_rows([[2147483647 * 998244353]])
+    assert exactlin._snf_diagonal_bounded(m) is None
+    assert snf_diagonal(m) == [2147483647 * 998244353]
 
 
 def test_lattice_quotient():

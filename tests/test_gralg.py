@@ -241,6 +241,14 @@ def test_pd_context_rejects_bad_depth():
             PDContext(FP(2), 1, [("var", 0)], depth=depth)
 
 
+def test_poly_context_rejects_bad_depth():
+    for m in (-1, Fraction(1, 2), 0.5, 1.0):
+        with pytest.raises(ValueError):
+            PolyContext(FP(2), [("x", 1)], depth=(2, m))
+    ctx = PolyContext(FP(2), [("x", 1)], depth=(2, 0))
+    assert ctx.var("x", 3) == ctx.var("x") ** 3
+
+
 def test_pd_weight_cap():
     ctx = PDContext(FP(3), 1, [("var", 0)], max_weight=4)
     s = ctx.pd_gen(0)
