@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import __version__, cobar, crystal, derham, stacks
-from .exactlin import _FP_DENSE_LIMIT, AbGroup, _is_prime
+from .exactlin import AbGroup, _is_prime
 from .gralg import FP
 from .utils import PROPERTY_SEEDS
 
@@ -48,6 +48,11 @@ _SCHEMAS = {
     "census": {"p": 2, "n": 2, "wmax": 32},
     "selftest": {"fast": False},
 }
+
+# p must stay below this because `_is_prime` is trial division by the odd
+# numbers up to isqrt(p), about 23,000 of them here; the mod-p
+# eliminators themselves are exact for any prime
+_P_LIMIT = 1 << 31
 
 _STR_PARAMS = {"model", "stack", "expect"}
 _BOOL_PARAMS = {"fast"}
@@ -93,9 +98,7 @@ def _validate(command, params):
                               % (key, command))
         if value is None:
             continue
-        if key == "p" and not (_is_prime(value)
-                               and value < _FP_DENSE_LIMIT):
-            # the dense mod-p eliminator behind most suites stops at 2^31
+        if key == "p" and not (value < _P_LIMIT and _is_prime(value)):
             raise ConfigError("p must be a prime below 2^31, got %r"
                               % (value,))
         if key in ("nmax", "wmax", "depth", "vars", "pairs", "rmax", "n"):

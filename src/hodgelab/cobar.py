@@ -243,10 +243,7 @@ def class_is_zero(cl):
             return True
         except SolveFailed:
             return False
-    p = cl.ring.p
-    import numpy as np
-    b = np.array(vec, dtype=np.int64).reshape(-1, 1) % p
-    return fp_solve(d_in.to_numpy_mod(p), b, p) is not None
+    return fp_solve(d_in, vec, cl.ring.p) is not None
 
 
 def classes_equal(a, b):

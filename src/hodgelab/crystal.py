@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-import numpy as np
-
 from .derham import DgaForms, TruncationTooSmall, de_rham_cohomology
 from .exactlin import (IntMat, _is_prime, complex_cohomology, fp_rank,
                        fp_rref, smith_normal_form)
@@ -276,10 +274,7 @@ def _kernel_mod_image(mat, q, p):
             vec[i] = (val * scale) % p
         if any(vec):
             gens.append(vec)
-    if not gens:
-        return []
-    arr = np.array(gens, dtype=np.int64).T % p
-    _, piv = fp_rref(arr, p)
+    _, piv = fp_rref(IntMat.from_columns(gens, n), p)
     return [gens[j] for j in piv]
 
 
@@ -381,8 +376,8 @@ def verify_kappa_iso(S, r_max, w_max=None):
                 for exps, comp in srcs:
                     img = kappa(A, r, {(exps, comp): 1})
                     cols.append(_vector_on(img, gr_keys))
-                arr = np.array(cols, dtype=np.int64).T % p
-                ok = fp_rank(arr, p) == len(srcs)
+                ok = fp_rank(IntMat.from_columns(cols, len(gr_keys)),
+                             p) == len(srcs)
             entries.append({"r": r, "w": str(w), "source_dim": len(srcs),
                             "gr_dim": len(gr_keys), "ok": bool(ok)})
             w += step
@@ -472,16 +467,8 @@ def di_splitting(S, lift, r_max=None):
                                 "fil_dim": len(fil_r), "ok": False})
                 w += step
                 continue
-            low = []
-            for k in lower:
-                vec = [0] * len(fil_r)
-                vec[index[k]] = 1
-                low.append(vec)
-            if cols + low:
-                arr = np.array(cols + low, dtype=np.int64).T % p
-                rank = fp_rank(arr, p)
-            else:
-                rank = 0
+            low = [{index[k]: 1} for k in lower]
+            rank = fp_rank(IntMat.from_columns(cols + low, len(fil_r)), p)
             # injective, misses the lower stage, and together they fill it
             ok = rank == len(srcs) + len(low) and rank == len(fil_r)
             for (exps, comp), col in zip(srcs, cols):

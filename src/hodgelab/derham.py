@@ -10,11 +10,10 @@ finite weight strands.
 
 from __future__ import annotations
 
-import numpy as np
 from math import factorial
 
 from .exactlin import (
-    IntMat, complex_cohomology, fp_kernel, fp_rank, fp_rref, fp_solve,
+    IntMat, complex_cohomology, fp_kernel, fp_rank, fp_solve,
     strand_cohomology,
 )
 from .gralg import FP, PDContext, PolyContext, ZP2
@@ -296,10 +295,8 @@ def verify_cartier_iso(p, d, w_max):
     for i in range(0, d + 1):
         for w in range(0, w_max + 1):
             d_in, d_out = _in_out(base, i, w)
-            a_out = d_out.to_numpy_mod(p)
-            a_in = d_in.to_numpy_mod(p)
-            ker = fp_kernel(a_out, p)
-            rank_in = fp_rank(a_in, p)
+            ker = fp_kernel(d_out, p)
+            rank_in = fp_rank(d_in, p)
             dim_h = len(ker) - rank_in
             if w % p != 0:
                 ok = dim_h == 0
@@ -314,30 +311,14 @@ def verify_cartier_iso(p, d, w_max):
             ok = dim_h == len(src)
             if img:
                 # cocycle check and independence mod boundaries
-                imat = np.array(img, dtype=np.int64).T % p
-                if a_out.shape[0] and imat.size:
-                    ok = ok and not (a_out.dot(imat) % p).any()
-                full = _concat_columns(imat, _image_columns(a_in, p))
+                imat = IntMat.from_columns(img, d_out.ncols)
+                ok = ok and not any(v % p for v in
+                                    d_out.matmul(imat).entries.values())
+                full = IntMat.from_columns(img + d_in.columns(), d_in.nrows)
                 ok = ok and (fp_rank(full, p) == len(src) + rank_in)
             entries.append({"i": i, "w": w, "dim_h": dim_h,
                             "source_dim": len(src), "ok": bool(ok)})
     return entries
-
-
-def _image_columns(a, p):
-    """A column basis of the image of a (mod p)."""
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.int64)
-    cols = fp_rref(a, p)[1]
-    return a[:, list(cols)] % p
-
-
-def _concat_columns(a, b):
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
-    return np.concatenate([a, b], axis=1)
 
 
 def cartier_multiplicativity(p, d, w_max, pairs=100, seed=0):
@@ -413,25 +394,22 @@ def filtration(dga, kind, r, w):
         dims, mats = [], []
         for i in range(0, r):
             dims.append(len(dga.strand_basis(i, w)))
-        d_r = dga.strand_matrix(r, w).to_numpy_mod(p)
-        ker = fp_kernel(d_r, p)
-        kmat = (np.array(ker, dtype=np.int64).T % p if ker
-                else np.zeros((d_r.shape[1], 0), dtype=np.int64))
-        dims.append(kmat.shape[1])
+        d_r = dga.strand_matrix(r, w)
+        kmat = IntMat.from_columns(fp_kernel(d_r, p), d_r.ncols)
+        dims.append(kmat.ncols)
         for i in range(0, r):
-            m = dga.strand_matrix(i, w).to_numpy_mod(p)
+            m = dga.strand_matrix(i, w)
             if i < r - 1:
                 mats.append(m)
             else:
                 # express d: Omega^{r-1} -> ker d_r in kernel coordinates
                 cols = []
-                for c in range(m.shape[1]):
-                    x = fp_solve(kmat, m[:, c], p)
+                for col in m.columns():
+                    x = fp_solve(kmat, col, p)
                     if x is None:
                         raise AssertionError("image escaped the kernel")
-                    cols.append(x % p)
-                mats.append(np.array(cols, dtype=np.int64).T % p if cols
-                            else np.zeros((kmat.shape[1], 0), dtype=np.int64))
+                    cols.append(x)
+                mats.append(IntMat.from_columns(cols, kmat.ncols))
         emb = {r: kmat}
         return StrandChain(0, dims, mats, embeddings=emb)
     raise ValueError("kind must be 'hodge' or 'conjugate'")
@@ -625,7 +603,6 @@ def cech_alexander_compare(p, w_max):
 
 def _ca_d_matrix(ca, ctx, keys, w):
     """Matrix of d_dR on the weight-w strand of 0-forms over ctx."""
-    p = ca.p
     tkeys = ctx.strand_basis(w - 1)
     cols = []
     for key in keys:
@@ -636,9 +613,7 @@ def _ca_d_matrix(ca, ctx, keys, w):
             part = img.get((i,), ctx.zero())
             vec.extend(_pd_vector(part, tkeys))
         cols.append(vec)
-    if not cols:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T % p
+    return IntMat.from_columns(cols, ctx.nvars * len(tkeys))
 
 
 def _ca_tot_dims(ca, w):

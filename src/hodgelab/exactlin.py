@@ -2,10 +2,11 @@
 
 Everything here is exact: integer work uses arbitrary-precision ints and
 Smith normal forms, with tracked unimodular transforms or, when only the
-diagonal is wanted, modulo twice a nonsingular minor, mod-p work uses
-sparse elimination in Python ints or dense elimination on exact
-small-int arrays (p < 2^31), rational work uses Fractions.
-No floating point is ever produced.
+diagonal is wanted, modulo twice a nonsingular minor; rational work uses
+Fractions.  Mod-p work is sparse elimination over :class:`IntMat` in
+Python ints, correct for every prime p: :func:`fp_rank_sparse` for ranks
+and :func:`fp_rref`, the leftmost-pivot reduced echelon form, for pivot
+columns, kernels and solutions.  No floating point is ever produced.
 
 The central consumer-facing pieces are
 
@@ -16,7 +17,7 @@ The central consumer-facing pieces are
 * :func:`strand_cohomology` -- the same quotient over Z, Q or F_p, the
   one place that picks the eliminator for each ring;
 * :func:`complex_cohomology` -- every degree of one complex at once,
-  ranking each map once over F_p,
+  ranking each map once over F_p.
 
 >>> m = IntMat.from_rows([[2, 4], [6, 8]])
 >>> smith_normal_form(m)[1].diagonal()
@@ -28,8 +29,6 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, isqrt
-
-import numpy as np
 
 from .gralg import QQ_R, ZZ
 
@@ -191,6 +190,7 @@ class IntMat:
                     ent[(i, j)] = int(v)
         return cls(nrows, len(cols), ent)
 
+    @property
     def shape(self):
         return (self.nrows, self.ncols)
 
@@ -214,12 +214,6 @@ class IntMat:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def to_numpy_mod(self, p):
-        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            a[i, j] = v % p
-        return a
 
     def transpose(self):
         return IntMat(self.ncols, self.nrows,
@@ -250,7 +244,7 @@ class IntMat:
         return IntMat(self.nrows, other.ncols, ent)
 
     def __eq__(self, other):
-        return (isinstance(other, IntMat) and self.shape() == other.shape()
+        return (isinstance(other, IntMat) and self.shape == other.shape
                 and self.entries == other.entries)
 
     def __repr__(self):
@@ -551,10 +545,12 @@ def _snf_diagonal_bounded(mat):
         for j, v in row.items()})
     r = core.ncols - kernel_basis(core).ncols
     for p in _RANK_PRIMES:
-        a = core.to_numpy_mod(p)
-        pivot_cols = fp_rref(a, p)[1]
+        pivot_cols = fp_rref(core, p)[1]
         if len(pivot_cols) == r:
-            pivot_rows = fp_rref(a[:, pivot_cols].T, p)[1]
+            columns = core.columns()
+            pivot_rows = fp_rref(IntMat.from_columns(
+                [columns[j] for j in pivot_cols], core.nrows).transpose(),
+                p)[1]
             break
     else:
         return None
@@ -870,7 +866,7 @@ def cohomology_of_pair(d_in, d_out):
     else:
         bound = n - rank_in
         for p in _RANK_PRIMES:
-            if fp_rank(d_out.to_numpy_mod(p), p) == bound:
+            if fp_rank(d_out, p) == bound:
                 rank_out = bound
                 break
     if rank_out is None:
@@ -947,99 +943,6 @@ def lattice_quotient(ambient_dim, sub_gens):
     diag = snf_diagonal(sub_gens)
     rank = ambient_dim - len(diag)
     return AbGroup(rank, [d for d in diag if d > 1])
-
-
-# ---------------------------------------------------------------------------
-# dense exact mod-p elimination (numpy int64 as an exact container)
-
-
-# entries stay below p < 2^31, so each product in fp_rref's rank-1
-# update is below (p-1)^2 < 2^62 and each difference above -2^62:
-# int64 holds every intermediate exactly
-_FP_DENSE_LIMIT = 1 << 31
-
-
-def fp_rref(a, p):
-    """Row-reduce an int64 array mod p; returns (rref, pivot_cols).
-
-    Raises ValueError for p >= 2^31, where int64 products overflow;
-    :func:`fp_rank_sparse` works in Python ints for any p.
-    """
-    if p >= _FP_DENSE_LIMIT:
-        raise ValueError("dense mod-p elimination needs p < 2^31, got %d"
-                         % p)
-    a = np.array(a, dtype=np.int64) % p
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p) if p > 2 else int(a[r, c])
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        # row r is zero left of c, so one rank-1 update over columns >= c
-        # clears column c in every other row that has a nonzero there
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def fp_rank(a, p):
-    if a is None:
-        return 0
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    _, piv = fp_rref(a, p)
-    return len(piv)
-
-
-def fp_kernel(a, p):
-    """Basis of the right kernel mod p, as a list of int64 vectors."""
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
-    if n == 0:
-        return []
-    if m == 0:
-        return [np.eye(n, dtype=np.int64)[:, j] for j in range(n)]
-    r, piv = fp_rref(a, p)
-    pivset = set(piv)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(piv):
-            v[c] = (-int(r[i, f])) % p
-        basis.append(v)
-    return basis
-
-
-def fp_solve(a, b, p):
-    """One solution x of a @ x = b mod p, or None."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    m, n = a.shape
-    aug = np.concatenate([a, b.reshape(m, 1)], axis=1)
-    r, piv = fp_rref(aug, p)
-    if n in piv:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = r[i, n]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -1181,8 +1084,7 @@ def field_solve(rows, ncols, rhs, fld):
 
 
 # ---------------------------------------------------------------------------
-# sparse rank mod p: column elimination with a lazy min-support heap, for
-# the strand matrices that are far too large to densify
+# sparse elimination mod p in Python ints, for any prime p
 
 
 def fp_rank_sparse(entries, nrows, ncols, p):
@@ -1241,3 +1143,86 @@ def fp_rank_sparse(entries, nrows, ncols, p):
                         drop_entry(r, c)
         row_sup.pop(i, None)
     return rank
+
+
+def fp_rank(mat, p):
+    """Rank of an :class:`IntMat` mod p, by :func:`fp_rank_sparse`."""
+    return fp_rank_sparse(mat.entries, mat.nrows, mat.ncols, p)
+
+
+def fp_rref(mat, p):
+    """The reduced row echelon form of an :class:`IntMat` mod p.
+
+    Returns (rref, pivot_cols): rref has mat's shape, entries in [0, p),
+    its first len(pivot_cols) rows nonzero, a 1 at each pivot and zeros
+    elsewhere in the pivot columns.  That form is unique, so the order of
+    elimination does not change it.  Rows enter one at a time: each is
+    cleared at every pivot column so far, a remainder takes its leftmost
+    column as a new pivot, and that column is cleared from the rows
+    already in.  The input is not modified.
+
+    >>> rref, piv = fp_rref(IntMat.from_rows([[2, 4, 1], [1, 2, 0]]), 3)
+    >>> rref.to_rows(), piv
+    ([[1, 2, 0], [0, 0, 1]], [0, 2])
+    """
+    rows = {}
+    for (i, j), v in mat.entries.items():
+        if v % p:
+            rows.setdefault(i, {})[j] = v % p
+    basis = {}  # pivot column -> its row: 1 there, 0 at every other pivot
+    for i in sorted(rows):
+        x = rows[i]
+        for c in [c for c in x if c in basis]:
+            _sub_row(x, x[c], basis[c], p)
+        if not x:
+            continue
+        c = min(x)
+        inv = pow(x[c], -1, p)
+        x = {j: v * inv % p for j, v in x.items()}
+        for row in basis.values():
+            if c in row:
+                _sub_row(row, row[c], x, p)
+        basis[c] = x
+    pivots = sorted(basis)
+    return IntMat(mat.nrows, mat.ncols, {
+        (k, j): v for k, c in enumerate(pivots)
+        for j, v in basis[c].items()}), pivots
+
+
+def _sub_row(row, f, other, p):
+    # row -= f * other mod p, in place, dropping the zeros
+    for j, v in other.items():
+        nv = (row.get(j, 0) - f * v) % p
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+
+
+def fp_kernel(mat, p):
+    """Basis of the right kernel of mat mod p, one list per free column."""
+    rref, pivots = fp_rref(mat, p)
+    basis = []
+    for f in sorted(set(range(mat.ncols)) - set(pivots)):
+        v = [0] * mat.ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -rref.get(i, f) % p
+        basis.append(v)
+    return basis
+
+
+def fp_solve(mat, b, p):
+    """One solution x of mat @ x = b mod p as a list, or None.
+
+    b is a list, or a dict {row: value}, of length mat.nrows.
+    """
+    n = mat.ncols
+    rref, pivots = fp_rref(IntMat.from_columns(mat.columns() + [b],
+                                               mat.nrows), p)
+    if n in pivots:
+        return None
+    x = [0] * n
+    for i, c in enumerate(pivots):
+        x[c] = rref.get(i, n)
+    return x

@@ -99,6 +99,15 @@ def test_runconfig_rejects_unknown_parameter():
         cli.RunConfig("census", {"pmax": 1})
 
 
+def test_runconfig_bounds_p_below_2_to_the_31():
+    # 2147483647 = 2^31 - 1 is prime; 2147483659 is the next prime
+    assert cli.RunConfig("census", {"p": 2147483647}).params["p"] == \
+        2147483647
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig("census", {"p": 2147483659})
+    assert str(err.value) == "p must be a prime below 2^31, got 2147483659"
+
+
 def test_selftest_fast_is_green(capsys):
     code, out = run_main(["selftest", "--fast"], capsys)
     assert code == 0

@@ -259,6 +259,18 @@ def test_lift_splitting_reports_phi_intertwine():
     assert len(tags) == 1 and tags[0]["ok"]
 
 
+def test_lift_splitting_rejects_kappa_scaled_by_p(monkeypatch):
+    # negative control: p * kappa vanishes mod p, so the splitting can no
+    # longer agree with kappa on any graded piece it hits
+    S = point_model(2)
+    true_kappa = crystal.kappa
+    monkeypatch.setattr(crystal, "kappa", lambda A, r, elt:
+                        true_kappa(A, r, elt).scale(A.p))
+    _, entries = di_splitting(S, S.tautological_lift())
+    assert any(not e["ok"] for e in entries)
+    assert all(e["ok"] for e in entries if e["r"] == "phi-intertwine")
+
+
 def test_lift_splitting_rejects_foreign_lifts():
     S = point_model(2)
     with pytest.raises(NotALift):

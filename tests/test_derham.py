@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from hodgelab.derham import (
@@ -10,7 +9,8 @@ from hodgelab.derham import (
     cartier_inverse, cartier_multiplicativity, cech_alexander_compare,
     de_rham_cohomology, filtration, verify_cartier_iso, NotCharP,
 )
-from hodgelab.exactlin import AbGroup
+from hodgelab import derham
+from hodgelab.exactlin import AbGroup, IntMat
 from hodgelab.gralg import FP, QQ_R, ZZ
 from hodgelab.utils import PROPERTY_SEEDS
 
@@ -143,6 +143,23 @@ def test_cartier_iso_pinned_configs():
             seed=PROPERTY_SEEDS["cartier_pairs"]) == 0
 
 
+def test_cartier_iso_rejects_a_corrupted_inverse(monkeypatch):
+    # negative control: C^{-1}(1) with its one coefficient zeroed leaves
+    # H^0 in weight 0 unhit, so that entry's rank check must fail
+    assert all(e["ok"] for e in verify_cartier_iso(3, 1, 6))
+    true_inverse = derham.cartier_inverse
+    calls = []
+
+    def corrupted(form, p):
+        img = true_inverse(form, p)
+        calls.append(form)
+        return img - img if len(calls) == 1 else img
+
+    monkeypatch.setattr(derham, "cartier_inverse", corrupted)
+    entries = verify_cartier_iso(3, 1, 6)
+    assert [(e["i"], e["w"]) for e in entries if not e["ok"]] == [(0, 0)]
+
+
 def test_hodge_filtration_stage():
     base = DgaForms(FP(2), [("x", 1), ("y", 1)])
     st = filtration(base, "hodge", 1, 4)
@@ -160,7 +177,7 @@ def test_conjugate_truncation_kernel():
     # ker d in degree 0, weight 6 = span{x^6}
     assert st.dims == [1]
     emb = st.embeddings[0]
-    assert emb.shape == (1, 1) and emb[0, 0] % p != 0
+    assert emb.shape == (1, 1) and emb.get(0, 0) % p != 0
     st2 = filtration(base, "conjugate", 0, 4)
     assert st2.dims == [0]
 
@@ -172,6 +189,18 @@ def test_cech_alexander_window():
         ids = {e["id"] for e in entries}
         assert "dx-to-x1-minus-x2" in ids
         assert "xp-1dx-to-divided-a" in ids
+
+
+def test_cech_alexander_rejects_a_zero_d_matrix(monkeypatch):
+    # negative control: with d_dR zeroed, weight 1 has a kernel, so the
+    # uniqueness of the zigzag solution for dx must fail
+    true_matrix = derham._ca_d_matrix
+    monkeypatch.setattr(derham, "_ca_d_matrix", lambda *args:
+                        IntMat.zeros(*true_matrix(*args).shape))
+    for p in (2, 3):
+        entries = cech_alexander_compare(p, max(2 * p, 8))
+        (dx,) = [e for e in entries if e["id"] == "dx-to-x1-minus-x2"]
+        assert dx["ok"] is False
 
 
 def test_cech_alexander_guard():

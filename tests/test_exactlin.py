@@ -4,7 +4,6 @@ import random
 from itertools import combinations
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +25,6 @@ def _minor_divisors(rows):
     # independent oracle: d1...dk with d1...di = gcd of all i x i minors
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = np.array(rows, dtype=object)
     prev = 1
     out = []
     for k in range(1, min(m, n) + 1):
@@ -249,7 +247,7 @@ def test_cohomology_of_pair_falls_back_to_exact_kernel():
     # rank 1 over Z, rank 0 mod both certifying primes: the modular rank
     # never reaches the bound, so only the exact kernel gives H = 0
     d_out = IntMat.from_rows([[2147483647 * 998244353]])
-    assert all(fp_rank(d_out.to_numpy_mod(p), p) == 0 for p in _RANK_PRIMES)
+    assert all(fp_rank(d_out, p) == 0 for p in _RANK_PRIMES)
     assert cohomology_of_pair(IntMat.zeros(1, 0), d_out) == AbGroup(0)
 
 
@@ -333,15 +331,19 @@ def test_lattice_quotient():
 
 
 def test_fp_helpers():
-    a = [[1, 2, 0], [0, 1, 1]]
+    rows = [[1, 2, 0], [0, 1, 1]]
+    a = IntMat.from_rows(rows)
     assert fp_rank(a, 3) == 2
     ker = fp_kernel(a, 3)
     assert len(ker) == 1
-    arr = np.array(a) % 3
-    assert all((arr.dot(v) % 3 == 0).all() for v in ker)
-    b = np.array([1, 1])
+
+    def image(x):
+        return [sum(r * v for r, v in zip(row, x)) % 3 for row in rows]
+
+    assert all(image(v) == [0, 0] for v in ker)
+    b = [1, 1]
     x = fp_solve(a, b, 3)
-    assert (arr.dot(x) % 3 == b % 3).all()
+    assert image(x) == b
 
 
 def test_field_helpers_q_and_fp():
@@ -384,27 +386,31 @@ def test_fp_rref_matches_field_rref_exactly():
     rng = random.Random(PROPERTY_SEEDS["snf"])
     shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (40, 40), (40, 7), (7, 40),
               (25, 25), (12, 30), (30, 12), (3, 3), (2, 9)]
-    for p in (2, 3, 998244353, 2147483647):
+    for p in (2, 3, 998244353, 2147483647, 2 ** 61 - 1):
         for m, n in shapes:
             rows = _random_fp_rows(rng, m, n, p)
-            a = np.array(rows, dtype=np.int64).reshape(m, n)
-            before = a.copy()
+            entries = {(i, j): v for i, row in enumerate(rows)
+                       for j, v in enumerate(row) if v}
+            a = IntMat(m, n, entries)
             rref, piv = fp_rref(a, p)
             want, want_piv = field_rref(rows, n, GFp(p))
             assert piv == want_piv
-            assert rref.tolist() == want
-            assert np.array_equal(a, before)
+            assert rref.shape == (m, n)
+            assert rref.to_rows() == want
+            assert fp_kernel(a, p) == field_kernel(rows, n, GFp(p))
+            for b in ([sum(row) % p for row in rows], list(range(1, m + 1))):
+                assert fp_solve(a, b, p) == field_solve(rows, n, b, GFp(p))
+            assert a == IntMat(m, n, entries)
 
 
-def test_dense_mod_p_rank_rejects_int64_overflow():
-    # rank 1 (second row = 7 * first); int64 products overflow past 2^31
-    a = [[3, 5], [21, 35]]
-    with pytest.raises(ValueError):
-        fp_rank(a, 2 ** 61 - 1)
-    entries = {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row)}
-    assert fp_rank_sparse(entries, 2, 2, 2 ** 61 - 1) == 1
-    for p in (2147483647, 998244353):
+def test_mod_p_rank_is_exact_past_int64_products():
+    # rank 1 (second row = 7 * first); at p = 2^61 - 1 the products of
+    # residues are far past int64, and every route must still say 1
+    a = IntMat.from_rows([[3, 5], [21, 35]])
+    for p in (2 ** 61 - 1, 2147483647, 998244353):
         assert fp_rank(a, p) == 1
+        assert fp_rank_sparse(a.entries, 2, 2, p) == 1
+        assert fp_rref(a, p)[1] == [0]
 
 
 def test_is_prime_matches_sieve():
@@ -426,7 +432,5 @@ def test_sparse_rank_matches_dense():
         entries = {}
         for _ in range(rng.randint(0, m * n)):
             entries[(rng.randrange(m), rng.randrange(n))] = rng.randint(-9, 9)
-        a = np.zeros((m, n), dtype=np.int64)
-        for (i, j), v in entries.items():
-            a[i, j] = v % p
-        assert fp_rank_sparse(entries, m, n, p) == fp_rank(a, p)
+        rows = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
+        assert fp_rank_sparse(entries, m, n, p) == field_rank(rows, n, GFp(p))

@@ -70,7 +70,7 @@ def test_conjugate_filtration_from_kernel_embedding():
     rows = [[d0.entries.get((i, j), 0) for j in range(d0.ncols)]
             for i in range(d0.nrows)]
     # decreasing reindex of the rising truncation: F^1 = tau^{<=0}
-    lvl0 = [[int(ker[i, j]) for i in range(ker.shape[0])]
+    lvl0 = [[ker.get(i, j) for i in range(ker.shape[0])]
             for j in range(ker.shape[1])]
     fc = FilteredComplex(FP(p), dims, [rows], [[lvl0, []]])
     verdict = degenerates_at(fc, 1)
