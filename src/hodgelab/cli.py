@@ -152,7 +152,8 @@ def _crystal_models(p, depth, wmax, model):
 def _run_bga(ps):
     nmax, wmax = ps["nmax"], ps["wmax"]
     jobs = [(n, w) for n in range(nmax + 1) for w in range(wmax + 1)]
-    groups = [cobar.group_cohomology(n, w) for n, w in jobs]
+    table = cobar.group_table(nmax, wmax)
+    groups = [table[job] for job in jobs]
     entries, zeros = [], 0
     for (n, w), g in zip(jobs, groups):
         ok = _bga_strand_ok(n, w, g)

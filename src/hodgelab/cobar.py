@@ -12,6 +12,23 @@ indexed by (cohomological degree n, weight w).  This module computes the
 strand cohomology over Z, Q and F_p, the distinguished classes v_1,
 v_{p^i} = [d(x^{p^i})/p] and w_{p^i} = [x^{p^i} mod p], cup products by
 concatenation, Bockstein operators, and the torsion census tables.
+
+:func:`group_table` certifies the ranks of the maps of each strand from
+lower weights, by this lemma.  For n >= 1 and every w,
+
+    rank(d^n_w) >= sum over a >= 1 of rank(d^(n-1)_(w-2a)),
+
+over Q and mod p alike.  Proof: order the monomials of C^n_w
+lexicographically and let a be the first exponent.  d only splits one
+exponent, so every term of d(e) has first exponent <= e_1, and d^n_w is
+block lower-triangular in a: the block from first exponent a to first
+exponent b vanishes unless b <= a.  The terms that keep e_1 = a come from
+splitting e_2..e_n; their signs shift by one, so the a-th diagonal block
+is exactly -d^(n-1)_(w-2a) on the tails.  The union of nonsingular
+minors of the diagonal blocks is a nonsingular block-triangular minor,
+whence the bound.  d^n o d^(n-1) = 0, which is checked, gives
+r_(n-1) + r_n <= dim C^n; where the lower bounds meet that upper bound,
+both ranks are exact, with no rank elimination at all.
 """
 
 from __future__ import annotations
@@ -19,14 +36,14 @@ from __future__ import annotations
 from math import comb
 
 from .exactlin import (
-    AbGroup, IntMat, SolveFailed, fp_solve, snf_diagonal, solve_columns,
-    strand_cohomology,
+    AbGroup, IntMat, SolveFailed, complex_cohomology, fp_solve, snf_diagonal,
+    solve_columns, strand_cohomology,
 )
 from .gralg import FP, QQ_R, ZZ
 
 __all__ = [
     "NotACocycle", "LiftNotExact", "CohClass",
-    "strand_basis", "strand_matrix", "group_cohomology",
+    "strand_basis", "strand_matrix", "group_cohomology", "group_table",
     "phi_class", "torsion_class", "cup", "bockstein", "torsion_census",
     "class_is_zero", "classes_equal", "hilbert_dims_f2", "hilbert_dims_odd",
     "kzthree_group", "apply_d",
@@ -128,6 +145,65 @@ def group_cohomology(n, w, ring=ZZ):
     d_in = strand_matrix(n - 1, w) if n >= 1 else IntMat.zeros(
         len(strand_basis(0, w)), 0)
     return strand_cohomology(d_in, strand_matrix(n, w), ring)
+
+
+def group_table(n_max, w_max):
+    """{(n, w): H^n(G_a, Z)_w} for every n <= n_max and w <= w_max.
+
+    Weights go up in order, and each strand's complex C^0_w -> ... ->
+    C^(n_max+1)_w is built once and read in every degree by
+    :func:`complex_cohomology`.  The rank of each map of degree k >= 2
+    is bounded below by the lemma above, from the ranks of d^(k-1) at
+    lower weights, once :func:`_block_lower_bound` has checked the block
+    shape against the kept lower-weight matrices.  Those ranks come from
+    the rows: r_n = dim C^n - r_(n-1) - rank H^n.  Only the matrices of
+    degree < n_max are kept.
+
+    >>> group_table(2, 6)[2, 6]
+    AbGroup(rank=0, torsion=(3,))
+    """
+    table, kept, ranks = {}, {}, {}
+    for w in range(w_max + 1):
+        mats = [strand_matrix(n, w) for n in range(n_max + 1)]
+        lower = [_block_lower_bound(mats[k], k, w, kept, ranks)
+                 if k >= 2 else None for k in range(n_max + 1)]
+        row = complex_cohomology([m.ncols for m in mats], mats, ZZ, lower)
+        r = 0
+        for n, g in enumerate(row):
+            table[n, w] = g
+            if n < n_max:
+                r = mats[n].ncols - r - g.rank
+                ranks[n, w] = r
+                kept[n, w] = mats[n]
+    return table
+
+
+def _block_lower_bound(mat, k, w, kept, ranks):
+    # sum over a >= 1 of rank(d^(k-1)_(w-2a)), the lemma's lower bound on
+    # the rank of mat = d^k_w, or None unless mat is block triangular
+    # with diagonal blocks exactly -d^(k-1)_(w-2a), checked entry by
+    # entry against kept[k - 1, w - 2a]
+    blocks = [kept[k - 1, w - 2 * a] for a in range(1, w // 2 + 1)]
+    col_block, row_block, col_off, row_off = [], [], [], []
+    for a, blk in enumerate(blocks):
+        col_off.append(len(col_block))
+        row_off.append(len(row_block))
+        col_block += [a] * blk.ncols
+        row_block += [a] * blk.nrows
+    if (len(row_block), len(col_block)) != mat.shape:
+        return None
+    on_diagonal = 0
+    for (i, j), v in mat.entries.items():
+        a, b = col_block[j], row_block[i]
+        if b > a:
+            return None
+        if b == a:
+            if blocks[a].entries.get((i - row_off[a], j - col_off[a])) != -v:
+                return None
+            on_diagonal += 1
+    if on_diagonal != sum(len(blk.entries) for blk in blocks):
+        return None
+    return sum(ranks[k - 1, w - 2 * a] for a in range(1, w // 2 + 1))
 
 
 class CohClass:

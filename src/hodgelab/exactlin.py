@@ -12,12 +12,17 @@ The central consumer-facing pieces are
 
 * :func:`smith_normal_form` -- U @ M @ V = D with U, V unimodular, the
   diagonal nonnegative and forming a divisibility chain d1 | d2 | ...;
+* :func:`complex_cohomology` -- every degree of one complex at once.
+  Over Z it certifies each map's rank once, from lower bounds (the
+  caller's, a nonzero map's 1, ranks mod p) that meet the d o d = 0
+  upper bounds, with an exact kernel only where no such chain closes,
+  and takes each map's Smith form once from that rank; over F_p it
+  ranks each map once;
 * :func:`cohomology_of_pair` -- the finitely generated abelian group
-  ker(d_out)/im(d_in) of a pair of integer matrices;
+  ker(d_out)/im(d_in) of a pair of integer matrices, degree 1 of the
+  two-map complex;
 * :func:`strand_cohomology` -- the same quotient over Z, Q or F_p, the
-  one place that picks the eliminator for each ring;
-* :func:`complex_cohomology` -- every degree of one complex at once,
-  ranking each map once over F_p.
+  one place that picks the route for each ring.
 
 >>> m = IntMat.from_rows([[2, 4], [6, 8]])
 >>> smith_normal_form(m)[1].diagonal()
@@ -481,16 +486,17 @@ def _abs_det(rows):
 
 
 def _coprime_parts(n):
-    # n > 0 as pairwise coprime factors: the full power of each prime
-    # below 2^10 that divides it, then the cofactor if it is not 1
+    # n > 0 as pairwise coprime factors (prime, part): the full power of
+    # each prime below 2^10 that divides it, then (None, cofactor) if
+    # the cofactor is not 1
     parts = []
     for f in range(2, 1 << 10):
         if n % f == 0:
             q = 1
             while n % f == 0:
                 n, q = n // f, q * f
-            parts.append(q)
-    return parts + [n] if n > 1 else parts
+            parts.append((f, q))
+    return parts + [(None, n)] if n > 1 else parts
 
 
 def _diagonal_mod(entries, modulus):
@@ -521,10 +527,11 @@ def _diagonal_mod(entries, modulus):
     return found
 
 
-def _snf_diagonal_bounded(mat):
+def _snf_diagonal_bounded(mat, rank=None):
     # The nonzero invariant factors of mat, without U or V and without
     # bigint growth; None when no rank prime sees the full rank of the
-    # core, which sends the caller to the U/V elimination.
+    # core, which sends the caller to the U/V elimination.  A given rank
+    # of mat stands in for the core's rank certificate.
     work = _SchurWork(mat.entries)
     ones = 0
     while (i := work.shortest_row()) is not None:
@@ -535,6 +542,9 @@ def _snf_diagonal_bounded(mat):
             u = row[j]
             work.pivot_out(i, j, lambda b: b * u)
             ones += 1
+    if rank is not None and (ones > rank or not work.rows and ones < rank):
+        raise ExactLinError("rank %d given, %d unit pivots found%s" % (
+            rank, ones, "" if work.rows else " and nothing else"))
     if not work.rows:
         return [1] * ones
     rows = {i: k for k, i in enumerate(sorted(work.rows))}
@@ -543,9 +553,15 @@ def _snf_diagonal_bounded(mat):
     core = IntMat(len(rows), len(cols), {
         (rows[i], cols[j]): v for i, row in work.rows.items()
         for j, v in row.items()})
-    r = core.ncols - kernel_basis(core).ncols
+    if rank is None:
+        r = core.ncols - kernel_basis(core).ncols
+    else:
+        r = rank - ones
     for p in _RANK_PRIMES:
         pivot_cols = fp_rref(core, p)[1]
+        if len(pivot_cols) > r:
+            raise ExactLinError("rank mod %d exceeds the rank %d" % (
+                p, ones + r))
         if len(pivot_cols) == r:
             columns = core.columns()
             pivot_rows = fp_rref(IntMat.from_columns(
@@ -559,11 +575,17 @@ def _snf_diagonal_bounded(mat):
     # Z/N is the product of the rings Z/part over coprime parts, so one
     # diagonal mod N is the pivots' gcds mod every part, with each part's
     # missing pivots as zeros (the part itself); the pairwise gcd/lcm
-    # normal form of them all is then the Smith form mod N
+    # normal form of them all is then the Smith form mod N.  A part l^v
+    # whose rank mod l is already r divides no invariant factor, so its
+    # r pivots are units and it needs no diagonalisation
     size = min(core.nrows, core.ncols)
     found = []
-    for part in _coprime_parts(n_mod):
-        pivots = _diagonal_mod(core.entries, part)
+    for ell, part in _coprime_parts(n_mod):
+        if ell and fp_rank_sparse(core.entries, core.nrows, core.ncols,
+                                  ell) == r:
+            pivots = [1] * r
+        else:
+            pivots = _diagonal_mod(core.entries, part)
         found += pivots + [part] * (size - len(pivots))
     chain = _divisor_chain(found)
     torsion = [d for d in chain if d != n_mod]
@@ -572,26 +594,30 @@ def _snf_diagonal_bounded(mat):
     return [1] * (ones + r - len(torsion)) + torsion
 
 
-def smith_normal_form(mat, need_u=True, need_v=True):
+def smith_normal_form(mat, need_u=True, need_v=True, rank=None):
     """Return (U, D, V) with U @ mat @ V = D in Smith normal form.
 
     D has nonnegative diagonal d1 | d2 | ... and zeros elsewhere.  U and V
     are unimodular; pass need_u/need_v=False to skip tracking (returned as
-    None) when only D or a kernel is wanted.
+    None) when only D or a kernel is wanted.  ``rank``, when given, is
+    mat's rank over Q as the caller has certified it.
 
     With neither U nor V wanted, D comes from a diagonal-only route whose
     entries stay below N = 2D, D = |det| of one nonsingular r x r minor:
 
     1. +-1 pivots are eliminated exactly over Z by Schur complement, each
        one an invariant factor 1;
-    2. the rank r of what is left (the core) is certified exactly, as its
-       column count minus the size of :func:`kernel_basis` of it;
+    2. the rank r of what is left (the core) is the given rank minus
+       those pivots or, with no rank given, its column count minus the
+       size of :func:`kernel_basis` of it;
     3. for the first rank prime whose rank mod p is r, the pivot columns
        and then pivot rows of the core give the minor, and D is its
        |det| by fraction-free elimination;
     4. the core is diagonalised over Z/N one coprime part of N at a time
        (the power of each prime below 2^10, then the cofactor), keeping
        gcd(pivot, part) for each pivot and the part for each missing one;
+       a part l^v whose rank mod l is already r gives r unit pivots
+       without a diagonalisation;
     5. the pairwise gcd/lcm normal form of all of these is the Smith form
        mod N; only then are the entries equal to N dropped, and exactly r
        must remain, else :class:`ExactLinError`.
@@ -600,11 +626,13 @@ def smith_normal_form(mat, need_u=True, need_v=True):
     rank prime reaches r, which takes an input built for it such as
     [[2147483647 * 998244353]], the U/V elimination answers instead.  It
     picks pivots of minimal absolute value with deterministic (row, col)
-    tie-breaking.
+    tie-breaking.  A given rank is cross-checked: more unit pivots or a
+    larger rank mod a rank prime than it, or a U/V diagonal of another
+    length, raise :class:`ExactLinError`.
     """
     m, n = mat.nrows, mat.ncols
     if not (need_u or need_v):
-        diag = _snf_diagonal_bounded(mat)
+        diag = _snf_diagonal_bounded(mat, rank)
         if diag is not None:
             return None, IntMat(m, n, {(t, t): d
                                        for t, d in enumerate(diag)}), None
@@ -698,23 +726,29 @@ def smith_normal_form(mat, need_u=True, need_v=True):
                 ulog.neg(i)
 
     d = IntMat(m, n, dict(w.ent))
+    if rank is not None and len(d.entries) != rank:
+        raise ExactLinError("rank %d given, the Smith form has %d" % (
+            rank, len(d.entries)))
     u = ulog.to_intmat() if ulog else None
     v = vlog.to_intmat() if vlog else None
     return (u, d, v)
 
 
-def snf_diagonal(mat):
+def snf_diagonal(mat, rank=None):
     """The nonzero invariant factors of mat, ascending.
 
     This is :func:`smith_normal_form` without U or V: the diagonal-only
-    route modulo twice a nonsingular minor's determinant, with the core's
-    rank certified by an exact kernel, and the U/V elimination as the
-    fallback when no rank prime sees that rank.
+    route modulo twice a nonsingular minor's determinant, and the U/V
+    elimination as the fallback when no rank prime sees the rank.  The
+    rank is the caller's certified ``rank`` when given, which the route
+    cross-checks; otherwise an exact kernel of the core certifies it.
 
     >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]))
     [2, 4]
+    >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]), rank=2)
+    [2, 4]
     """
-    _, d, _ = smith_normal_form(mat, need_u=False, need_v=False)
+    _, d, _ = smith_normal_form(mat, need_u=False, need_v=False, rank=rank)
     out = []
     for t in range(min(mat.nrows, mat.ncols)):
         v = d.get(t, t)
@@ -833,45 +867,17 @@ def cohomology_of_pair(d_in, d_out):
     matrices whose columns are images of basis vectors.  Raises
     :class:`CompositionNonzero` unless d_out @ d_in == 0.
 
-    The torsion subgroup of ker/im equals that of coker(d_in): the
-    quotient of the ambient lattice by the (saturated) kernel is free,
-    so the sequence 0 -> ker/im -> C/im -> C/ker -> 0 splits.  Hence
-    torsion comes straight from the elementary divisors of d_in, and
-    only the rank of d_out is needed on top.  The divisors come from
-    :func:`snf_diagonal`: exact elimination of +-1 pivots, then a
-    diagonalisation modulo twice the determinant of a nonsingular minor
-    of the rest, whose rank an exact kernel certifies; the U/V
-    elimination is the fallback when no rank prime sees that rank.  The
-    rank of d_out is certified exactly whenever a modular rank meets the
-    d o d = 0 upper bound ncols - rank(d_in); otherwise fall back to an
-    exact kernel.
+    This is degree 1 of the two-map complex C^{n-1} -> C^n -> C^{n+1}
+    over Z, so both ranks are certified and d_in's torsion read as in
+    :func:`complex_cohomology`.
 
     >>> d0 = IntMat.zeros(2, 0)
     >>> d1 = IntMat.from_rows([[2, 0], [0, 3]])   # Z^2 --diag(2,3)--> Z^2
     >>> cohomology_of_pair(d1, IntMat.zeros(0, 2))
     AbGroup(rank=0, torsion=(6,))
     """
-    if d_in.nrows != d_out.ncols:
-        raise ValueError("chain degrees do not line up")
-    if not d_out.matmul(d_in).is_zero():
-        raise CompositionNonzero("d_out @ d_in != 0")
-    n = d_out.ncols
-    diag_in = snf_diagonal(d_in)
-    rank_in = len(diag_in)
-    torsion = [d for d in diag_in if d > 1]
-
-    rank_out = None
-    if d_out.is_zero():
-        rank_out = 0
-    else:
-        bound = n - rank_in
-        for p in _RANK_PRIMES:
-            if fp_rank(d_out, p) == bound:
-                rank_out = bound
-                break
-    if rank_out is None:
-        rank_out = n - kernel_basis(d_out).ncols
-    return AbGroup(n - rank_in - rank_out, torsion)
+    return complex_cohomology([d_in.ncols, d_in.nrows], [d_in, d_out],
+                              ZZ)[1]
 
 
 def strand_cohomology(d_in, d_out, ring):
@@ -899,13 +905,21 @@ def strand_cohomology(d_in, d_out, ring):
                               ring)[1]
 
 
-def complex_cohomology(dims, mats, ring):
+def complex_cohomology(dims, mats, ring, lower=None):
     """[H^0, ..., H^(len(dims)-1)] of the complex with dim C^n = dims[n]
     and d: C^n -> C^(n+1) given by mats[n]; maps past the end of mats
-    are zero.  Over Z and Q each degree is one :func:`strand_cohomology`
-    call.  Over F_p each consecutive pair is checked to compose to zero
-    mod p (else :class:`CompositionNonzero`) and each map is ranked once
-    with :func:`fp_rank_sparse`.
+    are zero.  Every consecutive pair is checked to compose to zero (mod
+    p over F_p), else :class:`CompositionNonzero`.
+
+    Over F_p each map is ranked once with :func:`fp_rank_sparse`.  Over
+    Q each degree is the rank of :func:`cohomology_of_pair`.  Over Z each
+    map's rank r_n over Q is certified once (see :func:`_certified_ranks`;
+    ``lower[n]``, when given and not None, is a certified lower bound on
+    r_n), each map's Smith form is taken once by :func:`snf_diagonal`,
+    from that rank or while ranking it, and H^n = Z^(dims[n] - r_(n-1) -
+    r_n) plus the torsion of d_(n-1).  That torsion is all of it: C^n/ker(d_n) is free,
+    so 0 -> ker/im -> C^n/im -> C^n/ker -> 0 splits, and the torsion of
+    C^n/im(d_(n-1)) is read off d_(n-1)'s invariant factors.
 
     >>> from hodgelab.gralg import FP
     >>> d = IntMat.from_rows([[2]])
@@ -921,10 +935,25 @@ def complex_cohomology(dims, mats, ring):
     for n, d in enumerate(outs):
         if d.ncols != dims[n] or (n + 1 < top and d.nrows != dims[n + 1]):
             raise ValueError("chain degrees do not line up")
-    if ring is ZZ or ring is QQ_R:
+    if ring is QQ_R:
         ins = [IntMat.zeros(dims[0], 0)] + outs[:-1] if top else []
         return [strand_cohomology(d_in, d_out, ring)
                 for d_in, d_out in zip(ins, outs)]
+    if ring is ZZ:
+        for d_in, d_out in zip(outs, outs[1:]):
+            if not d_out.matmul(d_in).is_zero():
+                raise CompositionNonzero("d_out @ d_in != 0")
+        if not top:
+            return []
+        ranks, diags = _certified_ranks(list(dims) + [outs[-1].nrows],
+                                        outs, lower)
+        torsion = [()]
+        for n, mat in enumerate(outs[:-1]):
+            if n not in diags:
+                diags[n] = snf_diagonal(mat, ranks[n]) if ranks[n] else []
+            torsion.append([d for d in diags[n] if d > 1])
+        return [AbGroup(dims[n] - ranks[n] - (ranks[n - 1] if n else 0),
+                        torsion[n]) for n in range(top)]
     p = ring.p
     if p is None or ring.modulus != p:
         raise ValueError("no strand cohomology route over %r" % (ring,))
@@ -934,6 +963,61 @@ def complex_cohomology(dims, mats, ring):
     ranks = [fp_rank_sparse(d.entries, d.nrows, d.ncols, p) for d in outs]
     return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
             for n in range(top)]
+
+
+def _certified_ranks(dims, mats, lower=None):
+    # (ranks, diags): the rank over Q of each integer map mats[n]: C^n ->
+    # C^(n+1) of a complex with dim C^n = dims[n], len(dims) ==
+    # len(mats) + 1, whose consecutive maps compose to zero, and the
+    # Smith diagonals computed on the way.  Every rank r_n has a lower
+    # bound l_n: 0 for a zero map, else the larger of 1 and lower[n],
+    # raised where needed by the rank mod each rank prime (a rank mod p
+    # is at most the rank over Q).  d o d = 0 gives r_(n-1) + r_n <=
+    # dims[n], with r_(-1) = 0 and no map out of the last space, so where
+    # l_(n-1) + l_n == dims[n] both bounds are exact.  Only a map that no
+    # such closed chain reaches is ranked by an exact kernel: the last map
+    # by :func:`kernel_basis`, any other by the length of its unranked
+    # :func:`snf_diagonal`, whose own certificate is the kernel of the
+    # core left after the unit pivots, and whose diagonal the caller
+    # needs for the torsion anyway.
+    top = len(mats)
+    low, exact = [], []
+    for n, mat in enumerate(mats):
+        given = lower[n] if lower and n < len(lower) else None
+        exact.append(mat.is_zero())
+        low.append(0 if exact[-1] else max(1, given or 0))
+
+    def close():
+        for n in range(top + 1):
+            bound = (low[n - 1] if n else 0) + (low[n] if n < top else 0)
+            if bound > dims[n]:
+                raise ExactLinError("rank bounds %d exceed dim C^%d = %d"
+                                    % (bound, n, dims[n]))
+            if bound == dims[n]:
+                for k in (n - 1, n):
+                    if 0 <= k < top:
+                        exact[k] = True
+        return [n for n in range(top) if not exact[n]]
+
+    todo = close()
+    for p in _RANK_PRIMES:
+        if not todo:
+            break
+        for n in todo:
+            low[n] = max(low[n], fp_rank(mats[n], p))
+        todo = close()
+    diags = {}
+    for n in todo:
+        if exact[n]:
+            continue
+        if n < top - 1:
+            diags[n] = snf_diagonal(mats[n])
+            low[n] = len(diags[n])
+        else:
+            low[n] = mats[n].ncols - kernel_basis(mats[n]).ncols
+        exact[n] = True
+        close()
+    return low, diags
 
 
 def lattice_quotient(ambient_dim, sub_gens):

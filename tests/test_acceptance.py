@@ -16,8 +16,8 @@ from math import comb
 from hodgelab import cobar, derham
 from hodgelab.cobar import (
     bockstein, class_is_zero, classes_equal, cup, group_cohomology,
-    hilbert_dims_f2, hilbert_dims_odd, is_scalar_multiple, torsion_census,
-    torsion_class, v_one, w_class,
+    group_table, hilbert_dims_f2, hilbert_dims_odd, is_scalar_multiple,
+    torsion_census, torsion_class, v_one, w_class,
 )
 from hodgelab.crystal import (
     SemiperfectModel, di_splitting, unfold_derham, verify_kappa_iso,
@@ -79,22 +79,25 @@ def test_integral_cohomology_census():
 
 
 def test_integral_census_past_the_smith_wall():
-    # integral H^4 for w <= 34 and H^5 for w <= 22: rank 0, squarefree
-    # torsion, and on the deepest strands a Z/l summand exactly where
-    # the rank of d_in drops mod l
+    # integral H^4 for w <= 40 and H^5 for w <= 26, read from the
+    # certified-rank tables: rank 0, squarefree torsion, and on the
+    # deepest strands a Z/l summand exactly where the rank of d_in drops
+    # mod l
     start = time.monotonic()
-    for n, wmax in ((4, 34), (5, 22)):
+    tables = {n: group_table(n, wmax) for n, wmax in ((4, 40), (5, 26))}
+    for n, wmax in ((4, 40), (5, 26)):
         for w in range(wmax + 1):
-            g = _zz(n, w)
+            g = tables[n][n, w]
             assert g.rank == 0, (n, w)
             assert all(_squarefree(t) for t in g.torsion), (n, w)
-    for n, w in ((4, 30), (4, 32), (4, 34), (5, 22)):
+    for n, w in ((4, 30), (4, 32), (4, 34), (4, 36), (4, 38), (4, 40),
+                 (5, 22), (5, 24), (5, 26)):
         d_in = cobar.strand_matrix(n - 1, w)
         rank_q = d_in.ncols - kernel_basis(d_in).ncols
         for ell in (q for q, qi in _prime_powers(w // 2 + 3) if q == qi):
             drop = rank_q - fp_rank_sparse(d_in.entries, d_in.nrows,
                                            d_in.ncols, ell)
-            assert _zz(n, w).torsion_count(ell) == drop, (n, w, ell)
+            assert tables[n][n, w].torsion_count(ell) == drop, (n, w, ell)
     assert time.monotonic() - start < 60
 
 

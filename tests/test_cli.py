@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hodgelab import cli
+from hodgelab import cli, cobar
+from hodgelab.exactlin import AbGroup
 
 
 def run_main(argv, capsys):
@@ -92,6 +93,23 @@ def test_entries_are_ordered_by_strand(capsys):
     keys = [(e["n"], e["w"]) for e in json.loads(out)["entries"]
             if "n" in e]
     assert keys == sorted(keys)
+
+
+def test_bga_rejects_a_corrupted_strand_group(monkeypatch):
+    # Z/4 at (3, 6) is not squarefree torsion: that row alone must fail
+    real = cobar.group_table
+
+    def corrupted(n_max, w_max):
+        table = real(n_max, w_max)
+        table[3, 6] = AbGroup(0, (4,))
+        return table
+
+    monkeypatch.setattr(cobar, "group_table", corrupted)
+    report, code = cli.run(cli.RunConfig("bga", {"nmax": 3, "wmax": 12}))
+    assert code != 0
+    bad = [e for e in report["entries"] if not e["ok"]]
+    assert [(e["n"], e["w"], e["result"]) for e in bad] == \
+        [(3, 6, {"rank": 0, "torsion": [4]})]
 
 
 def test_runconfig_rejects_unknown_parameter():

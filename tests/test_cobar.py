@@ -7,11 +7,12 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+from hodgelab import cobar, exactlin
 from hodgelab.cobar import (
     CohClass, LiftNotExact, NotACocycle, apply_d, bockstein, class_is_zero,
-    classes_equal, cup, group_cohomology, hilbert_dims_f2, hilbert_dims_odd,
-    is_scalar_multiple, kzthree_group, phi_class, phi_span_divisors,
-    strand_basis, strand_matrix, torsion_census,
+    classes_equal, cup, group_cohomology, group_table, hilbert_dims_f2,
+    hilbert_dims_odd, is_scalar_multiple, kzthree_group, phi_class,
+    phi_span_divisors, strand_basis, strand_matrix, torsion_census,
     torsion_class, v_one, w_class,
 )
 from hodgelab.exactlin import AbGroup
@@ -70,6 +71,72 @@ def test_integral_strand_values():
     assert group_cohomology(0, 0, ZZ) == AbGroup(1)
     assert group_cohomology(0, 4, ZZ) == AbGroup(0)
     assert group_cohomology(3, 6, ZZ) == AbGroup(0, (2,))
+
+
+def test_group_table_matches_per_strand_groups():
+    table = group_table(5, 20)
+    assert set(table) == {(n, w) for n in range(6) for w in range(21)}
+    for (n, w), g in table.items():
+        assert g == group_cohomology(n, w), (n, w)
+
+
+def test_group_table_ranks_without_elimination(monkeypatch):
+    # the lemma's lower bounds meet the d o d = 0 bound on every map, so
+    # certifying the ranks makes no modular rank and no exact kernel
+    calls = []
+    for name in ("fp_rank", "kernel_basis"):
+        real = getattr(exactlin, name)
+        monkeypatch.setattr(exactlin, name, lambda *a, _f=real, _n=name:
+                            calls.append(_n) or _f(*a))
+    for n_max, w_max in ((3, 54), (4, 28), (5, 20)):
+        assert group_table(n_max, w_max)
+        assert calls == [], (n_max, w_max)
+
+
+def _first_exponents(k, w):
+    # first exponent of each source and each target monomial of d^k_w
+    return ([e[0] for e in strand_basis(k, w)],
+            [e[0] for e in strand_basis(k + 1, w)])
+
+
+def _flip_block_entry(ent, src, tgt):
+    key = next(key for key in sorted(ent) if tgt[key[0]] == src[key[1]])
+    ent[key] = -ent[key]
+
+
+def _add_entry_below_blocks(ent, src, tgt):
+    ent[next((i, j) for j in range(len(src)) for i in range(len(tgt))
+             if tgt[i] > src[j])] = 1
+
+
+def _drop_block_entry(ent, src, tgt):
+    del ent[next(key for key in sorted(ent) if tgt[key[0]] == src[key[1]])]
+
+
+@pytest.mark.parametrize("corrupt", [_flip_block_entry,
+                                     _add_entry_below_blocks,
+                                     _drop_block_entry])
+def test_block_check_rejects_a_corrupted_matrix(monkeypatch, corrupt):
+    # the check sees a corrupted copy of d^k_w and must give no bound;
+    # the table then falls back to modular ranks and stays right
+    real = cobar._block_lower_bound
+    seen = []
+
+    def checked(mat, k, w, kept, ranks):
+        src, tgt = _first_exponents(k, w)
+        if not any(b > a for a in src for b in tgt):
+            return real(mat, k, w, kept, ranks)
+        ent = dict(mat.entries)
+        corrupt(ent, src, tgt)
+        seen.append(real(exactlin.IntMat(mat.nrows, mat.ncols, ent), k, w,
+                         kept, ranks))
+        return seen[-1]
+
+    monkeypatch.setattr(cobar, "_block_lower_bound", checked)
+    table = group_table(4, 16)
+    assert seen and all(bound is None for bound in seen)
+    for (n, w), g in table.items():
+        assert g == group_cohomology(n, w), (n, w)
 
 
 def test_universal_coefficients_oracle():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hodgelab import exactlin
 from hodgelab.cobar import strand_basis, strand_matrix
 from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
-                               IntMat, GFp, QQ, _is_prime, cohomology_of_pair,
+                               ExactLinError, IntMat, GFp, QQ, _is_prime,
+                               cohomology_of_pair,
                                complex_cohomology, field_kernel, field_rank,
                                field_rref, field_solve, fp_kernel, fp_rank,
                                fp_rank_sparse, fp_rref, fp_solve, kernel_basis,
@@ -243,12 +244,32 @@ def test_cohomology_random_consistency():
     assert seen_rank and seen_torsion
 
 
-def test_cohomology_of_pair_falls_back_to_exact_kernel():
+def test_cohomology_of_pair_falls_back_to_exact_kernel(monkeypatch):
     # rank 1 over Z, rank 0 mod both certifying primes: the modular rank
-    # never reaches the bound, so only the exact kernel gives H = 0
-    d_out = IntMat.from_rows([[2147483647 * 998244353]])
+    # never reaches the bound.  One column is ranked by being nonzero;
+    # with two, only the exact kernel gives H = 0
+    big = 2147483647 * 998244353
+    d_out = IntMat.from_rows([[big]])
     assert all(fp_rank(d_out, p) == 0 for p in _RANK_PRIMES)
     assert cohomology_of_pair(IntMat.zeros(1, 0), d_out) == AbGroup(0)
+    kernels = []
+    real = exactlin.kernel_basis
+    monkeypatch.setattr(exactlin, "kernel_basis",
+                        lambda mat: kernels.append(mat) or real(mat))
+    d_out = IntMat.from_rows([[big, 0], [0, big]])
+    assert cohomology_of_pair(IntMat.zeros(2, 0), d_out) == AbGroup(0)
+    assert kernels == [d_out]
+
+
+def test_complex_cohomology_rejects_rank_bounds_past_dd_zero():
+    # ranks 1 and 1 meet the d o d = 0 bound at C^1 = Z^2; a claimed
+    # lower bound of 2 on d0 breaks it and must raise
+    d0 = IntMat.from_rows([[1, 0], [0, 0]])
+    d1 = IntMat.from_rows([[0, 1]])
+    want = [AbGroup(1), AbGroup(0), AbGroup(0)]
+    assert complex_cohomology([2, 2, 1], [d0, d1], ZZ, [1, 1]) == want
+    with pytest.raises(ExactLinError):
+        complex_cohomology([2, 2, 1], [d0, d1], ZZ, [2, None])
 
 
 def _unimodular(rng, n):
@@ -314,6 +335,31 @@ def test_snf_diagonal_normalises_before_dropping_zeros():
     # mod N = 79833600 the pivots need the gcd/lcm step before the
     # entries equal to N (zeros mod N) are dropped
     assert snf_diagonal(strand_matrix(2, 24)) == [1] * 9 + [66]
+
+
+def test_snf_diagonal_cross_checks_a_given_rank():
+    # one rank too low: a rank prime sees more pivots; one too high: no
+    # rank prime sees it, and the U/V diagonal is one entry short
+    m = strand_matrix(3, 28)
+    want = snf_diagonal(m)
+    r = len(want)
+    assert snf_diagonal(m, r) == want
+    for wrong in (r - 1, r + 1):
+        with pytest.raises(ExactLinError):
+            snf_diagonal(m, wrong)
+    # the low rank is caught by the first rank prime, before any U/V
+    # elimination; the high one only by the U/V diagonal's length
+    with pytest.raises(ExactLinError):
+        exactlin._snf_diagonal_bounded(m, r - 1)
+    assert exactlin._snf_diagonal_bounded(m, r + 1) is None
+    # no core at all: the unit pivots alone must match the rank
+    unit = IntMat.identity(2)
+    big = IntMat.from_rows([[2147483647 * 998244353]])
+    for mat, right in ((unit, 2), (big, 1)):
+        assert snf_diagonal(mat, right) == snf_diagonal(mat)
+        for wrong in (right - 1, right + 1):
+            with pytest.raises(ExactLinError):
+                snf_diagonal(mat, wrong)
 
 
 def test_snf_diagonal_falls_back_when_no_rank_prime_sees_the_rank():
