@@ -33,11 +33,11 @@ both ranks are exact, with no rank elimination at all.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .exactlin import (
-    AbGroup, IntMat, SolveFailed, complex_cohomology, fp_solve, snf_diagonal,
-    solve_columns, strand_cohomology,
+    AbGroup, IntMat, complex_cohomology, fp_solve, snf_diagonal,
+    strand_cohomology,
 )
 from .gralg import FP, QQ_R, ZZ
 
@@ -307,18 +307,20 @@ def bockstein(p, a):
 
 
 def class_is_zero(cl):
-    """Is the class a coboundary (exactly over Z, mod p over F_p)?"""
+    """Is the class a coboundary (exactly over Z, mod p over F_p)?
+
+    Over Z, b lies in im(A) exactly when A and [A | b] have invariant
+    factors of the same count and the same product: Z^m/im A maps onto
+    Z^m/im [A | b], and an onto map between finitely generated abelian
+    groups of equal rank and equal torsion order is an isomorphism.
+    """
     d_in = strand_matrix(cl.cohdeg - 1, cl.weight)
     vec = cl.vector()
     if cl.ring is ZZ:
-        if all(v == 0 for v in vec):
-            return True
-        target = IntMat.from_columns([vec], d_in.nrows)
-        try:
-            solve_columns(d_in, target)
-            return True
-        except SolveFailed:
-            return False
+        before = snf_diagonal(d_in)
+        after = snf_diagonal(IntMat.from_columns(d_in.columns() + [vec],
+                                                 d_in.nrows))
+        return len(before) == len(after) and prod(before) == prod(after)
     return fp_solve(d_in, vec, cl.ring.p) is not None
 
 

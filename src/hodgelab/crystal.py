@@ -12,11 +12,11 @@ unfolding that recovers de Rham cohomology of F_p[x].
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from .derham import DgaForms, TruncationTooSmall, de_rham_cohomology
 from .exactlin import (IntMat, _is_prime, complex_cohomology, fp_rank,
-                       fp_rref, smith_normal_form)
+                       fp_rref, kernel_basis)
 from .gralg import FP, PDContext, TruncationOverflow, ZP2
 
 __all__ = [
@@ -260,20 +260,16 @@ def nygaard(A, i, w):
 
 
 def _kernel_mod_image(mat, q, p):
-    """F_p basis of the mod-p image of {v : mat v == 0 mod q}."""
+    """F_p basis of the mod-p image of {v : mat v == 0 mod q}.
+
+    That lattice is the projection to Z^n of ker [mat | q I], so the
+    first n entries of an exact kernel basis of [mat | q I] span it.
+    """
     n = mat.ncols
-    _, d, v = smith_normal_form(mat, need_u=False, need_v=True)
-    diag = [d.entries.get((t, t), 0) for t in range(min(d.nrows, d.ncols))]
-    gens = []
-    for t in range(n):
-        col = v.column(t)
-        dt = diag[t] if t < len(diag) else 0
-        scale = 1 if dt == 0 else q // gcd(dt, q)
-        vec = [0] * n
-        for i, val in col.items():
-            vec[i] = (val * scale) % p
-        if any(vec):
-            gens.append(vec)
+    wide = IntMat(mat.nrows, n + mat.nrows, {
+        **mat.entries, **{(i, n + i): q for i in range(mat.nrows)}})
+    gens = [[col.get(i, 0) % p for i in range(n)]
+            for col in kernel_basis(wide).columns()]
     _, piv = fp_rref(IntMat.from_columns(gens, n), p)
     return [gens[j] for j in piv]
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over Z, F_p and Q.
 
 Everything here is exact: integer work uses arbitrary-precision ints and
-Smith normal forms, with tracked unimodular transforms or, when only the
-diagonal is wanted, modulo twice a nonsingular minor; rational work uses
+Smith normal forms, computed modulo twice a nonsingular minor's
+determinant so that no entry outgrows it; rational work uses
 Fractions.  Mod-p work is sparse elimination over :class:`IntMat` in
 Python ints, correct for every prime p: :func:`fp_rank_sparse` for ranks
 and :func:`fp_rref`, the leftmost-pivot reduced echelon form, for pivot
@@ -10,8 +10,8 @@ columns, kernels and solutions.  No floating point is ever produced.
 
 The central consumer-facing pieces are
 
-* :func:`smith_normal_form` -- U @ M @ V = D with U, V unimodular, the
-  diagonal nonnegative and forming a divisibility chain d1 | d2 | ...;
+* :func:`smith_normal_form` -- the diagonal D of the Smith form, its
+  nonzero entries forming a divisibility chain d1 | d2 | ...;
 * :func:`complex_cohomology` -- every degree of one complex at once.
   Over Z it certifies each map's rank once, from lower bounds (the
   caller's, a nonzero map's 1, ranks mod p) that meet the d o d = 0
@@ -25,7 +25,7 @@ The central consumer-facing pieces are
   one place that picks the route for each ring.
 
 >>> m = IntMat.from_rows([[2, 4], [6, 8]])
->>> smith_normal_form(m)[1].diagonal()
+>>> smith_normal_form(m).diagonal()
 [2, 4]
 """
 
@@ -44,10 +44,6 @@ class ExactLinError(Exception):
 
 class CompositionNonzero(ExactLinError):
     """d_out @ d_in != 0 where a cochain pair was required."""
-
-
-class SolveFailed(ExactLinError):
-    """An integer linear system had no integral solution."""
 
 
 def _divisor_chain(values):
@@ -205,9 +201,6 @@ class IntMat:
     def get(self, i, j):
         return self.entries.get((i, j), 0)
 
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
         for (i, j), v in self.entries.items():
@@ -255,106 +248,6 @@ class IntMat:
     def __repr__(self):
         return "IntMat(%d x %d, %d nonzero)" % (self.nrows, self.ncols,
                                                 len(self.entries))
-
-
-class _SparseWork:
-    # Mutable sparse matrix with row/col indexes for the SNF elimination.
-
-    def __init__(self, mat):
-        self.ent = dict(mat.entries)
-        self.rows = {}
-        self.cols = {}
-        for (i, j) in self.ent:
-            self.rows.setdefault(i, set()).add(j)
-            self.cols.setdefault(j, set()).add(i)
-
-    def get(self, i, j):
-        return self.ent.get((i, j), 0)
-
-    def set(self, i, j, v):
-        if v:
-            self.ent[(i, j)] = v
-            self.rows.setdefault(i, set()).add(j)
-            self.cols.setdefault(j, set()).add(i)
-        else:
-            if (i, j) in self.ent:
-                del self.ent[(i, j)]
-                self.rows[i].discard(j)
-                self.cols[j].discard(i)
-
-    def row_add(self, i, k, q):
-        # row_i += q * row_k
-        if q == 0:
-            return
-        for j in list(self.rows.get(k, ())):
-            self.set(i, j, self.get(i, j) + q * self.ent[(k, j)])
-
-    def col_add(self, j, k, q):
-        # col_j += q * col_k
-        if q == 0:
-            return
-        for i in list(self.cols.get(k, ())):
-            self.set(i, j, self.get(i, j) + q * self.ent[(i, k)])
-
-    def row_swap(self, i, k):
-        if i == k:
-            return
-        js = set(self.rows.get(i, set())) | set(self.rows.get(k, set()))
-        for j in js:
-            a, b = self.get(i, j), self.get(k, j)
-            self.set(i, j, b)
-            self.set(k, j, a)
-
-    def col_swap(self, j, k):
-        if j == k:
-            return
-        is_ = set(self.cols.get(j, set())) | set(self.cols.get(k, set()))
-        for i in is_:
-            a, b = self.get(i, j), self.get(i, k)
-            self.set(i, j, b)
-            self.set(i, k, a)
-
-    def row_neg(self, i):
-        for j in list(self.rows.get(i, ())):
-            self.ent[(i, j)] = -self.ent[(i, j)]
-
-
-class _OpLog:
-    # Accumulates elementary ops into a unimodular transform kept as
-    # dict-of-dicts; rows=True tracks U (left), rows=False tracks V (right).
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = rows
-        self.data = {i: {i: 1} for i in range(n)}
-
-    def add(self, i, k, q):
-        # mirrors row_i += q row_k  (or col_i += q col_k)
-        tgt, src = self.data[i], self.data[k]
-        for key, v in src.items():
-            nv = tgt.get(key, 0) + q * v
-            if nv:
-                tgt[key] = nv
-            else:
-                tgt.pop(key, None)
-
-    def swap(self, i, k):
-        self.data[i], self.data[k] = self.data[k], self.data[i]
-
-    def neg(self, i):
-        self.data[i] = {k: -v for k, v in self.data[i].items()}
-
-    def to_intmat(self):
-        ent = {}
-        if self.rows:
-            for i, row in self.data.items():
-                for j, v in row.items():
-                    ent[(i, j)] = v
-        else:
-            for j, col in self.data.items():
-                for i, v in col.items():
-                    ent[(i, j)] = v
-        return IntMat(self.n, self.n, ent)
 
 
 _RANK_PRIMES = (2147483647, 998244353)
@@ -527,11 +420,56 @@ def _diagonal_mod(entries, modulus):
     return found
 
 
-def _snf_diagonal_bounded(mat, rank=None):
-    # The nonzero invariant factors of mat, without U or V and without
-    # bigint growth; None when no rank prime sees the full rank of the
-    # core, which sends the caller to the U/V elimination.  A given rank
-    # of mat stands in for the core's rank certificate.
+def _rank_primes():
+    # the two rank primes, then every odd prime below 2^31 - 1, descending
+    yield from _RANK_PRIMES
+    yield from filter(_is_prime, range(_RANK_PRIMES[0] - 2, 2, -2))
+
+
+def _kernel_rank(mat):
+    return mat.ncols - kernel_basis(mat).ncols
+
+
+def smith_normal_form(mat, rank=None):
+    """The Smith normal form D of mat, an :class:`IntMat` of its shape.
+
+    D is zero off the diagonal, and its nonzero entries d1 | d2 | ... are
+    mat's invariant factors, positive and first on the diagonal.  The
+    transforms are not computed.  ``rank``, when given, is mat's rank
+    over Q as the caller has certified it.  No entry grows past
+    N = 2D, D = |det| of one nonsingular r x r minor:
+
+    1. +-1 pivots are eliminated exactly over Z by Schur complement, each
+       one an invariant factor 1;
+    2. the rank r of what is left (the core) is the given rank minus
+       those pivots or, with no rank given, its column count minus the
+       size of :func:`kernel_basis` of it;
+    3. primes are tried in turn: the two rank primes, then every prime
+       below 2^31 - 1, descending.  For the first prime whose rank mod p
+       is r, the pivot columns and then pivot rows of the core give the
+       minor, and D is its |det| by fraction-free elimination;
+    4. the core is diagonalised over Z/N one coprime part of N at a time
+       (the power of each prime below 2^10, then the cofactor), keeping
+       gcd(pivot, part) for each pivot and the part for each missing one;
+       a part l^v whose rank mod l is already r gives r unit pivots
+       without a diagonalisation;
+    5. the pairwise gcd/lcm normal form of all of these is the Smith form
+       mod N; only then are the entries equal to N dropped, and exactly r
+       must remain, else :class:`ExactLinError`.
+
+    s_1...s_r divides D, so each s_i < N and gcd(s_i, N) = s_i.  A rank
+    mod p falls short of r only when p divides the gcd of the r x r
+    minors, which is nonzero, so the prime search ends; an input built
+    for it, such as [[2147483647 * 998244353]], takes one prime past the
+    rank primes.  A given rank is cross-checked: more unit pivots or a
+    larger rank mod some prime than it raise :class:`ExactLinError`, and
+    so does a core whose exact kernel disagrees with it once neither
+    rank prime reaches it, so a rank too high cannot send the search
+    past every prime.
+
+    >>> smith_normal_form(IntMat.from_rows([[2, 4], [6, 8]])).to_rows()
+    [[2, 0], [0, 4]]
+    """
     work = _SchurWork(mat.entries)
     ones = 0
     while (i := work.shortest_row()) is not None:
@@ -546,30 +484,31 @@ def _snf_diagonal_bounded(mat, rank=None):
         raise ExactLinError("rank %d given, %d unit pivots found%s" % (
             rank, ones, "" if work.rows else " and nothing else"))
     if not work.rows:
-        return [1] * ones
+        return IntMat(mat.nrows, mat.ncols, {(t, t): 1 for t in range(ones)})
     rows = {i: k for k, i in enumerate(sorted(work.rows))}
     cols = {j: k for k, j in enumerate(sorted(j for j, s in work.cols.items()
                                               if s))}
     core = IntMat(len(rows), len(cols), {
         (rows[i], cols[j]): v for i, row in work.rows.items()
         for j, v in row.items()})
-    if rank is None:
-        r = core.ncols - kernel_basis(core).ncols
-    else:
-        r = rank - ones
-    for p in _RANK_PRIMES:
+    r = _kernel_rank(core) if rank is None else rank - ones
+    for k, p in enumerate(_rank_primes()):
+        if (k == len(_RANK_PRIMES) and rank is not None
+                and _kernel_rank(core) != r):
+            raise ExactLinError("rank %d given, the exact kernel of the "
+                                "core disagrees" % rank)
         pivot_cols = fp_rref(core, p)[1]
         if len(pivot_cols) > r:
             raise ExactLinError("rank mod %d exceeds the rank %d" % (
                 p, ones + r))
         if len(pivot_cols) == r:
-            columns = core.columns()
-            pivot_rows = fp_rref(IntMat.from_columns(
-                [columns[j] for j in pivot_cols], core.nrows).transpose(),
-                p)[1]
             break
     else:
-        return None
+        raise ExactLinError("no prime below 2^31 reaches the rank %d"
+                            % (ones + r))
+    columns = core.columns()
+    pivot_rows = fp_rref(IntMat.from_columns(
+        [columns[j] for j in pivot_cols], core.nrows).transpose(), p)[1]
     n_mod = 2 * _abs_det([[core.get(i, j) for j in pivot_cols]
                           for i in pivot_rows])
     # Z/N is the product of the rings Z/part over coprime parts, so one
@@ -591,171 +530,23 @@ def _snf_diagonal_bounded(mat, rank=None):
     torsion = [d for d in chain if d != n_mod]
     if len(chain) - len(torsion) != size - r:
         raise ExactLinError("Smith form mod %d lost the rank %d" % (n_mod, r))
-    return [1] * (ones + r - len(torsion)) + torsion
-
-
-def smith_normal_form(mat, need_u=True, need_v=True, rank=None):
-    """Return (U, D, V) with U @ mat @ V = D in Smith normal form.
-
-    D has nonnegative diagonal d1 | d2 | ... and zeros elsewhere.  U and V
-    are unimodular; pass need_u/need_v=False to skip tracking (returned as
-    None) when only D or a kernel is wanted.  ``rank``, when given, is
-    mat's rank over Q as the caller has certified it.
-
-    With neither U nor V wanted, D comes from a diagonal-only route whose
-    entries stay below N = 2D, D = |det| of one nonsingular r x r minor:
-
-    1. +-1 pivots are eliminated exactly over Z by Schur complement, each
-       one an invariant factor 1;
-    2. the rank r of what is left (the core) is the given rank minus
-       those pivots or, with no rank given, its column count minus the
-       size of :func:`kernel_basis` of it;
-    3. for the first rank prime whose rank mod p is r, the pivot columns
-       and then pivot rows of the core give the minor, and D is its
-       |det| by fraction-free elimination;
-    4. the core is diagonalised over Z/N one coprime part of N at a time
-       (the power of each prime below 2^10, then the cofactor), keeping
-       gcd(pivot, part) for each pivot and the part for each missing one;
-       a part l^v whose rank mod l is already r gives r unit pivots
-       without a diagonalisation;
-    5. the pairwise gcd/lcm normal form of all of these is the Smith form
-       mod N; only then are the entries equal to N dropped, and exactly r
-       must remain, else :class:`ExactLinError`.
-
-    s_1...s_r divides D, so each s_i < N and gcd(s_i, N) = s_i.  When no
-    rank prime reaches r, which takes an input built for it such as
-    [[2147483647 * 998244353]], the U/V elimination answers instead.  It
-    picks pivots of minimal absolute value with deterministic (row, col)
-    tie-breaking.  A given rank is cross-checked: more unit pivots or a
-    larger rank mod a rank prime than it, or a U/V diagonal of another
-    length, raise :class:`ExactLinError`.
-    """
-    m, n = mat.nrows, mat.ncols
-    if not (need_u or need_v):
-        diag = _snf_diagonal_bounded(mat, rank)
-        if diag is not None:
-            return None, IntMat(m, n, {(t, t): d
-                                       for t, d in enumerate(diag)}), None
-    w = _SparseWork(mat)
-    ulog = _OpLog(m, rows=True) if need_u else None
-    vlog = _OpLog(n, rows=False) if need_v else None
-
-    def rowop(i, k, q):
-        w.row_add(i, k, q)
-        if ulog:
-            ulog.add(i, k, q)
-
-    def colop(j, k, q):
-        w.col_add(j, k, q)
-        if vlog:
-            vlog.add(j, k, q)
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        best = None
-        for (i, j), v in w.ent.items():
-            if i < t or j < t:
-                continue
-            a = abs(v)
-            key = (a, i, j)
-            if best is None or key < best:
-                best = key
-                pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            w.row_swap(t, pi)
-            if ulog:
-                ulog.swap(t, pi)
-        if pj != t:
-            w.col_swap(t, pj)
-            if vlog:
-                vlog.swap(t, pj)
-
-        while True:
-            piv = w.get(t, t)
-            # clear column t
-            again = False
-            for i in sorted(w.cols.get(t, set())):
-                if i == t or i < t:
-                    continue
-                q = -(w.get(i, t) // piv)
-                rowop(i, t, q)
-                if w.get(i, t):
-                    # remainder smaller than pivot: swap it up and restart
-                    w.row_swap(t, i)
-                    if ulog:
-                        ulog.swap(t, i)
-                    again = True
-                    break
-            if again:
-                continue
-            for j in sorted(w.rows.get(t, set())):
-                if j == t or j < t:
-                    continue
-                q = -(w.get(t, j) // piv)
-                colop(j, t, q)
-                if w.get(t, j):
-                    w.col_swap(t, j)
-                    if vlog:
-                        vlog.swap(t, j)
-                    again = True
-                    break
-            if again:
-                continue
-            # row and column clean; enforce divisibility of the rest
-            piv = w.get(t, t)
-            bad = None
-            for (i, j), v in w.ent.items():
-                if i > t and j > t and v % piv != 0:
-                    if bad is None or (i, j) < bad:
-                        bad = (i, j)
-            if bad is None:
-                break
-            rowop(t, bad[0], 1)
-        t += 1
-
-    # sign normalisation
-    for i in range(limit):
-        if w.get(i, i) < 0:
-            w.row_neg(i)
-            if ulog:
-                ulog.neg(i)
-
-    d = IntMat(m, n, dict(w.ent))
-    if rank is not None and len(d.entries) != rank:
-        raise ExactLinError("rank %d given, the Smith form has %d" % (
-            rank, len(d.entries)))
-    u = ulog.to_intmat() if ulog else None
-    v = vlog.to_intmat() if vlog else None
-    return (u, d, v)
+    diag = [1] * (ones + r - len(torsion)) + torsion
+    return IntMat(mat.nrows, mat.ncols,
+                  {(t, t): d for t, d in enumerate(diag)})
 
 
 def snf_diagonal(mat, rank=None):
-    """The nonzero invariant factors of mat, ascending.
-
-    This is :func:`smith_normal_form` without U or V: the diagonal-only
-    route modulo twice a nonsingular minor's determinant, and the U/V
-    elimination as the fallback when no rank prime sees the rank.  The
-    rank is the caller's certified ``rank`` when given, which the route
-    cross-checks; otherwise an exact kernel of the core certifies it.
+    """The nonzero invariant factors of mat, ascending: the diagonal of
+    :func:`smith_normal_form`.  The rank is the caller's certified
+    ``rank`` when given, which the route cross-checks; otherwise an exact
+    kernel of the core left after the unit pivots certifies it.
 
     >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]))
     [2, 4]
     >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]), rank=2)
     [2, 4]
     """
-    _, d, _ = smith_normal_form(mat, need_u=False, need_v=False, rank=rank)
-    out = []
-    for t in range(min(mat.nrows, mat.ncols)):
-        v = d.get(t, t)
-        if v == 0:
-            break
-        out.append(v)
-    return out
+    return smith_normal_form(mat, rank).diagonal()
 
 
 def kernel_basis(mat):
@@ -834,30 +625,6 @@ def kernel_basis(mat):
             raise ExactLinError("column elimination left a nonzero column")
         cols.append([vcols[j].get(i, 0) for i in range(n)])
     return IntMat.from_columns(cols, n)
-
-
-def solve_columns(mat, rhs):
-    """Solve mat @ X = rhs over Z; raise SolveFailed if impossible."""
-    if mat.nrows != rhs.nrows:
-        raise ValueError("shape mismatch")
-    u, d, v = smith_normal_form(mat)
-    ub = u.matmul(rhs)
-    limit = min(mat.nrows, mat.ncols)
-    diag = [d.get(t, t) for t in range(limit)]
-    rank = sum(1 for x in diag if x)
-    yent = {}
-    for (i, j), val in ub.entries.items():
-        if i < rank:
-            q, r = divmod(val, diag[i])
-            if r:
-                raise SolveFailed("no integral solution")
-            if q:
-                yent[(i, j)] = q
-        else:
-            raise SolveFailed("no solution: rhs outside column span")
-    y = IntMat(mat.ncols, rhs.ncols, {k: v2 for k, v2 in yent.items()
-                                      if k[0] < mat.ncols})
-    return v.matmul(y)
 
 
 def cohomology_of_pair(d_in, d_out):
@@ -1018,15 +785,6 @@ def _certified_ranks(dims, mats, lower=None):
         exact[n] = True
         close()
     return low, diags
-
-
-def lattice_quotient(ambient_dim, sub_gens):
-    """Z^ambient_dim / (columns of sub_gens) as an AbGroup."""
-    if sub_gens.ncols == 0 or sub_gens.is_zero():
-        return AbGroup(ambient_dim)
-    diag = snf_diagonal(sub_gens)
-    rank = ambient_dim - len(diag)
-    return AbGroup(rank, [d for d in diag if d > 1])
 
 
 # ---------------------------------------------------------------------------

@@ -215,16 +215,16 @@ def test_torsion_growth_census():
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
-def test_property_suites():
-    # Smith form: transforms, divisibility, basis-change invariance
+def test_property_suites(minor_divisors):
+    # Smith form: the minors oracle, divisibility, basis-change invariance
     rng = random.Random(PROPERTY_SEEDS["snf"])
     for _ in range(40):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
         m = IntMat.from_rows(rows)
-        u, d, v = smith_normal_form(m)
-        assert u.matmul(m).matmul(v) == d
+        d = smith_normal_form(m)
         diag = d.diagonal()
+        assert diag == minor_divisors(rows)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         if r >= 2:
             i, k = rng.randrange(r), rng.randrange(r)

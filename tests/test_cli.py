@@ -112,6 +112,18 @@ def test_bga_rejects_a_corrupted_strand_group(monkeypatch):
         [(3, 6, {"rank": 0, "torsion": [4]})]
 
 
+def test_bga_rejects_a_wrong_v1_square(monkeypatch):
+    # v2 has order 2, so the doubled class is 0 and v1 u v1 = v2 is
+    # false: that row alone must fail
+    real = cobar.torsion_class
+    monkeypatch.setattr(cobar, "torsion_class",
+                        lambda p, i: real(p, i).scale(2))
+    report, code = cli.run(cli.RunConfig("bga", {"nmax": 2, "wmax": 4}))
+    assert code != 0
+    bad = [e for e in report["entries"] if not e["ok"]]
+    assert [e.get("id") for e in bad] == ["v1-cup-v1-is-v2"]
+
+
 def test_runconfig_rejects_unknown_parameter():
     with pytest.raises(cli.ConfigError):
         cli.RunConfig("census", {"pmax": 1})

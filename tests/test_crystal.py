@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from hodgelab.crystal import (
     TruncationTooSmall, acrys_mod, conj_fil, di_splitting, gr_conj_basis,
     hodge_fil, kappa, kappa_scalar, nygaard, unfold_derham, verify_kappa_iso,
 )
-from hodgelab.exactlin import CompositionNonzero
+from hodgelab.exactlin import CompositionNonzero, IntMat, fp_kernel, fp_rref
 from hodgelab.utils import PROPERTY_SEEDS
 
 HALF = Fraction(1, 2)
@@ -219,6 +220,34 @@ def test_nygaard_is_multiplicative_through_frobenius():
                 v = _from_vector(A2, wv, vv)
                 img = A2.frobenius(u * v)
                 assert all(int(c) % 4 == 0 for c in img.terms.values())
+
+
+def _fp_span(vectors, n, p):
+    rref, piv = fp_rref(IntMat.from_columns(vectors, n).transpose(), p)
+    return rref.to_rows()[:len(piv)]
+
+
+def test_kernel_mod_image_matches_brute_force():
+    # {v : mat v == 0 mod q} mod p, against every v in (Z/q)^n; the mod-p
+    # image is often smaller than the kernel of mat mod p, as for [[p]]
+    rng = random.Random(PROPERTY_SEEDS["snf"])
+    cases = [([[2]], 4, 2), ([[3, 0]], 9, 3)]
+    for _ in range(30):
+        q, p = rng.choice(((4, 2), (9, 3), (25, 5)))
+        m, n = rng.randint(1, 3), rng.randint(1, 4 if q < 25 else 3)
+        cases.append(([[rng.randint(-q, q) for _ in range(n)]
+                       for _ in range(m)], q, p))
+    smaller = 0
+    for rows, q, p in cases:
+        n = len(rows[0])
+        got = crystal._kernel_mod_image(IntMat.from_rows(rows), q, p)
+        seen = {tuple(x % p for x in v) for v in product(range(q), repeat=n)
+                if all(sum(a * x for a, x in zip(row, v)) % q == 0
+                       for row in rows)}
+        assert len(_fp_span(got, n, p)) == len(got), (rows, q)
+        assert _fp_span(got, n, p) == _fp_span(sorted(seen), n, p), (rows, q)
+        smaller += len(got) < len(fp_kernel(IntMat.from_rows(rows), p))
+    assert smaller >= 3
 
 
 def _from_vector(A, w, vec):

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,81 +14,44 @@ from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
                                complex_cohomology, field_kernel, field_rank,
                                field_rref, field_solve, fp_kernel, fp_rank,
                                fp_rank_sparse, fp_rref, fp_solve, kernel_basis,
-                               lattice_quotient, smith_normal_form,
-                               snf_diagonal, solve_columns, strand_cohomology)
+                               smith_normal_form, snf_diagonal,
+                               strand_cohomology)
 from hodgelab.gralg import FP, QQ_R, ZZ
 from hodgelab.utils import PROPERTY_SEEDS
 
 
-def _minor_divisors(rows):
-    # independent oracle: d1...dk with d1...di = gcd of all i x i minors
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    prev = 1
-    out = []
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rs in combinations(range(m), k):
-            for cs in combinations(range(n), k):
-                sub = [[rows[i][j] for j in cs] for i in rs]
-                g = gcd(g, _det(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
-
-
-def _det(sq):
-    n = len(sq)
-    if n == 1:
-        return sq[0][0]
-    tot = 0
-    for j in range(n):
-        if sq[0][j]:
-            sub = [row[:j] + row[j + 1:] for row in sq[1:]]
-            tot += (-1) ** j * sq[0][j] * _det(sub)
-    return tot
-
-
-def _is_unimodular(m):
-    rows = m.to_rows()
-    return abs(_det(rows)) == 1
-
-
 def test_snf_seed_example():
     m = IntMat.from_rows([[2, 4], [6, 8]])
-    u, d, v = smith_normal_form(m)
+    d = smith_normal_form(m)
     assert d.diagonal() == [2, 4]
-    assert u.matmul(m).matmul(v) == d
-    assert _is_unimodular(u) and _is_unimodular(v)
+    assert d.shape == m.shape and d == IntMat.from_rows([[2, 0], [0, 4]])
 
 
-def test_snf_matches_minor_oracle():
+def test_snf_matches_minor_oracle(minor_divisors):
     rng = random.Random(7)
     for _ in range(25):
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         m = IntMat.from_rows(rows)
-        assert snf_diagonal(m) == _minor_divisors(rows)
+        assert snf_diagonal(m) == minor_divisors(rows)
 
 
-def test_snf_divisibility_chain_and_transforms():
+def test_snf_divisibility_chain_and_transforms(minor_divisors):
     rng = random.Random(11)
     for _ in range(40):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         rows = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
         m = IntMat.from_rows(rows)
-        u, d, v = smith_normal_form(m)
-        assert u.matmul(m).matmul(v) == d
+        d = smith_normal_form(m)
+        assert d.shape == m.shape
         diag = d.diagonal()
+        assert diag == minor_divisors(rows)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
         for (i, j), val in d.entries.items():
             assert i == j and val > 0
-        assert _is_unimodular(u) and _is_unimodular(v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,19 +88,6 @@ def test_kernel_is_saturated_and_correct():
         if k.ncols:
             # saturated: SNF divisors of the basis matrix are all 1
             assert all(d == 1 for d in snf_diagonal(k))
-
-
-def test_solve_columns_roundtrip():
-    rng = random.Random(5)
-    for _ in range(20):
-        r, c, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
-        rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
-        m = IntMat.from_rows(rows)
-        x = IntMat.from_rows([[rng.randint(-4, 4) for _ in range(k)]
-                              for _ in range(c)])
-        b = m.matmul(x)
-        sol = solve_columns(m, b)
-        assert m.matmul(sol) == b
 
 
 def test_abgroup_normalisation():
@@ -294,32 +242,39 @@ _BIG = (2147483647, 998244353, 2147483647 * 998244353)
 def _planted(rng, m, n, even):
     # U diag V with the diagonal drawn from units, small torsion and the
     # two rank primes and their product; `even` doubles every diagonal
-    # entry, so no entry of the product is a unit
+    # entry, so no entry of the product is a unit.  Returns the product
+    # and the planted diagonal
     pool = (1, 1, 1, 2, 3, 4, 6, 12) + _BIG
-    diag = {(t, t): rng.choice(pool) * (2 if even else 1)
-            for t in range(rng.randint(0, min(m, n)))}
-    return _unimodular(rng, m).matmul(IntMat(m, n, diag)).matmul(
-        _unimodular(rng, n))
+    diag = [rng.choice(pool) * (2 if even else 1)
+            for _ in range(rng.randint(0, min(m, n)))]
+    mid = IntMat(m, n, {(t, t): d for t, d in enumerate(diag)})
+    return (_unimodular(rng, m).matmul(mid).matmul(_unimodular(rng, n)),
+            diag)
 
 
-def test_snf_diagonal_matches_uv_elimination(monkeypatch):
-    # the diagonal-only route against the U/V elimination, with the core
-    # left after the unit pass recorded through its rank certificate
+def test_snf_diagonal_matches_planted_diagonal(monkeypatch):
+    # the Smith route against the diagonal planted under unimodular
+    # changes of basis, normalised to a divisor chain (so [1] for the
+    # column (p, q, pq) and [1, pq] for diag(p, q)), with the core left
+    # after the unit pass recorded through its rank certificate
     cores = []
     real = exactlin.kernel_basis
     monkeypatch.setattr(exactlin, "kernel_basis",
                         lambda mat: cores.append(mat) or real(mat))
+    p, q = _BIG[:2]
+    cases = [(IntMat.zeros(3, 4), []), (IntMat(0, 5), []),
+             (IntMat(5, 0), []),
+             (IntMat.from_rows([[p], [q], [p * q]]), [1]),
+             (IntMat.from_rows([[p, 0], [0, q]]), [p, q])]
     rng = random.Random(PROPERTY_SEEDS["snf"])
-    cases = [IntMat.zeros(3, 4), IntMat(0, 5), IntMat(5, 0),
-             IntMat.from_rows([[p] for p in _BIG]),
-             IntMat.from_rows([[_BIG[0], 0], [0, _BIG[1]]])]
     cases += [_planted(rng, rng.randint(1, 7), rng.randint(1, 7), k % 3 == 0)
               for k in range(150)]
     kinds = set()
-    for m in cases:
+    for m, diag in cases:
         before = len(cores)
-        assert snf_diagonal(m) == smith_normal_form(m)[1].diagonal(), \
-            m.to_rows()
+        torsion = AbGroup(0, diag).torsion
+        want = [1] * (len(diag) - len(torsion)) + list(torsion)
+        assert snf_diagonal(m) == want, m.to_rows()
         if m.is_zero():
             continue
         if len(cores) == before:
@@ -337,21 +292,24 @@ def test_snf_diagonal_normalises_before_dropping_zeros():
     assert snf_diagonal(strand_matrix(2, 24)) == [1] * 9 + [66]
 
 
-def test_snf_diagonal_cross_checks_a_given_rank():
+def test_snf_diagonal_cross_checks_a_given_rank(monkeypatch):
     # one rank too low: a rank prime sees more pivots; one too high: no
-    # rank prime sees it, and the U/V diagonal is one entry short
+    # rank prime reaches it, and the core's exact kernel refutes it
+    # before the prime search goes on
     m = strand_matrix(3, 28)
     want = snf_diagonal(m)
     r = len(want)
     assert snf_diagonal(m, r) == want
-    for wrong in (r - 1, r + 1):
-        with pytest.raises(ExactLinError):
-            snf_diagonal(m, wrong)
-    # the low rank is caught by the first rank prime, before any U/V
-    # elimination; the high one only by the U/V diagonal's length
-    with pytest.raises(ExactLinError):
-        exactlin._snf_diagonal_bounded(m, r - 1)
-    assert exactlin._snf_diagonal_bounded(m, r + 1) is None
+    kernels = []
+    real = exactlin.kernel_basis
+    monkeypatch.setattr(exactlin, "kernel_basis",
+                        lambda mat: kernels.append(mat) or real(mat))
+    with pytest.raises(ExactLinError, match="rank mod 2147483647"):
+        snf_diagonal(m, r - 1)
+    assert kernels == []
+    with pytest.raises(ExactLinError, match="exact kernel"):
+        snf_diagonal(m, r + 1)
+    assert len(kernels) == 1
     # no core at all: the unit pivots alone must match the rank
     unit = IntMat.identity(2)
     big = IntMat.from_rows([[2147483647 * 998244353]])
@@ -362,18 +320,33 @@ def test_snf_diagonal_cross_checks_a_given_rank():
                 snf_diagonal(mat, wrong)
 
 
-def test_snf_diagonal_falls_back_when_no_rank_prime_sees_the_rank():
-    # rank 1 over Z, rank 0 mod both rank primes: no nonsingular minor is
-    # found, and the U/V elimination answers
-    m = IntMat.from_rows([[2147483647 * 998244353]])
-    assert exactlin._snf_diagonal_bounded(m) is None
-    assert snf_diagonal(m) == [2147483647 * 998244353]
+def test_snf_diagonal_falls_back_when_no_rank_prime_sees_the_rank(
+        monkeypatch):
+    # rank 1 and 2 over Z, rank 0 mod both rank primes: the search goes
+    # on to the primes below 2^31 - 1 for a nonsingular minor
+    primes = []
+    real = exactlin.fp_rref
+    monkeypatch.setattr(exactlin, "fp_rref",
+                        lambda mat, p: primes.append(p) or real(mat, p))
+    pq = 2147483647 * 998244353
+    for rows, want in (([[pq]], [pq]), ([[pq, 0], [0, pq]], [pq, pq])):
+        del primes[:]
+        m = IntMat.from_rows(rows)
+        assert all(fp_rank(m, p) == 0 for p in _RANK_PRIMES)
+        assert snf_diagonal(m) == want
+        assert snf_diagonal(m, len(want)) == want
+        assert set(primes) - set(_RANK_PRIMES)
 
 
 def test_lattice_quotient():
+    # Z^n / (columns of sub) is the degree-1 group of sub followed by
+    # the zero map out of Z^n
     sub = IntMat.from_rows([[2, 0], [0, 2]])
-    assert lattice_quotient(2, sub) == AbGroup(0, (2, 2))
-    assert lattice_quotient(3, sub.transpose()) != AbGroup(3)
+    assert cohomology_of_pair(sub, IntMat.zeros(0, 2)) == AbGroup(0, (2, 2))
+    tall = IntMat.from_rows([[2, 0], [0, 2], [0, 0]])
+    assert cohomology_of_pair(tall, IntMat.zeros(0, 3)) == AbGroup(1, (2, 2))
+    assert cohomology_of_pair(IntMat.zeros(3, 0), IntMat.zeros(0, 3)) == \
+        AbGroup(3)
 
 
 def test_fp_helpers():
