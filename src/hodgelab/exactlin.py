@@ -789,7 +789,7 @@ def _certified_ranks(dims, mats, lower=None):
 
 # ---------------------------------------------------------------------------
 # generic small dense elimination over a field object (used where the
-# coefficients are Fractions or tiny mod-p problems inside specseq/stacks)
+# coefficients are Fractions or tiny mod-p problems inside specseq)
 
 
 class QQ:
@@ -886,43 +886,6 @@ def field_rank(rows, ncols, fld):
     if not rows or ncols == 0:
         return 0
     return len(field_rref(rows, ncols, fld)[1])
-
-
-def field_kernel(rows, ncols, fld):
-    """Right kernel basis (list of column vectors) of a rows x ncols map."""
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [fld.zero] * ncols
-            v[j] = fld.one
-            basis.append(v)
-        return basis
-    r, piv = field_rref(rows, ncols, fld)
-    pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [fld.zero] * ncols
-        v[f] = fld.one
-        for i, c in enumerate(piv):
-            v[c] = fld.sub(fld.zero, r[i][f])
-        basis.append(v)
-    return basis
-
-
-def field_solve(rows, ncols, rhs, fld):
-    """Solve A x = rhs over the field; None if inconsistent."""
-    m = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    r, piv = field_rref(aug, ncols + 1, fld)
-    if ncols in piv:
-        return None
-    x = [fld.zero] * ncols
-    for i, c in enumerate(piv):
-        x[c] = r[i][ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------

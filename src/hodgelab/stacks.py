@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import cobar
-from .exactlin import QQ, IntMat, complex_cohomology, field_rank
+from .exactlin import IntMat, complex_cohomology
 from .gralg import QQ_R
 from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
 from .utils import PROPERTY_SEEDS
@@ -334,8 +334,8 @@ class _TotModel:
     Keys are (sector_id, exps, idxs, slots); the total degree is
     chart-Cech + #dx + #slots + #dlog-slots.  All differentials are
     assembled as sparse integer column maps and d o d = 0 is asserted.
-    basis[n] and mats[n] for n < degree_cap do not depend on the cap, so
-    one model serves every degree below it.
+    basis[n] for n <= degree_cap and mats[n] for n < degree_cap do not
+    depend on the cap, so one model serves every degree below it.
     """
 
     def __init__(self, stack, degree_cap, g_bound, x_bound, weight=None):
@@ -618,10 +618,11 @@ def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
     """[dim H^0, ..., dim H^n_max] over Q via the truncated Cech
     totalization ([] for n_max < 0).
 
-    Every degree is read from one model of degree cap n_max + 2.  G_m-type
-    models are rebuilt once at an enlarged truncation and must agree in
-    every degree.  The B G_a complex splits into exact finite weight
-    strands, one model per weight w <= n_max + 2, and degree n sums the
+    Every degree is read from one model of degree cap n_max + 1, the
+    least cap whose maps reach H^n_max.  G_m-type models are rebuilt
+    once at an enlarged truncation and must agree in every degree.  The
+    B G_a complex splits into exact finite weight strands, one model per
+    weight w <= n_max + 2 at degree cap n_max + 2, and degree n sums the
     strands w <= n + 2; its answer needs no stability pass.
     """
     _require_rational(ring)
@@ -629,7 +630,7 @@ def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
         return []
     if stack.kind == "bga":
         return _bga_derham(n_max)[0]
-    cap = n_max + 2
+    cap = n_max + 1
     lo = _TotModel(stack, cap, g_bound, x_bound).cohomology(n_max)
     hi = _TotModel(stack, cap, g_bound + 1, x_bound + 1).cohomology(n_max)
     for n in range(n_max + 1):
@@ -707,13 +708,8 @@ def _coordinate_filtered(basis, mats, level):
     """The complex with per-degree bases ``basis`` and differentials
     ``mats`` as a FilteredComplex over Q, filtered by coordinates: F^r
     is spanned by the basis vectors whose key has level(key) >= r."""
-    dims = [len(keys) for keys in basis]
-    top = max((level(key) for keys in basis for key in keys), default=0)
-    filt = [[[[int(i == t) for t in range(len(keys))]
-              for i, key in enumerate(keys) if level(key) >= r]
-             for keys in basis]
-            for r in range(1, top + 1)]
-    return FilteredComplex(QQ_R, dims, [m.to_rows() for m in mats], filt)
+    return FilteredComplex.from_levels(
+        QQ_R, [[level(key) for key in keys] for keys in basis], mats)
 
 
 def verify_cartan_homotopy(stack, levels=2, x_bound=3, seed=None):
@@ -806,16 +802,10 @@ def _bga_strand_filtered(model):
 def _located_d1(fc):
     """Nonzero d_1 arrows of a filtered complex, as report entries."""
     pg = pages(fc, 1)[1]
-    out = []
-    for (s, n), mat in sorted(pg.diffs.items()):
-        if any(any(x for x in row) for row in mat):
-            rank = field_rank(mat, len(mat[0]), QQ)
-            out.append({
-                "source": (s, n - s), "target": (s + 1, n - s),
-                "source_dim": pg.dim(s, n), "target_dim": pg.dim(s + 1, n + 1),
-                "rank": rank,
-            })
-    return out
+    return [{"source": (s, n - s), "target": (s + 1, n - s),
+             "source_dim": pg.dim(s, n), "target_dim": pg.dim(s + 1, n + 1),
+             "rank": rank}
+            for (s, n), rank in sorted(pg.ranks.items())]
 
 
 def hdr_report(stack, n_max):

@@ -10,9 +10,8 @@ from hodgelab import exactlin
 from hodgelab.cobar import strand_basis, strand_matrix
 from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
                                ExactLinError, IntMat, GFp, QQ, _is_prime,
-                               cohomology_of_pair,
-                               complex_cohomology, field_kernel, field_rank,
-                               field_rref, field_solve, fp_kernel, fp_rank,
+                               cohomology_of_pair, complex_cohomology,
+                               field_rank, field_rref, fp_kernel, fp_rank,
                                fp_rank_sparse, fp_rref, fp_solve, kernel_basis,
                                smith_normal_form, snf_diagonal,
                                strand_cohomology)
@@ -365,7 +364,7 @@ def test_fp_helpers():
     assert image(x) == b
 
 
-def test_field_helpers_q_and_fp():
+def test_field_helpers_q_and_fp(field_kernel, field_solve):
     from fractions import Fraction
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert field_rank(rows, 2, QQ) == 1
@@ -401,7 +400,7 @@ def _random_fp_rows(rng, m, n, p):
     return rows
 
 
-def test_fp_rref_matches_field_rref_exactly():
+def test_fp_rref_matches_field_rref_exactly(field_kernel, field_solve):
     rng = random.Random(PROPERTY_SEEDS["snf"])
     shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (40, 40), (40, 7), (7, 40),
               (25, 25), (12, 30), (30, 12), (3, 3), (2, 9)]

@@ -15,6 +15,7 @@ from hodgelab.stacks import (
     GradedAffine,
     TwoChartP1,
     UnsupportedStack,
+    _TotModel,
     _cartan_complex,
     _slot_contents,
     _slot_tuples,
@@ -322,3 +323,39 @@ def test_hdr_report_rejects_a_wrong_cartan_route(monkeypatch):
                         lambda stack, n_max: [1] * (n_max + 1))
     with pytest.raises(AssertionError, match="Cartan"):
         hdr_report(BGm(), 2)
+
+
+def test_tot_model_below_its_cap_does_not_depend_on_it():
+    """derham_cohomology reads H^0 .. H^n from a model of cap n + 1:
+    basis[:n + 2] and mats[:n + 1] must be those of the cap n + 2 model."""
+    n = 3
+    for stack in (BGm(), GradedAffine((1,)), GradedAffine((1, 2)),
+                  TwoChartP1(1)):
+        for g_bound, x_bound in ((1, 2), (2, 3)):
+            lo = _TotModel(stack, n + 1, g_bound, x_bound)
+            hi = _TotModel(stack, n + 2, g_bound, x_bound)
+            assert lo.basis == hi.basis[:n + 2], (repr(stack), g_bound)
+            assert lo.mats == hi.mats[:n + 1], (repr(stack), g_bound)
+            assert lo.cohomology(n) == hi.cohomology(n)
+
+
+def test_hdr_report_bga_nmax4_is_pinned():
+    """The deepest B G_a report in the tests, pinned to the values of
+    the subquotient pages: three rank-one d_1 arrows, and E_1 totals of
+    1 in every degree against de Rham [1, 0, 0, 0, 0]."""
+    rep = hdr_report(BGa(), 4)
+    assert rep["located_d1"] == [
+        {"source": (0, 1), "target": (1, 1), "source_dim": 1,
+         "target_dim": 1, "rank": 1},
+        {"source": (1, 2), "target": (2, 2), "source_dim": 1,
+         "target_dim": 1, "rank": 1},
+        {"source": (2, 3), "target": (3, 3), "source_dim": 1,
+         "target_dim": 1, "rank": 1},
+    ]
+    assert rep["derham"] == [1, 0, 0, 0, 0]
+    assert rep["e1_totals"] == [1, 1, 1, 1, 1]
+    assert rep["degenerate"] is False
+    assert rep["failures"] == [1, 2, 3, 4]
+    assert rep["specseq"] == {
+        "page": 1, "degenerate": False, "by_vanishing": False,
+        "by_dimension": False, "first_nonzero": (1, 0, 1)}
