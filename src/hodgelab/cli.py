@@ -3,7 +3,8 @@
 Each subcommand runs one named verification suite against the library
 and emits a deterministic report, as a text table or as JSON with
 sorted keys.  Exit status: 0 when every verdict matches expectation,
-2 when any check fails, 1 on usage or configuration errors.  A flat
+2 when any check fails or a truncated model is not stable under its
+truncation, 1 on usage or configuration errors.  A flat
 key=value config file can supply defaults; command-line flags win.
 """
 
@@ -661,6 +662,9 @@ def main(argv=None):
     except ConfigError as e:
         sys.stderr.write("hodgelab: error: %s\n" % e)
         return 1
+    except stacks.UnstableTruncation as e:
+        sys.stderr.write("hodgelab: error: %s\n" % e)
+        return 2
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ class CrysAlgebra:
                 coeff *= factorial(a * c) // (factorial(a)
                                               * factorial(c) ** a)
                 exps = [0] * self.ctx.nvars
-                exps[t] = a * texp
+                exps[t] = a * texp * self.ctx.q
                 pd = [0] * len(self.ctx.relators)
                 pd[j] = a * c
                 term = term * self.ctx.monomial(tuple(exps), tuple(pd), 1)
@@ -274,19 +274,18 @@ def _kernel_mod_image(mat, q, p):
     return [gens[j] for j in piv]
 
 
-def depth_restrict(keys, p, depth):
-    """Keys whose variable exponents have denominator at most p^depth.
+def depth_restrict(keys, ctx, d):
+    """Keys of ctx whose variable exponents have denominator at most p^d,
+    for 0 <= d <= ctx.depth.
 
-    Frobenius-built maps out of a depth-m model land in this sub-basis
-    with depth m-1; bijectivity statements at finite truncation compare
-    against it rather than the full strand.
+    A key exponent u stands for u/q, q = p^depth, whose denominator
+    divides p^d exactly when p^(depth-d) divides u.  Frobenius-built
+    maps out of a depth-m model land in this sub-basis with d = m-1;
+    bijectivity statements at finite truncation compare against it
+    rather than the full strand.
     """
-    q = p ** max(depth, 0)
-    out = []
-    for exps, pd in keys:
-        if all(q % Fraction(e).denominator == 0 for e in exps):
-            out.append((exps, pd))
-    return out
+    step = ctx.p ** (ctx.depth - d)
+    return [k for k in keys if all(u % step == 0 for u in k[0])]
 
 
 # -- kappa ---------------------------------------------------------------------
@@ -316,7 +315,7 @@ def kappa(A, r, elt):
         for k in comps:
             scal *= kappa_scalar(p, k)
         pd = tuple(p * k for k in comps)
-        pexps = tuple(Fraction(e) * p for e in exps)
+        pexps = tuple(e * p for e in exps)
         term = A.ctx.monomial(pexps, pd, coeff)
         out = out + term.scale(scal)
     return out
@@ -365,7 +364,8 @@ def verify_kappa_iso(S, r_max, w_max=None):
         w = Fraction(r * p)
         while w <= w_max:
             srcs = _twist_sources(A, r, w / p)
-            gr_keys = depth_restrict(gr_conj_basis(A, r, w), p, S.depth - 1)
+            gr_keys = depth_restrict(gr_conj_basis(A, r, w), A.ctx,
+                                     S.depth - 1)
             ok = len(srcs) == len(gr_keys)
             if srcs and ok:
                 cols = []
@@ -431,7 +431,7 @@ def di_splitting(S, lift, r_max=None):
     def f(elt):
         out = A1.ctx.zero()
         for (exps, comps), coeff in elt.items():
-            term = A1.ctx.monomial(tuple(Fraction(e) * p for e in exps),
+            term = A1.ctx.monomial(tuple(e * p for e in exps),
                                    (0,) * m, coeff)
             for j, k in enumerate(comps):
                 if k:
@@ -445,10 +445,11 @@ def di_splitting(S, lift, r_max=None):
         w = Fraction(r * p)
         while w <= S.w_max:
             srcs = _twist_sources(A1, r, w / p)
-            fil_r = depth_restrict(conj_fil(A1, r, w), p, S.depth - 1)
-            lower = depth_restrict(conj_fil(A1, r - 1, w), p,
+            fil_r = depth_restrict(conj_fil(A1, r, w), A1.ctx, S.depth - 1)
+            lower = depth_restrict(conj_fil(A1, r - 1, w), A1.ctx,
                                    S.depth - 1) if r else []
-            gr_keys = depth_restrict(gr_conj_basis(A1, r, w), p, S.depth - 1)
+            gr_keys = depth_restrict(gr_conj_basis(A1, r, w), A1.ctx,
+                                     S.depth - 1)
             index = {k: i for i, k in enumerate(fil_r)}
             gidx = {k: i for i, k in enumerate(gr_keys)}
             ok = True

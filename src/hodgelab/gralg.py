@@ -1,15 +1,17 @@
 """Graded commutative algebra substrate.
 
 Provides the exact coefficient rings (Z, Q, F_p, Z/p^2), sparse
-multivariate polynomials whose exponents may be integers or fractions
-with p-power denominators, divided-power (PD) polynomial algebras in
-normal form, and length-2 Witt vector arithmetic.
+multivariate (Laurent) polynomials with integer exponents, and
+divided-power (PD) polynomial algebras in normal form.
 
 Weight conventions: every generator carries a weight; the weight of a
-monomial is the exponent-weighted sum.  A context may carry a weight cap
-and a root depth; arithmetic that would leave the modelled window raises
-:class:`WeightOverflow` / :class:`TruncationOverflow` instead of
-silently truncating.
+monomial is the exponent-weighted sum.  A PD model adjoins p^depth-th
+roots of its generators and stores each exponent as a non-negative int
+in units of 1/q, q = p^depth, so every key is a pair of int tuples.  A
+PD model may carry a weight cap; arithmetic that would leave the
+modelled window raises :class:`WeightOverflow`, and an exponent finer
+than 1/q raises :class:`TruncationOverflow`, instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import comb, factorial
 __all__ = [
     "RingMismatch", "WrongCharacteristic", "WeightOverflow",
     "TruncationOverflow", "ZZ", "QQ_R", "FP", "ZP2", "PolyContext",
-    "MultiPoly", "PDContext", "PDElement", "Witt2",
+    "MultiPoly", "PDContext", "PDElement",
 ]
 
 
@@ -99,7 +101,6 @@ ZZ = _Ring("Z", 0)
 QQ_R = _Ring("Q", 0)
 _fp_cache = {}
 _zp2_cache = {}
-_unit_exp_cache = {}
 
 
 def FP(p):
@@ -116,32 +117,16 @@ def ZP2(p):
     return _zp2_cache[p]
 
 
-def _exp_norm(e):
-    e = Fraction(e)
-    if e.denominator == 1:
-        return int(e)
-    return e
-
-
-def _unit_exps(q, n):
-    """The shared list, at least n long, whose entry u is _exp_norm(u/q)."""
-    tab = _unit_exp_cache.setdefault(q, [])
-    tab.extend(_exp_norm(Fraction(u, q)) for u in range(len(tab), n))
-    return tab
-
-
 class PolyContext:
     """Shared description of a polynomial/Laurent algebra.
 
     vars is a sequence of (name, weight) or (name, weight, invertible).
-    max_weight, if set, caps monomial weights; depth=(p, m) restricts
-    exponent denominators to divisors of p**m.
+    Exponents are ints; only an invertible variable takes negative ones.
     """
 
-    __slots__ = ("ring", "names", "weights", "invertible", "max_weight",
-                 "depth")
+    __slots__ = ("ring", "names", "weights", "invertible")
 
-    def __init__(self, ring, vars, max_weight=None, depth=None):
+    def __init__(self, ring, vars):
         self.ring = ring
         names, weights, inv = [], [], []
         for spec in vars:
@@ -151,17 +136,11 @@ class PolyContext:
             else:
                 nm, w, iv = spec
             names.append(nm)
-            weights.append(_exp_norm(w))
+            weights.append(w)
             inv.append(bool(iv))
         self.names = tuple(names)
         self.weights = tuple(weights)
         self.invertible = tuple(inv)
-        self.max_weight = max_weight
-        if depth is not None and (not isinstance(depth[1], int)
-                                  or depth[1] < 0):
-            raise ValueError("root depth must be an int >= 0, got %r"
-                             % (depth[1],))
-        self.depth = depth  # (p, m) or None
 
     def nvars(self):
         return len(self.names)
@@ -170,22 +149,11 @@ class PolyContext:
         return self.names.index(name)
 
     def check_exponent(self, i, e):
+        if not isinstance(e, int):
+            raise TruncationOverflow("exponent %s is not an integer" % (e,))
         if e < 0 and not self.invertible[i]:
             raise ValueError("negative exponent on non-invertible %s"
                              % self.names[i])
-        if self.depth is not None:
-            p, m = self.depth
-            d = Fraction(e).denominator
-            if p ** m % d != 0:
-                raise TruncationOverflow(
-                    "exponent %s needs deeper %d-power roots than depth %d"
-                    % (e, p, m))
-        elif Fraction(e).denominator != 1:
-            raise TruncationOverflow("fractional exponent in integral context")
-
-    def mono_weight(self, exps):
-        return sum((Fraction(e) * Fraction(w) for e, w in
-                    zip(exps, self.weights)), Fraction(0))
 
     def compatible(self, other):
         return (self.ring is other.ring and self.names == other.names
@@ -204,14 +172,12 @@ class PolyContext:
         return MultiPoly(self, {(0,) * self.nvars(): c})
 
     def var(self, name, exp=1):
-        i = self.index(name)
         exps = [0] * self.nvars()
-        exps[i] = _exp_norm(exp)
-        return self.monomial(tuple(exps), 1)
+        exps[self.index(name)] = exp
+        return self.monomial(exps, 1)
 
     def monomial(self, exps, coeff=1):
-        return MultiPoly(self, {tuple(_exp_norm(e) for e in exps):
-                                self.ring.normalize(coeff)})
+        return MultiPoly(self, {tuple(exps): self.ring.normalize(coeff)})
 
 
 class MultiPoly:
@@ -237,11 +203,6 @@ class MultiPoly:
                 continue
             for i, e in enumerate(exps):
                 ctx.check_exponent(i, e)
-            if ctx.max_weight is not None:
-                if ctx.mono_weight(exps) > ctx.max_weight:
-                    raise WeightOverflow(
-                        "monomial %s exceeds weight cap %s"
-                        % (exps, ctx.max_weight))
             self.terms[exps] = c
 
     def _binop_ctx(self, other):
@@ -288,7 +249,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                k = tuple(_exp_norm(a + b) for a, b in zip(e1, e2))
+                k = tuple(a + b for a, b in zip(e1, e2))
                 nv = ring.add(out.get(k, 0), ring.mul(c1, c2))
                 if ring.is_zero(nv):
                     out.pop(k, None)
@@ -319,68 +280,7 @@ class MultiPoly:
         return not self.terms
 
     def coeff(self, exps):
-        return self.terms.get(tuple(_exp_norm(e) for e in exps), 0)
-
-    def weight_parts(self):
-        parts = {}
-        for exps, c in self.terms.items():
-            parts.setdefault(self.ctx.mono_weight(exps), {})[exps] = c
-        return {w: MultiPoly(self.ctx, t) for w, t in sorted(parts.items())}
-
-    def is_homogeneous(self):
-        return len(self.weight_parts()) <= 1
-
-    def weight(self):
-        ws = list(self.weight_parts())
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValueError("inhomogeneous polynomial has no single weight")
-        return ws[0]
-
-    def substitute(self, images):
-        """Substitute variables; images maps names to MultiPoly.
-
-        General polynomial images require nonnegative integer exponents;
-        monomial images are allowed for any exponent.
-        """
-        ctx = None
-        for v in images.values():
-            ctx = v.ctx
-            break
-        if ctx is None:
-            raise ValueError("empty substitution")
-        out = ctx.zero()
-        for exps, c in self.terms.items():
-            term = ctx.const(c)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                img = images[self.ctx.names[i]]
-                if len(img.terms) == 1:
-                    (mexps, mc), = img.terms.items()
-                    if not ctx.ring.is_unit(mc) and (e < 0):
-                        raise ValueError("cannot invert coefficient")
-                    k = tuple(_exp_norm(me * e) for me in mexps)
-                    if isinstance(e, int) and e >= 0:
-                        cc = mc ** e
-                    else:
-                        if mc == 1:
-                            cc = 1
-                        elif mc == -1:
-                            cc = (-1) ** (e.numerator if isinstance(e, Fraction)
-                                          else e)
-                        else:
-                            raise ValueError(
-                                "fractional power of non-trivial coefficient")
-                    term = term * MultiPoly(ctx, {k: cc})
-                else:
-                    if not (isinstance(e, int) and e >= 0):
-                        raise ValueError(
-                            "polynomial image needs integer exponent")
-                    term = term * img ** e
-            out = out + term
-        return out
+        return self.terms.get(tuple(exps), 0)
 
     def frobenius(self):
         """Relative Frobenius: x -> x^p on generators, coefficients fixed."""
@@ -388,42 +288,18 @@ class MultiPoly:
         if not p:
             raise WrongCharacteristic("frobenius needs p-typed coefficients")
         return MultiPoly(self.ctx,
-                         {tuple(_exp_norm(e * p) for e in exps): c
+                         {tuple(e * p for e in exps): c
                           for exps, c in self.terms.items()})
-
-    def map_coeffs(self, fn, new_ring=None):
-        ring = new_ring or self.ctx.ring
-        if new_ring is None:
-            ctx = self.ctx
-        else:
-            ctx = PolyContext(new_ring,
-                              list(zip(self.ctx.names, self.ctx.weights,
-                                       self.ctx.invertible)),
-                              max_weight=self.ctx.max_weight,
-                              depth=self.ctx.depth)
-        return MultiPoly(ctx, {k: fn(v) for k, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for exps, c in sorted(self.terms.items(),
-                              key=lambda kv: tuple(map(Fraction, kv[0]))):
+        for exps, c in sorted(self.terms.items()):
             mono = "*".join("%s^%s" % (n, e)
                             for n, e in zip(self.ctx.names, exps) if e != 0)
             bits.append("%s%s" % (c, "*" + mono if mono else ""))
         return " + ".join(bits)
-
-
-def poly_div_int(poly, k):
-    """Exact division of an integer polynomial by the integer k."""
-    out = {}
-    for exps, c in poly.terms.items():
-        q, r = divmod(c, k)
-        if r:
-            raise ValueError("coefficient %d not divisible by %d" % (c, k))
-        out[exps] = q
-    return MultiPoly(poly.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +314,21 @@ class PDContext:
     relator sequence, each relator either ('var', i) -- the generator x_i
     itself -- or ('diff', i, j) with i < j -- the difference x_i - x_j.
 
-    Elements are kept in the normal form
+    Every exponent of x is a non-negative int u in units of 1/q, where
+    q = p^depth: the key exponent u stands for x^(u/q).  Elements are
+    kept in the normal form
 
         x^e * prod_j s_j^[k_j],
 
-    where for a ('var', i) relator the exponent e_i lies in [0, 1), and
-    for a ('diff', i, j) relator the exponent e_i lies in [0, 1) (integer
-    parts are rewritten through x_i = x_j + s_j).  Distinct relators must
-    have distinct i, ordered increasingly, and a difference target j must
-    not itself be a leading index of an earlier relator.
+    where for a ('var', i) or ('diff', i, j) relator the exponent e_i lies
+    in [0, q), that is x_i^(u/q) with u/q in [0, 1) (for a difference,
+    integer parts are rewritten through x_i = x_j + s_j).  Distinct
+    relators must have distinct i, ordered increasingly, and a
+    difference target j must not itself be a leading index of an earlier
+    relator.
     """
 
-    __slots__ = ("ring", "p", "nvars", "names", "relators", "depth",
+    __slots__ = ("ring", "p", "q", "nvars", "names", "relators", "depth",
                  "max_weight")
 
     def __init__(self, ring, nvars, relators, depth=0, max_weight=None,
@@ -483,22 +362,24 @@ class PDContext:
                                  "leading index")
         self.relators = tuple(relators)
         self.depth = depth
+        self.q = self.p ** depth
         self.max_weight = max_weight
 
     # -- exponents ---------------------------------------------------------
 
     def check_exp(self, e):
+        """An exponent must be a whole number of 1/q units, at least 0."""
         if e < 0:
             raise ValueError("negative exponent in PD model")
-        d = Fraction(e).denominator
-        if self.p ** self.depth % d != 0:
+        if e != int(e):
             raise TruncationOverflow(
-                "exponent %s exceeds root depth %d" % (e, self.depth))
+                "exponent of %s units of 1/%d exceeds root depth %d"
+                % (e, self.q, self.depth))
 
     def key_weight(self, key):
+        """The weight of a key, in units of 1/q."""
         exps, pd = key
-        return (sum((Fraction(e) for e in exps), Fraction(0))
-                + sum(pd))
+        return sum(exps) + sum(pd) * self.q
 
     def zero(self):
         return PDElement(self, {})
@@ -507,16 +388,19 @@ class PDContext:
         return self.monomial((0,) * self.nvars, (0,) * len(self.relators))
 
     def monomial(self, exps, pd, coeff=1):
-        exps = tuple(_exp_norm(e) for e in exps)
-        pd = tuple(int(k) for k in pd)
+        """coeff * x^exps * prod_j s_j^[pd_j], exps in units of 1/q."""
+        for e in exps:
+            self.check_exp(e)
         el = PDElement(self, {})
-        el._accumulate(exps, pd, self.ring.normalize(coeff))
+        el._accumulate(tuple(int(e) for e in exps), tuple(int(k) for k in pd),
+                       self.ring.normalize(coeff))
         return el
 
     def var(self, i, exp=1):
+        """x_i^exp; exp is a power of x_i, not a count of units."""
         exps = [0] * self.nvars
-        exps[i] = _exp_norm(exp)
-        return self.monomial(tuple(exps), (0,) * len(self.relators))
+        exps[i] = exp * self.q
+        return self.monomial(exps, (0,) * len(self.relators))
 
     def pd_gen(self, j, k=1):
         pd = [0] * len(self.relators)
@@ -528,21 +412,17 @@ class PDContext:
     def strand_basis(self, w):
         """Ordered list of the normal-form keys of exact weight w.
 
-        Keys are (exps, pd) pairs in lexicographic order of (exponents
-        taken numerically, pd); an exponent is an ``int`` when integral
-        and a ``Fraction`` otherwise.  Exponents are enumerated as
-        integers in units of 1/q, q = p^depth, already in that order, and
-        looked up in a per-q table of exponents only when a key is emitted.
+        Keys are (exps, pd) pairs of int tuples, exps in units of 1/q, in
+        lexicographic order; the recursion emits them in that order.
 
         >>> PDContext(FP(2), 2, [], depth=1).strand_basis(1)
-        [((0, 1), ()), ((Fraction(1, 2), Fraction(1, 2)), ()), ((1, 0), ())]
+        [((0, 2), ()), ((1, 1), ()), ((2, 0), ())]
         """
-        q = self.p ** self.depth
+        q = self.q
         W = Fraction(w) * q
         if W < 0 or W.denominator != 1:
             return []
         W = int(W)
-        exp = _unit_exps(q, W + 1)
         nv, npd = self.nvars, len(self.relators)
         led = [False] * nv
         for rel in self.relators:
@@ -558,7 +438,7 @@ class PDContext:
             if i == last:
                 if npd or not left:
                     rest = (left // q,) if npd else ()
-                    keys.append((tuple(exp[u] for u in slots[:nv]),
+                    keys.append((tuple(slots[:nv]),
                                  tuple(slots[nv:]) + rest))
                 return
             if i < nv:
@@ -571,12 +451,11 @@ class PDContext:
                 slots.pop()
 
         rec(0, W)
+        # rec holds itself through its closure cell; clearing the cell
+        # frees that cycle, and the lists it holds, on return instead of
+        # at the next cyclic collection
+        del rec
         return keys
-
-
-def _key_sort(key):
-    exps, pd = key
-    return (tuple(Fraction(e) for e in exps), pd)
 
 
 class PDElement:
@@ -596,15 +475,12 @@ class PDElement:
         ring = ctx.ring
         if ring.is_zero(coeff):
             return
-        for e in exps:
-            ctx.check_exp(e)
+        q = ctx.q
         # find first relator whose leading variable has integer part >= 1
         for j, rel in enumerate(ctx.relators):
             i = rel[1]
-            e = Fraction(exps[i])
-            if e >= 1:
-                a = int(e)  # integer part
-                frac = _exp_norm(e - a)
+            a, frac = divmod(exps[i], q)
+            if a:
                 if rel[0] == "var":
                     # x_i^a s^[k] = ((k+a)!/k!) s^[k+a]
                     k = pd[j]
@@ -627,7 +503,7 @@ class PDElement:
                             scale *= t
                         ne = list(exps)
                         ne[i] = frac
-                        ne[tgt] = _exp_norm(Fraction(ne[tgt]) + (a - c))
+                        ne[tgt] += (a - c) * q
                         npd = list(pd)
                         npd[j] = k + c
                         self._accumulate(tuple(ne), tuple(npd),
@@ -636,9 +512,11 @@ class PDElement:
                 return
         # normal form reached
         key = (exps, pd)
-        if ctx.max_weight is not None and ctx.key_weight(key) > ctx.max_weight:
+        if ctx.max_weight is not None and \
+                ctx.key_weight(key) > ctx.max_weight * q:
             raise WeightOverflow("PD term of weight %s exceeds cap %s"
-                                 % (ctx.key_weight(key), ctx.max_weight))
+                                 % (Fraction(ctx.key_weight(key), q),
+                                    ctx.max_weight))
         nv = ring.add(self.terms.get(key, 0), coeff)
         if ring.is_zero(nv):
             self.terms.pop(key, None)
@@ -684,7 +562,7 @@ class PDElement:
         out = PDElement(ctx, {})
         for (e1, k1), c1 in self.terms.items():
             for (e2, k2), c2 in other.terms.items():
-                exps = tuple(_exp_norm(a + b) for a, b in zip(e1, e2))
+                exps = tuple(a + b for a, b in zip(e1, e2))
                 scale = 1
                 pd = []
                 for a, b in zip(k1, k2):
@@ -723,119 +601,19 @@ class PDElement:
     def coeff(self, key):
         return self.terms.get(key, 0)
 
-    def weight_parts(self):
-        parts = {}
-        for key, c in self.terms.items():
-            parts.setdefault(self.ctx.key_weight(key), {})[key] = c
-        return {w: PDElement(self.ctx, t) for w, t in sorted(parts.items())}
-
     def __repr__(self):
         if not self.terms:
             return "0"
         ctx = self.ctx
         bits = []
-        for (exps, pd), c in sorted(self.terms.items(),
-                                    key=lambda kv: _key_sort(kv[0])):
+        for (exps, pd), c in sorted(self.terms.items()):
             parts = []
             for n, e in zip(ctx.names, exps):
                 if e != 0:
-                    parts.append("%s^%s" % (n, e))
+                    parts.append("%s^%d" % (n, e) if ctx.q == 1
+                                 else "%s^(%d/%d)" % (n, e, ctx.q))
             for j, k in enumerate(pd):
                 if k:
                     parts.append("s%d^[%d]" % (j + 1, k))
             bits.append("%s%s" % (c, "*" + "*".join(parts) if parts else ""))
         return " + ".join(bits)
-
-
-# ---------------------------------------------------------------------------
-# length-2 Witt vectors
-
-
-class Witt2:
-    """Length-2 Witt vector (a0, a1) over an F_p polynomial context.
-
-    Addition carries with -sum_{0<i<p} (1/p) C(p,i) a0^i b0^{p-i}; the
-    carry is computed on integral lifts and divided exactly.
-
-    >>> ctx = PolyContext(FP(3), [("x", 1)])
-    >>> x = ctx.var("x")
-    >>> w = Witt2(x, ctx.zero()) + Witt2(x, ctx.zero())
-    >>> w.a0 == 2 * x
-    True
-    """
-
-    __slots__ = ("a0", "a1")
-
-    def __init__(self, a0, a1):
-        if a0.ctx.ring.modulus != a0.ctx.ring.p:
-            raise WrongCharacteristic("Witt2 components live over F_p")
-        if a0.ctx is not a1.ctx:
-            raise RingMismatch("Witt2 components from different contexts")
-        self.a0 = a0
-        self.a1 = a1
-
-    @property
-    def p(self):
-        return self.a0.ctx.ring.p
-
-    def _lift(self, f):
-        zctx = _int_ctx(f.ctx)
-        return MultiPoly(zctx, {k: int(v) % self.p for k, v in f.terms.items()})
-
-    def _drop(self, f):
-        ctx = self.a0.ctx
-        return MultiPoly(ctx, {k: v for k, v in f.terms.items()})
-
-    def __add__(self, other):
-        p = self.p
-        la0, lb0 = self._lift(self.a0), self._lift(other.a0)
-        carry = la0.ctx.zero()
-        for i in range(1, p):
-            c = comb(p, i) // p
-            carry = carry + (la0 ** i) * (lb0 ** (p - i)) * (-c)
-        a0 = self.a0 + other.a0
-        a1 = self.a1 + other.a1 + self._drop(carry)
-        return Witt2(a0, a1)
-
-    def __neg__(self):
-        p = self.p
-        if p == 2:
-            # -(a0, a1) = (a0, a0^2 + a1) in W_2(F_2-algebras)
-            return Witt2(self.a0, self.a1 + self.a0 * self.a0)
-        return Witt2(-self.a0, -self.a1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        p = self.p
-        a0 = self.a0 * other.a0
-        a1 = (self.a0 ** p) * other.a1 + (other.a0 ** p) * self.a1
-        return Witt2(a0, a1)
-
-    def ghost(self):
-        """Integral ghost components (w0, w1) of the canonical lift."""
-        la0, la1 = self._lift(self.a0), self._lift(self.a1)
-        return (la0, la0 ** self.p + la1 * self.p)
-
-    def __eq__(self, other):
-        return self.a0 == other.a0 and self.a1 == other.a1
-
-    def __repr__(self):
-        return "Witt2(%r, %r)" % (self.a0, self.a1)
-
-
-_int_ctx_cache = {}
-
-
-def _int_ctx(ctx):
-    key = (ctx.names, ctx.weights, ctx.invertible)
-    if key not in _int_ctx_cache:
-        _int_ctx_cache[key] = PolyContext(
-            ZZ, list(zip(ctx.names, ctx.weights, ctx.invertible)))
-    return _int_ctx_cache[key]
-
-
-def teichmuller_scalar(c, p):
-    """Teichmuller lift of c in F_p to Z/p^2 (the p-th power of any lift)."""
-    return pow(int(c) % p, p, p * p)

@@ -24,7 +24,7 @@ from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
 from .utils import PROPERTY_SEEDS
 
 __all__ = [
-    "UnsupportedStack", "GmQuotient", "CotangentModel",
+    "UnsupportedStack", "UnstableTruncation", "GmQuotient", "CotangentModel",
     "BGm", "BGa", "GradedAffine", "TwoChartP1",
     "hodge_cohomology", "derham_cohomology", "cartan_model_dims",
     "verify_cartan_homotopy", "koszul_consistency", "hdr_report",
@@ -33,6 +33,23 @@ __all__ = [
 
 class UnsupportedStack(Exception):
     pass
+
+
+class UnstableTruncation(AssertionError):
+    """H^q(Lambda^p) of the truncated Koszul model moved when the
+    truncation bound grew, so no window count is reported.  A stack that
+    is not Hodge-proper, such as affine:1,-1, ends here.
+
+    Carries (p, q), the two bounds and the two dimensions read there.
+    """
+
+    def __init__(self, p, q, bounds, values):
+        super().__init__(
+            "Koszul strand not stable under truncation at (%d, %d): "
+            "dim %d at bound %d, %d at bound %d"
+            % (p, q, values[0], bounds[0], values[1], bounds[1]))
+        self.p, self.q = p, q
+        self.bounds, self.values = bounds, values
 
 
 class GmQuotient:
@@ -555,9 +572,8 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R, trunc=2):
         rows.append(row + [0] * (q_max + 1 - len(row)))
     for q in range(q_max + 1):
         if rows[0][q] != rows[1][q]:
-            raise AssertionError(
-                "Koszul strand not stable under truncation at (%d, %d)"
-                % (p, q))
+            raise UnstableTruncation(p, q, (trunc, trunc + 1),
+                                     (rows[0][q], rows[1][q]))
     return rows[0]
 
 

@@ -29,7 +29,7 @@ from hodgelab.derham import (
 from hodgelab.exactlin import (
     IntMat, fp_rank_sparse, kernel_basis, smith_normal_form, snf_diagonal,
 )
-from hodgelab.gralg import FP, PDContext, PolyContext, Witt2
+from hodgelab.gralg import FP, PDContext
 from hodgelab.specseq import FilteredComplex, cohomology_dims, pages
 from hodgelab.stacks import (
     BGa, BGm, GradedAffine, hdr_report, verify_cartan_homotopy,
@@ -241,17 +241,6 @@ def test_property_suites(minor_divisors):
         for b in range(4):
             assert ctx.pd_gen(0, a) * ctx.pd_gen(0, b) == \
                 ctx.pd_gen(0, a + b).scale(comb(a + b, a) % p)
-
-    # Witt ghost additivity mod (p, p^2)
-    for p in (2, 3):
-        wctx = PolyContext(FP(p), [("x", 1), ("y", 1)])
-        wa = Witt2(wctx.var("x"), wctx.zero())
-        wb = Witt2(wctx.var("y"), wctx.var("x"))
-        ga, gb, gs = wa.ghost(), wb.ghost(), (wa + wb).ghost()
-        assert (gs[0] - (ga[0] + gb[0])).map_coeffs(
-            lambda cc: cc % p).is_zero()
-        assert (gs[1] - (ga[1] + gb[1])).map_coeffs(
-            lambda cc: cc % (p * p)).is_zero()
 
     # d^2 = 0 on sampled strands of both complexes
     rng2 = random.Random(PROPERTY_SEEDS["derham_forms"])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hodgelab import cli, cobar
+from hodgelab import cli, cobar, crystal
 from hodgelab.exactlin import AbGroup
 
 
@@ -122,6 +122,73 @@ def test_bga_rejects_a_wrong_v1_square(monkeypatch):
     assert code != 0
     bad = [e for e in report["entries"] if not e["ok"]]
     assert [e.get("id") for e in bad] == ["v1-cup-v1-is-v2"]
+
+
+def test_bga_fp_rejects_an_off_by_one_hilbert_oracle(monkeypatch):
+    # the F_2 Hilbert oracle off by one at (2, 4): that row alone fails
+    real = cobar.hilbert_dims_f2
+
+    def corrupted(n_max, w_max):
+        dims = real(n_max, w_max)
+        dims[2, 4] = dims.get((2, 4), 0) + 1
+        return dims
+
+    monkeypatch.setattr(cobar, "hilbert_dims_f2", corrupted)
+    report, code = cli.run(cli.RunConfig("bga-fp", {"wmax": 8}))
+    assert code == 2
+    bad = [e for e in report["entries"] if not e["ok"]]
+    assert [(e["n"], e["w"]) for e in bad] == [(2, 4)]
+    assert bad[0]["oracle"] == bad[0]["dim"] + 1
+
+
+def _acrys_failures(monkeypatch, owner, name, corrupt):
+    true_fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, corrupt(true_fn))
+    report, code = cli.run(cli.RunConfig("acrys", {}))
+    assert code == 2
+    return [e for e in report["entries"] if not e["ok"]]
+
+
+def test_acrys_rejects_a_frobenius_that_is_no_ring_map(monkeypatch):
+    # phi(x) + 1 is additive-affine, not multiplicative
+    bad = _acrys_failures(
+        monkeypatch, crystal.CrysAlgebra, "frobenius",
+        lambda true: lambda self, el: true(self, el) + self.ctx.one())
+    assert [e.get("id") for e in bad] == ["frobenius-ring-map"]
+
+
+def test_acrys_rejects_a_theta_matrix_with_a_dropped_entry(monkeypatch):
+    def corrupt(true):
+        def theta_matrix(self, w):
+            ent, nrows, ncols = true(self, w)
+            ent = dict(ent)
+            if ent:
+                del ent[min(ent)]
+            return ent, nrows, ncols
+        return theta_matrix
+
+    bad = _acrys_failures(monkeypatch, crystal.CrysAlgebra, "theta_matrix",
+                          corrupt)
+    assert bad and all("theta_kernel" in e for e in bad)
+    assert all(e["theta_kernel"] == e["pd_positive"] + 1 for e in bad)
+
+
+def test_acrys_rejects_a_rising_hodge_filtration(monkeypatch):
+    # stages 0 and 1 swapped: Fil^1 is then the whole strand
+    bad = _acrys_failures(
+        monkeypatch, crystal, "hodge_fil",
+        lambda true: lambda A, r, w: true(A, {0: 1, 1: 0}.get(r, r), w))
+    assert bad and all(e.get("id") == "filtrations" for e in bad)
+
+
+def test_unstable_truncation_exits_two_without_traceback(capsys):
+    # affine:1,-1 is not Hodge-proper: H^0(O) = k[xy] grows with the bound
+    for cmd in ("hodge", "hdr"):
+        code = cli.main([cmd, "--stack", "affine:1,-1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("hodgelab: error: Koszul strand not stable")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_runconfig_rejects_unknown_parameter():

@@ -15,7 +15,8 @@ from hodgelab.crystal import (
 from hodgelab.exactlin import CompositionNonzero, IntMat, fp_kernel, fp_rref
 from hodgelab.utils import PROPERTY_SEEDS
 
-HALF = Fraction(1, 2)
+# x^{1/2} in the default point model: 4 units of 1/8 at depth 3
+HALF = 4
 
 
 def point_model(p, depth=3, w_max=8):
@@ -37,7 +38,7 @@ def test_envelope_basis_low_weights():
     assert ((Fraction(0),), (1,)) in keys   # x itself
     assert ((Fraction(0),), (2,)) in keys   # gamma_2(x)
     # no key carries an exponent >= 1: absorbed into divided powers
-    assert all(k[0][0] < 1 for k in keys)
+    assert all(k[0][0] < A.ctx.q for k in keys)
 
 
 def test_theta_kills_exactly_divided_powers():

@@ -1,5 +1,6 @@
-"""Algebra substrate tests: rings, sparse polynomials, PD normal forms,
-length-2 Witt vectors (with the Z/p^2 isomorphism as oracle)."""
+"""Algebra substrate tests: rings, sparse polynomials, PD normal forms."""
+
+import gc
 
 import pytest
 from fractions import Fraction
@@ -10,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgelab.gralg import (
     FP, ZP2, ZZ, QQ_R, MultiPoly, PDContext, PolyContext,
-    RingMismatch, TruncationOverflow, WeightOverflow, Witt2,
-    _exp_norm, _key_sort, poly_div_int, teichmuller_scalar,
+    RingMismatch, TruncationOverflow, WeightOverflow,
 )
 
 
@@ -41,32 +41,37 @@ def test_poly_ring_axioms(data):
 
 
 def test_poly_weights_and_parts():
+    # the grading is ctx.weights: sums and products keep terms in weights
     ctx = PolyContext(ZZ, [("x", 2), ("y", 4)])
+
+    def parts(f):
+        out = {}
+        for exps, c in f.terms.items():
+            w = sum(e * wt for e, wt in zip(exps, ctx.weights))
+            out.setdefault(w, {})[exps] = c
+        return out
+
     f = ctx.var("x") ** 2 + 3 * ctx.var("y")
-    assert f.is_homogeneous() and f.weight() == 4
+    assert set(parts(f)) == {4}
     g = f + ctx.var("x")
-    parts = g.weight_parts()
-    assert set(parts) == {2, 4}
-    assert parts[4] == f
-
-
-def test_poly_weight_cap_raises():
-    ctx = PolyContext(ZZ, [("x", 2)], max_weight=6)
-    x = ctx.var("x")
-    assert (x ** 3).coeff((3,)) == 1
-    with pytest.raises(WeightOverflow):
-        x ** 4
+    assert set(parts(g)) == {2, 4}
+    assert parts(g)[4] == f.terms
+    assert set(parts(f * g)) == {6, 8}
 
 
 def test_poly_fractional_exponents_and_depth():
-    ctx = PolyContext(FP(2), [("x", 1)], depth=(2, 2))
-    f = ctx.var("x", Fraction(3, 4))
-    assert f.coeff((Fraction(3, 4),)) == 1
-    with pytest.raises(TruncationOverflow):
-        ctx.var("x", Fraction(1, 8))
+    # polynomial exponents are ints; roots of generators live in the PD
+    # models, whose exponents count units of 1/p^depth
     plain = PolyContext(ZZ, [("x", 1)])
+    for e in (Fraction(1, 2), Fraction(3, 4)):
+        with pytest.raises(TruncationOverflow):
+            plain.var("x", e)
+    ctx = PDContext(FP(2), 1, [], depth=2)
+    assert ctx.var(0, Fraction(3, 4)).terms == {((3,), ()): 1}
     with pytest.raises(TruncationOverflow):
-        plain.var("x", Fraction(1, 2))
+        ctx.var(0, Fraction(1, 8))
+    with pytest.raises(TruncationOverflow):
+        ctx.monomial((Fraction(1, 2),), ())
 
 
 def test_poly_laurent_and_substitution():
@@ -74,20 +79,6 @@ def test_poly_laurent_and_substitution():
     s = ctx.var("s")
     inv = ctx.var("s", -1)
     assert s * inv == ctx.one()
-    # gluing-type substitution s -> t^{-1}
-    tctx = PolyContext(QQ_R, [("t", -1, True)])
-    img = {"s": tctx.var("t", -1)}
-    f = s ** 2 + 2 * s
-    g = f.substitute(img)
-    assert g.coeff((-2,)) == 1 and g.coeff((-1,)) == 2
-
-
-def test_poly_substitution_binomial():
-    ctx = PolyContext(ZZ, [("x", 1), ("y", 1)])
-    x, y = ctx.var("x"), ctx.var("y")
-    f = x ** 3
-    g = f.substitute({"x": x + y, "y": y})
-    assert g == x ** 3 + 3 * x ** 2 * y + 3 * x * y ** 2 + y ** 3
 
 
 def test_poly_frobenius_semilinearity():
@@ -98,14 +89,6 @@ def test_poly_frobenius_semilinearity():
     assert f.frobenius() == f ** 3
     g = 2 * x * y
     assert g.frobenius().coeff((3, 3)) == 2  # coefficients untouched
-
-
-def test_poly_div_int_exact():
-    ctx = PolyContext(ZZ, [("x", 1)])
-    f = 6 * ctx.var("x") + 9 * ctx.one()
-    assert poly_div_int(f, 3) == 2 * ctx.var("x") + 3 * ctx.one()
-    with pytest.raises(ValueError):
-        poly_div_int(f, 4)
 
 
 def test_ring_mismatch_guard():
@@ -192,7 +175,8 @@ def test_pd_strand_enumeration():
     ctx = PDContext(FP(2), 1, [("var", 0)], depth=1)
     # weight 2: e + k = 2, e in {0, 1/2}: only (0, 2)
     assert ctx.strand_basis(2) == [((0,), (2,))]
-    assert ctx.strand_basis(Fraction(5, 2)) == [((Fraction(1, 2),), (2,))]
+    # weight 5/2: x^{1/2}, one unit of 1/2, times s^[2]
+    assert ctx.strand_basis(Fraction(5, 2)) == [((1,), (2,))]
     free = PDContext(FP(2), 2, [], depth=0)
     assert len(free.strand_basis(3)) == 4  # monomials of degree 3 in 2 vars
 
@@ -208,9 +192,8 @@ def _strand_oracle(ctx, w_max):
     for us, pd in product(product(*units), product(*pds)):
         w = Fraction(sum(us), q) + sum(pd)
         if w <= w_max:
-            key = (tuple(_exp_norm(Fraction(u, q)) for u in us), pd)
-            by_weight.setdefault(w, []).append(key)
-    return {w: sorted(keys, key=_key_sort) for w, keys in by_weight.items()}
+            by_weight.setdefault(w, []).append((us, pd))
+    return {w: sorted(keys) for w, keys in by_weight.items()}
 
 
 def _key_types(keys):
@@ -235,18 +218,23 @@ def test_pd_strand_basis_matches_brute_force():
                     assert _key_types(got) == _key_types(want.get(w, []))
 
 
+def test_pd_strand_basis_leaves_no_garbage_cycle():
+    # a cycle would keep each strand's key list alive until the next
+    # cyclic collection, which raised fp-crystal's peak RSS
+    ctx = PDContext(FP(2), 2, [("var", 0)], depth=1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert ctx.strand_basis(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_pd_context_rejects_bad_depth():
     for depth in (-1, Fraction(1, 2), 1.0, "1"):
         with pytest.raises(ValueError):
             PDContext(FP(2), 1, [("var", 0)], depth=depth)
-
-
-def test_poly_context_rejects_bad_depth():
-    for m in (-1, Fraction(1, 2), 0.5, 1.0):
-        with pytest.raises(ValueError):
-            PolyContext(FP(2), [("x", 1)], depth=(2, m))
-    ctx = PolyContext(FP(2), [("x", 1)], depth=(2, 0))
-    assert ctx.var("x", 3) == ctx.var("x") ** 3
 
 
 def test_pd_weight_cap():
@@ -255,6 +243,14 @@ def test_pd_weight_cap():
     with pytest.raises(WeightOverflow):
         ctx.pd_gen(0, 3) * ctx.pd_gen(0, 2)
     assert (s * ctx.pd_gen(0, 3)).coeff(((0,), (4,))) == 4 % 3
+    # at depth 1 over F_3 a divided power weighs q = 3 units, x_2^(1/3) one
+    deep = PDContext(FP(3), 2, [("var", 0)], depth=1, max_weight=3)
+    top = deep.var(1, Fraction(2, 3)) * deep.pd_gen(0, 2)
+    assert top.terms == {((0, 2), (2,)): 1}
+    with pytest.raises(WeightOverflow):
+        deep.pd_gen(0, 1) * deep.pd_gen(0, 3)
+    with pytest.raises(WeightOverflow):
+        top * deep.var(1, Fraction(2, 3))
 
 
 def test_pd_zp2_coefficients():
@@ -262,61 +258,3 @@ def test_pd_zp2_coefficients():
     x = ctx.var(0)
     # x^3 = 3! s^[3] = 6 s^[3] mod 9
     assert x ** 3 == ctx.pd_gen(0, 3).scale(6)
-
-
-# -- Witt vectors ------------------------------------------------------------
-
-
-def _const_witt(ctx, a0, a1):
-    return Witt2(ctx.const(a0), ctx.const(a1))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_witt2_matches_zp2(data):
-    # (a0, a1) -> a0^p + p a1 mod p^2 is a ring isomorphism W_2(F_p) = Z/p^2
-    p = data.draw(st.sampled_from([2, 3, 5]))
-    ctx = PolyContext(FP(p), [("x", 1)])
-
-    def enc(w):
-        g0, g1 = w.ghost()
-        return g1.coeff((0,) * 1) % (p * p)
-
-    a = _const_witt(ctx, data.draw(st.integers(0, p - 1)),
-                    data.draw(st.integers(0, p - 1)))
-    b = _const_witt(ctx, data.draw(st.integers(0, p - 1)),
-                    data.draw(st.integers(0, p - 1)))
-    assert enc(a + b) == (enc(a) + enc(b)) % (p * p)
-    assert enc(a * b) == (enc(a) * enc(b)) % (p * p)
-    assert enc(a - a) == 0
-    assert enc(a + (-a)) == 0
-
-
-def test_witt2_polynomial_ghost_additivity():
-    # ghost components of a sum agree with sums of ghosts mod (p, p^2)
-    for p in (2, 3):
-        ctx = PolyContext(FP(p), [("x", 1), ("y", 1)])
-        a = Witt2(ctx.var("x"), ctx.zero())
-        b = Witt2(ctx.var("y"), ctx.var("x"))
-        s = a + b
-        ga, gb, gs = a.ghost(), b.ghost(), s.ghost()
-        diff0 = (gs[0] - (ga[0] + gb[0])).map_coeffs(lambda c: c % p)
-        diff1 = (gs[1] - (ga[1] + gb[1])).map_coeffs(lambda c: c % (p * p))
-        assert diff0.is_zero() and diff1.is_zero()
-
-
-def test_witt2_frobenius_carry_p2():
-    # classic: (x,0) + (y,0) = (x+y, -xy) over F_2
-    ctx = PolyContext(FP(2), [("x", 1), ("y", 1)])
-    x, y = ctx.var("x"), ctx.var("y")
-    s = Witt2(x, ctx.zero()) + Witt2(y, ctx.zero())
-    assert s.a0 == x + y
-    assert s.a1 == x * y  # -xy = xy mod 2
-
-
-def test_teichmuller_scalar():
-    assert teichmuller_scalar(2, 3) == 8
-    for p in (2, 3, 5):
-        for c in range(1, p):
-            t = teichmuller_scalar(c, p)
-            assert t % p == c and pow(t, p, p * p) == t

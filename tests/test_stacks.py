@@ -14,6 +14,7 @@ from hodgelab.stacks import (
     BGm,
     GradedAffine,
     TwoChartP1,
+    UnstableTruncation,
     UnsupportedStack,
     _TotModel,
     _cartan_complex,
@@ -282,6 +283,17 @@ def test_unstable_truncation_is_detected():
     # truncated model must refuse rather than report a window count
     with pytest.raises(AssertionError, match=r"at \(0, 0\)"):
         hodge_cohomology(GradedAffine((1, -1)), 0, 0)
+
+
+def test_unstable_truncation_carries_both_values():
+    # H^0(O) of affine:1,-1 is k[xy]: 3 monomials at bound 2, 4 at bound 3
+    with pytest.raises(UnstableTruncation) as err:
+        hodge_cohomology(GradedAffine((1, -1)), 0, 2)
+    e = err.value
+    assert (e.p, e.q, e.bounds, e.values) == (0, 0, (2, 3), (3, 4))
+    with pytest.raises(UnstableTruncation) as err:
+        hodge_cohomology(GradedAffine((1, -1)), 0, 0, trunc=3)
+    assert err.value.values == (4, 5)
 
 
 def test_negative_degrees_vanish():
