@@ -81,6 +81,7 @@ def strand_basis(n, w):
             rec(prefix + (e,), left - e, slots - 1)
 
     rec((), m, n)
+    del rec  # rec holds itself through its closure cell: free that cycle
     out.sort()
     return out
 
@@ -293,7 +294,7 @@ def cup(a, b):
 
 def bockstein(p, a):
     """Bockstein of an F_p class: lift to Z, apply d, divide by p, reduce."""
-    if a.ring.p != p or a.ring.modulus != p:
+    if a.ring is not FP(p):
         raise ValueError("bockstein expects an F_%d class" % p)
     lift = {k: int(v) % p for k, v in a.cocycle.items()}
     img = apply_d(a.cohdeg, a.weight, lift)

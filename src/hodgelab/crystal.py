@@ -6,7 +6,10 @@ truncated perfection; everything is strand-by-strand linear algebra on
 explicit PD monomial bases.  The module computes the Hodge, conjugate
 and Nygaard filtrations, the graded Cartier map kappa, the splitting of
 the conjugate filtration induced by a flat lift, and the cosimplicial
-unfolding that recovers de Rham cohomology of F_p[x].
+unfolding that recovers de Rham cohomology of F_p[x].  The unfolding
+holds no PD models of its own: it reads the cofaces of the
+Cech-Alexander nerve :class:`hodgelab.derham.CAComplex`, built over
+p^depth-th roots.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .derham import DgaForms, TruncationTooSmall, de_rham_cohomology
+from .derham import (CAComplex, DgaForms, TruncationTooSmall,
+                     de_rham_cohomology)
 from .exactlin import (IntMat, _is_prime, complex_cohomology, fp_rank,
                        fp_rref, kernel_basis)
 from .gralg import FP, PDContext, TruncationOverflow, ZP2
@@ -345,24 +349,23 @@ def _twist_sources(A, r, v):
     return out
 
 
-def verify_kappa_iso(S, r_max, w_max=None):
+def verify_kappa_iso(S, r_max):
     """Strandwise bijectivity of kappa_r onto gr_r^conj, r <= r_max.
 
     Two routes per (r, target weight): the source count must equal an
     independently enumerated gr-strand dimension, and the kappa matrix
     must be invertible mod p.  The graded side is taken at the exponent
     granularity the depth-m Frobenius can reach (denominators up to
-    p^(m-1)); target weights run in steps of that granularity.
+    p^(m-1)); target weights run up to S.w_max in steps of that
+    granularity.
     """
     p = S.p
     A = acrys_mod(S, p)
-    if w_max is None:
-        w_max = S.w_max
     entries = []
     step = Fraction(1, p ** (S.depth - 1))
     for r in range(0, r_max + 1):
         w = Fraction(r * p)
-        while w <= w_max:
+        while w <= S.w_max:
             srcs = _twist_sources(A, r, w / p)
             gr_keys = depth_restrict(gr_conj_basis(A, r, w), A.ctx,
                                      S.depth - 1)
@@ -501,99 +504,51 @@ def di_splitting(S, lift, r_max=None):
 # -- the unfolding ---------------------------------------------------------------
 
 
-def _unfold_contexts(p, depth, w_cap):
-    lvl0 = PDContext(FP(p), 1, [], depth=depth, max_weight=w_cap)
-    lvl1 = PDContext(FP(p), 2, [("diff", 0, 1)], depth=depth,
-                     max_weight=w_cap)
-    lvl2 = PDContext(FP(p), 3, [("diff", 0, 1), ("diff", 1, 2)], depth=depth,
-                     max_weight=w_cap)
-    return lvl0, lvl1, lvl2
-
-
-def _coface01(lvl1, el, which):
-    out = lvl1.zero()
-    for (exps, _pd), c in el.terms.items():
-        tgt = [0, 0]
-        tgt[which] = exps[0]
-        out = out + lvl1.monomial(tuple(tgt), (0,), c)
-    return out
-
-
-def _coface12(lvl2, el, which):
-    keep = {0: (0, 1), 1: (0, 2), 2: (1, 2)}[which]
-    out = lvl2.zero()
-    for (exps, pd), c in el.terms.items():
-        tgt = [0, 0, 0]
-        tgt[keep[0]] = exps[0]
-        tgt[keep[1]] = exps[1]
-        term = lvl2.monomial(tuple(tgt), (0, 0), c)
-        k = pd[0]
-        if k:
-            term = term * _s_image(lvl2, keep, k)
-        out = out + term
-    return out
-
-
-def _s_image(lvl2, keep, k):
-    if keep == (0, 1):
-        return lvl2.pd_gen(0, k)
-    if keep == (1, 2):
-        return lvl2.pd_gen(1, k)
-    out = lvl2.zero()
-    for a in range(k + 1):
-        out = out + lvl2.monomial((0, 0, 0), (a, k - a), 1)
-    return out
-
-
-def _unfold_strand_dims(p, depth, w_cap, w):
-    """(dim H^0, dim H^1) of the 3-level unfolding at strand w."""
-    lvl0, lvl1, lvl2 = _unfold_contexts(p, depth, w_cap)
-    b0 = lvl0.strand_basis(w)
-    b1 = lvl1.strand_basis(w)
-    b2 = lvl2.strand_basis(w)
+def _unfold_strand_dims(ca, w):
+    """(dim H^0, dim H^1) of the nerve's three levels at strand w."""
+    b0 = ca.d1.strand_basis(w)
+    b1 = ca.d2.strand_basis(w)
+    b2 = ca.d3.strand_basis(w)
     i1 = {k: i for i, k in enumerate(b1)}
     i2 = {k: i for i, k in enumerate(b2)}
     ent0 = {}
     for c, key in enumerate(b0):
-        el = lvl0.monomial(key[0], key[1], 1)
-        img = _coface01(lvl1, el, 0) - _coface01(lvl1, el, 1)
+        img = ca.delta1(ca.d1.monomial(key[0], key[1], 1))
         for k2, v in img.terms.items():
             ent0[(i1[k2], c)] = int(v)
     ent1 = {}
     for c, key in enumerate(b1):
-        el = lvl1.monomial(key[0], key[1], 1)
-        img = (_coface12(lvl2, el, 0) - _coface12(lvl2, el, 1)
-               + _coface12(lvl2, el, 2))
+        img = ca.delta2(ca.d2.monomial(key[0], key[1], 1))
         for k2, v in img.terms.items():
             ent1[(i2[k2], c)] = int(v)
     d0 = IntMat(len(b1), len(b0), ent0)
     d1 = IntMat(len(b2), len(b1), ent1)
-    return tuple(complex_cohomology([len(b0), len(b1)], [d0, d1], FP(p)))
+    return tuple(complex_cohomology([len(b0), len(b1)], [d0, d1],
+                                    FP(ca.p)))
 
 
-def unfold_derham(p, w_max, N=2, depth=None):
+def unfold_derham(p, w_max, depth=None):
     """Compare the truncated cosimplicial period complex of F_p[x] with
     de Rham cohomology, strand by strand up to w_max.
 
-    N is the top cosimplicial index kept (only the contract's N=2 is
-    supported: levels tensor^1..3).  Each strand is computed at the
-    configured depth and at depth-1; disagreement raises
-    TruncationTooSmall rather than reporting either answer.
+    The complex is the first three levels of the Cech-Alexander nerve
+    (:class:`hodgelab.derham.CAComplex`) over roots of depth ``depth``.
+    Each strand is computed at that depth and at depth-1; disagreement
+    raises TruncationTooSmall rather than reporting either answer.
     """
-    if N != 2:
-        raise ValueError("only the two-coface truncation is supported")
     if depth is None:
         depth = 3 if p == 2 else 2
     if depth < 2:
         raise TruncationTooSmall("need depth >= 2 for the stability check")
     if w_max < p:
         raise TruncationTooSmall("w_max below p sees no torsion strand")
+    deep = CAComplex(p, w_max, depth)
+    shallow = CAComplex(p, w_max, depth - 1)
     base = DgaForms(FP(p), [("x", 1)])
     entries = []
     for w in range(0, w_max + 1):
-        got = _unfold_strand_dims(p, depth, w_max, w)
-        shallow = _unfold_strand_dims(p, depth - 1, w_max, w)
-        if got != shallow:
+        got = _unfold_strand_dims(deep, w)
+        if got != _unfold_strand_dims(shallow, w):
             raise TruncationTooSmall(
                 "strand %s has not stabilized at depth %d" % (w, depth))
         want = (de_rham_cohomology(base, 0, w),
@@ -606,7 +561,7 @@ def unfold_derham(p, w_max, N=2, depth=None):
         w = Fraction(num, p)
         if w > w_max:
             continue
-        got = _unfold_strand_dims(p, depth, w_max, w)
+        got = _unfold_strand_dims(deep, w)
         entries.append({"w": str(w), "h0": got[0], "h1": got[1],
                         "dr0": 0, "dr1": 0, "ok": bool(got == (0, 0))})
     return entries

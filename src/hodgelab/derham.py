@@ -16,7 +16,7 @@ from .exactlin import (
     IntMat, complex_cohomology, fp_kernel, fp_rank, fp_solve,
     strand_cohomology,
 )
-from .gralg import FP, PDContext, PolyContext, ZP2
+from .gralg import FP, ZZ, PDContext, PolyContext, ZP2
 
 __all__ = [
     "UnsupportedBase", "NotCharP", "TruncationTooSmall", "DgaForms", "Form",
@@ -102,6 +102,7 @@ class DgaForms:
                 e += 1
 
         rec(0, w, [])
+        del rec  # rec holds itself through its closure cell: free that cycle
         return sorted(out)
 
     def strand_basis(self, i, w):
@@ -253,7 +254,7 @@ def _in_out(dga, n, w):
 def de_rham_cohomology(dga, n, w):
     """H^n of the de Rham strand w: AbGroup over Z, dimension over fields."""
     ring = dga.ring
-    if ring.p is not None and ring.modulus != ring.p:
+    if ring is not ZZ and not ring.is_field():
         raise UnsupportedBase("cohomology over Z/p^2 is not strand-finite"
                               " in this model")
     return strand_cohomology(*_in_out(dga, n, w), ring)
@@ -389,7 +390,7 @@ def filtration(dga, kind, r, w):
             mats = [dga.strand_matrix(i, w) for i in range(top)]
             return StrandChain(0, dims, mats)
         p = dga.ring.p
-        if not p or dga.ring.modulus != p:
+        if p is None or not dga.ring.is_field():
             raise UnsupportedBase("conjugate truncation modeled over F_p")
         dims, mats = [], []
         for i in range(0, r):
@@ -419,25 +420,26 @@ def filtration(dga, kind, r, w):
 
 
 class CAComplex:
-    """Weight-truncated Cech-Alexander rows for B = F_p[x], levels 1..3.
+    """Weight-truncated Cech-Alexander nerve of B = F_p[x], levels 1..3.
 
     Level j is the PD envelope D(j) of ker(F_p[x_1..x_j] -> F_p[x]) with
-    its forms; the three cofaces D(2) -> D(3) drop one coordinate of
-    (x_1, x_2, x_3) each.  A parallel Z/p^2 model supports the exact
-    division by p that builds the comparison element.
+    its forms, over generators with p^depth-th roots adjoined; the
+    three cofaces D(2) -> D(3) drop one coordinate of (x_1, x_2, x_3)
+    each.  A parallel Z/p^2 model supports the exact division by p that
+    builds the comparison element.
     """
 
-    def __init__(self, p, w_max):
-        if w_max < 2 * p:
-            raise TruncationTooSmall("need w_max >= 2p")
+    def __init__(self, p, w_max, depth=0):
         self.p = p
         self.w_max = w_max
         cap = w_max + 1
-        self.d1 = PDContext(FP(p), 1, [], max_weight=cap)
-        self.d2 = PDContext(FP(p), 2, [("diff", 0, 1)], max_weight=cap)
-        self.d3 = PDContext(FP(p), 3, [("diff", 0, 1), ("diff", 1, 2)],
+        self.d1 = PDContext(FP(p), 1, [], depth=depth, max_weight=cap)
+        self.d2 = PDContext(FP(p), 2, [("diff", 0, 1)], depth=depth,
                             max_weight=cap)
-        self.d2_lift = PDContext(ZP2(p), 2, [("diff", 0, 1)], max_weight=cap)
+        self.d3 = PDContext(FP(p), 3, [("diff", 0, 1), ("diff", 1, 2)],
+                            depth=depth, max_weight=cap)
+        self.d2_lift = PDContext(ZP2(p), 2, [("diff", 0, 1)], depth=depth,
+                                 max_weight=cap)
 
     # cosimplicial structure maps on basis keys
 
@@ -460,8 +462,8 @@ class CAComplex:
             tgt[keep[0]] = exps[0]
             tgt[keep[1]] = exps[1]
             term = self.d3.monomial(tuple(tgt), (0, 0), c)
-            k = pd[0]
-            term = term * self._image_of_s(keep, k)
+            if pd[0]:
+                term = term * self._image_of_s(keep, pd[0])
             out = out + term
         return out
 
@@ -549,7 +551,10 @@ def cech_alexander_compare(p, w_max):
     a = (x_1^p - x_2^p)/p modulo Fil_0^conj with top term
     (p-1)! (x_1-x_2)^{[p]}; (b) the weight-1 zigzag gives x_1 - x_2 on
     the nose; (c) totalized H^0/H^1 strand dimensions match de Rham.
+    Raises TruncationTooSmall when w_max < 2p.
     """
+    if w_max < 2 * p:
+        raise TruncationTooSmall("need w_max >= 2p")
     ca = CAComplex(p, w_max)
     entries = []
 

@@ -32,7 +32,6 @@ The central consumer-facing pieces are
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .gralg import QQ_R, ZZ
@@ -721,9 +720,9 @@ def complex_cohomology(dims, mats, ring, lower=None):
             torsion.append([d for d in diags[n] if d > 1])
         return [AbGroup(dims[n] - ranks[n] - (ranks[n - 1] if n else 0),
                         torsion[n]) for n in range(top)]
-    p = ring.p
-    if p is None or ring.modulus != p:
+    if not ring.is_field():
         raise ValueError("no strand cohomology route over %r" % (ring,))
+    p = ring.p
     for d_in, d_out in zip(outs, outs[1:]):
         if any(v % p for v in d_out.matmul(d_in).entries.values()):
             raise CompositionNonzero("d_out @ d_in != 0 mod %d" % p)
@@ -788,74 +787,15 @@ def _certified_ranks(dims, mats, lower=None):
 
 
 # ---------------------------------------------------------------------------
-# generic small dense elimination over a field object (used where the
-# coefficients are Fractions or tiny mod-p problems inside specseq)
-
-
-class QQ:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def make(v):
-        return Fraction(v)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-class GFp:
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def make(self, v):
-        if isinstance(v, Fraction):
-            num = v.numerator % self.p
-            den = v.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return (num * pow(den, self.p - 2, self.p)) % self.p
-        return int(v) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError
-        return (a * pow(b, self.p - 2, self.p)) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
+# small dense elimination over a field ring (Q or F_p), for specseq
 
 
 def field_rref(rows, ncols, fld):
-    """In-place-free rref of a list-of-lists over the field object."""
+    """(rref, pivot columns) of a list of rows of normalized entries over
+    fld, a field ring of :mod:`hodgelab.gralg`; the rows are not
+    modified.  Raises ValueError unless fld is a field."""
+    if not fld.is_field():
+        raise ValueError("field_rref needs Q or F_p, not %r" % (fld,))
     a = [list(r) for r in rows]
     m = len(a)
     piv = []
@@ -871,7 +811,7 @@ def field_rref(rows, ncols, fld):
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        inv = fld.div(fld.one, a[r][c])
+        inv = fld.inv(a[r][c])
         a[r] = [fld.mul(inv, x) for x in a[r]]
         for i in range(m):
             if i != r and not fld.is_zero(a[i][c]):

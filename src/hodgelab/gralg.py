@@ -4,6 +4,13 @@ Provides the exact coefficient rings (Z, Q, F_p, Z/p^2), sparse
 multivariate (Laurent) polynomials with integer exponents, and
 divided-power (PD) polynomial algebras in normal form.
 
+The rings are the engine's one coefficient type: the field eliminations
+of :mod:`hodgelab.exactlin` and :mod:`hodgelab.specseq` run on QQ_R and
+FP(p) too, and ``is_field()`` tells Q and F_p from Z and Z/p^2.  A ring
+takes ints and Fractions and maps them exactly (1/2 is 2 in F_3 and 5 in
+Z/9); a denominator divisible by p, a non-integral Fraction over Z and
+a float are refused, never truncated.
+
 Weight conventions: every generator carries a weight; the weight of a
 monomial is the exponent-weighted sum.  A PD model adjoins p^depth-th
 roots of its generators and stores each exponent as a non-negative int
@@ -43,20 +50,51 @@ class TruncationOverflow(Exception):
 
 
 class _Ring:
-    __slots__ = ("name", "char", "modulus", "p")
+    """One coefficient ring: Z, Q, F_p or Z/p^2.
+
+    normalize maps an int or a Fraction into the ring exactly: over F_p
+    and Z/p^2 a Fraction a/b is a * b^-1, and ZeroDivisionError is
+    raised when p divides b; over Z a non-integral Fraction raises
+    ValueError.  Any other type, a float included, raises TypeError.
+    zero, one, div and is_field serve the field eliminations.
+    """
+
+    __slots__ = ("name", "char", "modulus", "p", "zero", "one")
 
     def __init__(self, name, char, modulus=None, p=None):
         self.name = name
         self.char = char
         self.modulus = modulus
         self.p = p
+        self.zero = self.normalize(0)
+        self.one = self.normalize(1)
 
     def normalize(self, c):
-        if self.modulus is not None:
-            return int(c) % self.modulus
+        # an exact type test: isinstance(c, Fraction) goes through ABCMeta
+        # and would cost the int path, which runs per coefficient
+        if type(c) is int:
+            if self.modulus is not None:
+                return c % self.modulus
+            return Fraction(c) if self.name == "Q" else c
+        if type(c) is not Fraction:
+            raise TypeError("%s coefficients are ints or Fractions, not %s"
+                            % (self.name, type(c).__name__))
         if self.name == "Q":
-            return Fraction(c)
-        return int(c)
+            return c
+        if c.denominator == 1:
+            return self.normalize(c.numerator)
+        if self.modulus is None:
+            raise ValueError("%s is not an integer" % (c,))
+        if c.denominator % self.p == 0:
+            raise ZeroDivisionError("%s has p = %d in its denominator"
+                                    % (c, self.p))
+        return (c.numerator * pow(c.denominator, -1, self.modulus)
+                % self.modulus)
+
+    def is_field(self):
+        """Q or F_p: every nonzero element is a unit."""
+        return self.name == "Q" or (self.p is not None
+                                    and self.modulus == self.p)
 
     def add(self, a, b):
         return self.normalize(a + b)
@@ -67,6 +105,9 @@ class _Ring:
     def mul(self, a, b):
         return self.normalize(a * b)
 
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
     def neg(self, a):
         return self.normalize(-a)
 
@@ -75,22 +116,18 @@ class _Ring:
 
     def is_unit(self, a):
         a = self.normalize(a)
-        if self.name == "Z":
-            return a in (1, -1)
-        if self.name == "Q":
+        if self.is_field():
             return a != 0
-        if self.modulus == self.p:
-            return a % self.p != 0
+        if self.modulus is None:
+            return a in (1, -1)
         return a % self.p != 0  # Z/p^2: units are the prime-to-p classes
 
     def inv(self, a):
         a = self.normalize(a)
         if not self.is_unit(a):
             raise ZeroDivisionError("not a unit in %s: %r" % (self.name, a))
-        if self.name == "Z":
-            return a
-        if self.name == "Q":
-            return Fraction(1) / a
+        if self.modulus is None:
+            return 1 / a if self.name == "Q" else a
         return pow(a, -1, self.modulus)
 
     def __repr__(self):

@@ -3,7 +3,9 @@
 A FilteredComplex is a finite complex over Q, F_p or Z together with a
 decreasing exhaustive filtration, held in a basis adapted to it: every
 basis vector of C^n carries a level l, and F^s C^n is spanned by the
-vectors of level >= s.  It is built from a level per coordinate
+vectors of level >= s.  Its entries lie in a field ring of
+:mod:`hodgelab.gralg`, ``fld``: QQ_R over Z and Q, FP(p) over F_p.  It
+is built from a level per coordinate
 (:meth:`FilteredComplex.from_levels`) or from spanning vectors per level
 and degree, in which case d is rewritten once in an adapted basis.
 
@@ -31,7 +33,7 @@ only the vanishing route is reported.
 
 from __future__ import annotations
 
-from .exactlin import GFp, QQ, field_rank
+from .exactlin import field_rank
 from .gralg import QQ_R, ZZ
 
 __all__ = [
@@ -45,11 +47,11 @@ class FiltrationNotPreserved(Exception):
 
 
 def _field_of(ring):
-    if ring is ZZ or ring is QQ_R:
-        return QQ
-    if ring.char and ring.modulus == ring.char:
-        return GFp(ring.p)
-    raise ValueError("coefficients must be Z, Q or F_p")
+    # over Z the pages are taken with rational coefficients
+    fld = QQ_R if ring is ZZ else ring
+    if not fld.is_field():
+        raise ValueError("coefficients must be Z, Q or F_p")
+    return fld
 
 
 def _axpy(fld, y, a, x):
@@ -73,7 +75,7 @@ def _reduce(fld, vec, echelon):
         if c is not None:
             c = fld.div(c, row[piv])
             coords[k] = c
-            _axpy(fld, rest, fld.sub(fld.zero, c), row)
+            _axpy(fld, rest, fld.neg(c), row)
     return coords, rest
 
 
@@ -92,7 +94,7 @@ class FilteredComplex:
         dims = list(dims)
         cols = []
         for n, mat in enumerate(diffs):
-            rows = [[fld.make(x) for x in row] for row in mat]
+            rows = [[fld.normalize(x) for x in row] for row in mat]
             if len(rows) != dims[n + 1] or any(
                     len(r) != dims[n] for r in rows):
                 raise ValueError("differential %d has the wrong shape" % n)
@@ -109,7 +111,7 @@ class FilteredComplex:
             echelon, lvl = [], []
             for j in range(len(filt), -1, -1):
                 if j:
-                    vecs = [[fld.make(x) for x in v] for v in filt[j - 1][n]]
+                    vecs = [[fld.normalize(x) for x in v] for v in filt[j - 1][n]]
                     if any(len(v) != dim for v in vecs):
                         raise ValueError("filtration vector length mismatch")
                 else:
@@ -156,7 +158,7 @@ class FilteredComplex:
                 raise ValueError("differential %d has the wrong shape" % n)
             out = [{} for _ in levels[n]]
             for (i, j), v in mat.entries.items():
-                x = fld.make(v)
+                x = fld.normalize(v)
                 if not fld.is_zero(x):
                     out[j][i] = x
             cols.append(out)
@@ -237,8 +239,8 @@ def _pairs(fc):
                     paired.add((n, j))
                     paired.add((n + 1, piv))
                     break
-                _axpy(fld, col, fld.sub(fld.zero,
-                                        fld.div(col[piv], other[piv])), other)
+                _axpy(fld, col, fld.neg(fld.div(col[piv], other[piv])),
+                      other)
     essential = [(lv, n) for n, lvl in enumerate(fc.levels)
                  for i, lv in enumerate(lvl) if (n, i) not in paired]
     return pairs, essential

@@ -339,6 +339,7 @@ def _slot_tuples(group, bound, s, max_forms, weight=None):
             prefix.pop()
 
     grow([], max_forms, weight)
+    del grow  # grow holds itself through its closure cell: free that cycle
     return out
 
 

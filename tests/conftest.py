@@ -86,13 +86,13 @@ def _field_solve(rows, ncols, rhs, fld):
 
 @pytest.fixture
 def field_kernel():
-    """Dense right kernel over a field object (QQ or GFp)."""
+    """Dense right kernel over a field ring (QQ_R or FP(p))."""
     return _field_kernel
 
 
 @pytest.fixture
 def field_solve():
-    """Dense solution of A x = b over a field object, or None."""
+    """Dense solution of A x = b over a field ring, or None."""
     return _field_solve
 
 
@@ -121,9 +121,9 @@ class _Subquotient:
         self.fld = fld
         self.dims = list(dims)
         self.top = len(self.dims) - 1
-        self.diffs = [[[fld.make(x) for x in row] for row in mat]
+        self.diffs = [[[fld.normalize(x) for x in row] for row in mat]
                       for mat in diffs]
-        self.levels = [[_rref_basis([[fld.make(x) for x in v]
+        self.levels = [[_rref_basis([[fld.normalize(x) for x in v]
                                      for v in level[n]], self.dims[n], fld)
                         for n in range(self.top + 1)] for level in filt]
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hodgelab import cli, cobar, crystal
+from hodgelab import cli, cobar, crystal, stacks
 from hodgelab.exactlin import AbGroup
 
 
@@ -139,6 +139,44 @@ def test_bga_fp_rejects_an_off_by_one_hilbert_oracle(monkeypatch):
     bad = [e for e in report["entries"] if not e["ok"]]
     assert [(e["n"], e["w"]) for e in bad] == [(2, 4)]
     assert bad[0]["oracle"] == bad[0]["dim"] + 1
+
+
+def test_bockstein_rejects_a_zero_bockstein(monkeypatch):
+    # beta returning the zero class of the right bidegree kills
+    # w1, and beta(beta) = 0 holds trivially; only the relation that
+    # names beta(w_p) must fail
+    monkeypatch.setattr(cobar, "bockstein", lambda p, a: cobar.CohClass(
+        a.cohdeg + 1, a.weight, {}, a.ring))
+    for p, relation in ((2, "beta-w2-is-w1-squared"), (3, "beta-wp-hits-vp")):
+        report, code = cli.run(cli.RunConfig("bockstein", {"p": p}))
+        assert code == 2
+        assert [e["id"] for e in report["entries"] if not e["ok"]] == \
+            [relation]
+
+
+@pytest.mark.parametrize("stack, group, extra", [
+    ("BGm", "_gm_group_cohomology", 1), ("BGa", "_ga_group_cohomology", 2)])
+def test_hodge_rejects_a_group_row_with_an_extra_class(
+        monkeypatch, stack, group, extra):
+    # one class too many in H^extra(G): exactly the rows (p, p + extra)
+    real = getattr(stacks, group)
+    monkeypatch.setattr(stacks, group, lambda m_max, *args: [
+        d + (i == extra) for i, d in enumerate(real(m_max, *args))])
+    report, code = cli.run(cli.RunConfig("hodge", {"stack": stack,
+                                                   "nmax": 3}))
+    assert code == 2
+    bad = [(e["p"], e["q"]) for e in report["entries"] if not e["ok"]]
+    assert bad == [(p, p + extra) for p in range(4 - extra)]
+
+
+def test_census_rejects_a_census_without_torsion(monkeypatch):
+    real = cobar.torsion_census
+    monkeypatch.setattr(cobar, "torsion_census", lambda p, n, w_max: [
+        (w, AbGroup(g.rank, ())) for w, g in real(p, n, w_max)])
+    report, code = cli.run(cli.RunConfig("census", {"wmax": 16}))
+    assert code == 2
+    assert [e["id"] for e in report["entries"] if not e["ok"]] == \
+        ["distinct-weights"]
 
 
 def _acrys_failures(monkeypatch, owner, name, corrupt):

@@ -12,6 +12,7 @@ from hodgelab.crystal import (
     TruncationTooSmall, acrys_mod, conj_fil, di_splitting, gr_conj_basis,
     hodge_fil, kappa, kappa_scalar, nygaard, unfold_derham, verify_kappa_iso,
 )
+from hodgelab.derham import CAComplex
 from hodgelab.exactlin import CompositionNonzero, IntMat, fp_kernel, fp_rref
 from hodgelab.utils import PROPERTY_SEEDS
 
@@ -338,10 +339,10 @@ def test_unfold_matches_de_rham_p3():
 def test_unfold_rejects_a_dropped_coface(monkeypatch):
     # negative control: without the third coface the unfolding is no
     # longer a complex, and the d∘d check must refuse it
-    true_coface = crystal._coface12
-    monkeypatch.setattr(crystal, "_coface12", lambda lvl2, el, which:
-                        lvl2.zero() if which == 2
-                        else true_coface(lvl2, el, which))
+    true_coface = CAComplex.coface23
+    monkeypatch.setattr(CAComplex, "coface23", lambda ca, el, which:
+                        ca.d3.zero() if which == 2
+                        else true_coface(ca, el, which))
     with pytest.raises(CompositionNonzero):
         unfold_derham(2, 4)
 
@@ -351,8 +352,6 @@ def test_unfold_guards():
         unfold_derham(2, 8, depth=1)
     with pytest.raises(TruncationTooSmall):
         unfold_derham(2, 1)
-    with pytest.raises(ValueError):
-        unfold_derham(2, 4, N=3)
 
 
 def test_model_validation():

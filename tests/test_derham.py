@@ -205,7 +205,7 @@ def test_cech_alexander_rejects_a_zero_d_matrix(monkeypatch):
 
 def test_cech_alexander_guard():
     with pytest.raises(TruncationTooSmall):
-        CAComplex(3, 4)
+        cech_alexander_compare(3, 4)
 
 
 def test_divided_element_shape():

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from hodgelab import exactlin
 from hodgelab.cobar import strand_basis, strand_matrix
 from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
-                               ExactLinError, IntMat, GFp, QQ, _is_prime,
+                               ExactLinError, IntMat, _is_prime,
                                cohomology_of_pair, complex_cohomology,
                                field_rank, field_rref, fp_kernel, fp_rank,
                                fp_rank_sparse, fp_rref, fp_solve, kernel_basis,
                                smith_normal_form, snf_diagonal,
                                strand_cohomology)
-from hodgelab.gralg import FP, QQ_R, ZZ
+from hodgelab.gralg import FP, QQ_R, ZP2, ZZ
 from hodgelab.utils import PROPERTY_SEEDS
 
 
@@ -81,8 +81,8 @@ def test_kernel_is_saturated_and_correct():
         k = kernel_basis(m)
         assert m.matmul(k).is_zero()
         # rank-nullity over Q
-        fld = QQ
-        qrank = field_rank([[QQ.make(x) for x in row] for row in rows], c, fld)
+        qrank = field_rank([[QQ_R.normalize(x) for x in row] for row in rows],
+                           c, QQ_R)
         assert k.ncols == c - qrank
         if k.ncols:
             # saturated: SNF divisors of the basis matrix are all 1
@@ -367,15 +367,18 @@ def test_fp_helpers():
 def test_field_helpers_q_and_fp(field_kernel, field_solve):
     from fractions import Fraction
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert field_rank(rows, 2, QQ) == 1
-    ker = field_kernel(rows, 2, QQ)
+    assert field_rank(rows, 2, QQ_R) == 1
+    ker = field_kernel(rows, 2, QQ_R)
     assert len(ker) == 1
-    f5 = GFp(5)
+    f5 = FP(5)
     rows5 = [[1, 2], [3, 4]]
     assert field_rank(rows5, 2, f5) == 2
     sol = field_solve(rows5, 2, [1, 1], f5)
     assert sol is not None
     assert (rows5[0][0] * sol[0] + rows5[0][1] * sol[1]) % 5 == 1
+    for ring in (ZZ, ZP2(3)):
+        with pytest.raises(ValueError):
+            field_rref(rows5, 2, ring)
 
 
 def _random_fp_rows(rng, m, n, p):
@@ -411,13 +414,13 @@ def test_fp_rref_matches_field_rref_exactly(field_kernel, field_solve):
                        for j, v in enumerate(row) if v}
             a = IntMat(m, n, entries)
             rref, piv = fp_rref(a, p)
-            want, want_piv = field_rref(rows, n, GFp(p))
+            want, want_piv = field_rref(rows, n, FP(p))
             assert piv == want_piv
             assert rref.shape == (m, n)
             assert rref.to_rows() == want
-            assert fp_kernel(a, p) == field_kernel(rows, n, GFp(p))
+            assert fp_kernel(a, p) == field_kernel(rows, n, FP(p))
             for b in ([sum(row) % p for row in rows], list(range(1, m + 1))):
-                assert fp_solve(a, b, p) == field_solve(rows, n, b, GFp(p))
+                assert fp_solve(a, b, p) == field_solve(rows, n, b, FP(p))
             assert a == IntMat(m, n, entries)
 
 
@@ -451,4 +454,4 @@ def test_sparse_rank_matches_dense():
         for _ in range(rng.randint(0, m * n)):
             entries[(rng.randrange(m), rng.randrange(n))] = rng.randint(-9, 9)
         rows = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
-        assert fp_rank_sparse(entries, m, n, p) == field_rank(rows, n, GFp(p))
+        assert fp_rank_sparse(entries, m, n, p) == field_rank(rows, n, FP(p))

@@ -9,6 +9,8 @@ from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 
+from hodgelab import cobar, stacks
+from hodgelab.derham import DgaForms
 from hodgelab.gralg import (
     FP, ZP2, ZZ, QQ_R, MultiPoly, PDContext, PolyContext,
     RingMismatch, TruncationOverflow, WeightOverflow,
@@ -96,6 +98,27 @@ def test_ring_mismatch_guard():
     b = PolyContext(FP(3), [("x", 1)]).var("x")
     with pytest.raises(RingMismatch):
         a + b
+
+
+def test_normalize_maps_fractions_exactly_and_refuses_floats():
+    assert FP(3).normalize(Fraction(1, 2)) == 2
+    assert ZP2(3).normalize(Fraction(1, 2)) == 5
+    assert PolyContext(FP(3), [("x", 1)]).const(Fraction(1, 2)).terms == {
+        (0,): 2}
+    assert QQ_R.normalize(Fraction(1, 2)) == Fraction(1, 2)
+    assert ZZ.normalize(Fraction(4, 2)) == 2
+    with pytest.raises(ValueError):
+        ZZ.normalize(Fraction(1, 2))
+    for ring in (FP(3), ZP2(3)):
+        with pytest.raises(ZeroDivisionError):
+            ring.normalize(Fraction(1, 3))
+    for ring in (ZZ, QQ_R, FP(3), ZP2(3)):
+        with pytest.raises(TypeError):
+            ring.normalize(0.5)
+        with pytest.raises(TypeError):
+            ring.normalize(1.0)
+    assert [r.is_field() for r in (ZZ, QQ_R, FP(3), ZP2(3))] == [
+        False, True, True, False]
 
 
 # -- PD models --------------------------------------------------------------
@@ -219,16 +242,22 @@ def test_pd_strand_basis_matches_brute_force():
 
 
 def test_pd_strand_basis_leaves_no_garbage_cycle():
-    # a cycle would keep each strand's key list alive until the next
-    # cyclic collection, which raised fp-crystal's peak RSS
+    # a recursive closure that holds itself would keep each call's output
+    # alive until the next cyclic collection, which raised fp-crystal's
+    # peak RSS; the same shape recurs in every strand enumerator
     ctx = PDContext(FP(2), 2, [("var", 0)], depth=1)
-    gc.collect()
-    gc.disable()
-    try:
-        assert ctx.strand_basis(3)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    forms = DgaForms(FP(2), [("x", 1), ("y", 1)])
+    for enumerate_strand in (lambda: ctx.strand_basis(3),
+                             lambda: cobar.strand_basis(4, 50),
+                             lambda: forms.monomials(6),
+                             lambda: stacks._slot_tuples("gm", 2, 3, 1)):
+        gc.collect()
+        gc.disable()
+        try:
+            assert enumerate_strand()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_pd_context_rejects_bad_depth():
