@@ -280,7 +280,7 @@ def _run_acrys(ps):
         falls = all(x >= y for x, y in zip(hodge_dims, hodge_dims[1:]))
         entries.append({"id": "filtrations", "w": w, "conj_full_at": reached,
                         "ok": reached is not None and falls})
-    rng = random.Random(PROPERTY_SEEDS["witt"])
+    rng = random.Random(PROPERTY_SEEDS["acrys"])
 
     def sample(alg):
         # weights at most wmax/2, so products and Frobenius images

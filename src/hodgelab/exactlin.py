@@ -3,10 +3,12 @@
 Everything here is exact: integer work uses arbitrary-precision ints and
 Smith normal forms, computed modulo twice a nonsingular minor's
 determinant so that no entry outgrows it; rational work uses
-Fractions.  Mod-p work is sparse elimination over :class:`IntMat` in
-Python ints, correct for every prime p: :func:`fp_rank_sparse` for ranks
-and :func:`fp_rref`, the leftmost-pivot reduced echelon form, for pivot
-columns, kernels and solutions.  No floating point is ever produced.
+Fractions.  One sparse elimination engine, exact over Z or mod any
+modulus in Python ints, gives the rank mod p (:func:`fp_rank_sparse`),
+the saturated integer kernel (:func:`kernel_basis`), the Smith unit pass
+and the diagonal mod N; :func:`fp_rref`, the leftmost-pivot reduced
+echelon form, gives pivot columns, kernels and solutions mod p.  No
+floating point is ever produced.
 
 The central consumer-facing pieces are
 
@@ -253,9 +255,10 @@ _RANK_PRIMES = (2147483647, 998244353)
 
 
 class _SchurWork:
-    # Sparse rows {i: {j: v}} with a column index and a lazy heap of row
-    # lengths, for the diagonal-only Smith route: entries are exact over
-    # Z, or residues mod `modulus` when one is given.
+    # The one sparse elimination engine: rows {i: {j: v}} with a column
+    # index and a lazy heap of row lengths.  Entries are exact over Z, or
+    # residues mod `modulus` when one is given.  Rank mod p, the integer
+    # kernel, the Smith unit pass and the diagonal mod N all drive it.
 
     def __init__(self, entries, modulus=None):
         self.mod = modulus
@@ -323,6 +326,22 @@ class _SchurWork:
                 heapq.heappush(self.heap, (len(row), i))
             else:
                 del self.rows[i]
+
+    def sub_col(self, j, j0, q):
+        # column j -= q * column j0, which changes only column j0's rows
+        for i in self.cols[j0]:
+            row = self.rows[i]
+            nv = row.get(j, 0) - q * row[j0]
+            nv = nv % self.mod if self.mod else nv
+            if nv:
+                if j not in row:
+                    self.cols.setdefault(j, set()).add(i)
+                    heapq.heappush(self.heap, (len(row) + 1, i))
+                row[j] = nv
+            elif j in row:
+                del row[j]
+                self.cols[j].discard(i)
+                heapq.heappush(self.heap, (len(row), i))
 
     # the unimodular 2x2 steps below work mod the modulus only
 
@@ -554,76 +573,30 @@ def kernel_basis(mat):
     The basis extends to a basis of the ambient lattice, so integral
     membership tests against it are exact.
 
-    Uses unimodular column elimination only (row operations cannot change
-    the kernel), selecting pivot rows of minimal active support to limit
-    fill-in on sparse inputs.
+    Unimodular column steps (Cohen, section 2.4) on the sparse elimination
+    engine that also ranks mod p.  In a shortest row, Euclid's quotient
+    steps reduce every column by the one holding the smallest entry until
+    a single column holds the row's gcd.  That forces the column's
+    coefficient to 0 in every kernel vector, so it is set aside and its
+    transform dropped; the transforms of the columns never set aside
+    span the kernel.
     """
     n = mat.ncols
-    acols = [dict() for _ in range(n)]
-    for (i, j), val in mat.entries.items():
-        acols[j][i] = val
-    vcols = [{j: 1} for j in range(n)]
-    row_support = {}
-    for j, col in enumerate(acols):
-        for i in col:
-            row_support.setdefault(i, set()).add(j)
-    active = set(range(n))
-
-    def col_add(dst, src, q):
-        # column_dst += q * column_src, both matrix and transform sides
-        for store, track in ((acols, True), (vcols, False)):
-            tgt, s = store[dst], store[src]
-            for key, v in s.items():
-                nv = tgt.get(key, 0) + q * v
-                if nv:
-                    if track and key not in tgt:
-                        row_support.setdefault(key, set()).add(dst)
-                    tgt[key] = nv
-                else:
-                    tgt.pop(key, None)
-                    if track:
-                        sup = row_support.get(key)
-                        if sup:
-                            sup.discard(dst)
-
-    while True:
-        # next pivot row: minimal active support, deterministic tie-break
-        best = None
-        for i, sup in row_support.items():
-            k = len(sup)
-            if k == 0:
-                continue
-            if best is None or k < best[0] or (k == best[0] and i < best[1]):
-                best = (k, i)
-        if best is None:
-            break
-        r = best[1]
-        touching = sorted(row_support[r])
-        while len(touching) > 1:
-            piv = min(touching, key=lambda j: (abs(acols[j][r]), j))
-            pv = acols[piv][r]
-            for j in touching:
-                if j == piv:
-                    continue
-                q = -(acols[j][r] // pv)
+    work = _SchurWork(mat.entries)
+    basis = {j: {j: 1} for j in range(n)}  # live column -> its transform
+    while (i := work.shortest_row()) is not None:
+        row = work.rows[i]
+        while len(row) > 1:
+            j0 = min(row, key=lambda c: (abs(row[c]), c))
+            for j in sorted(row.keys() - {j0}):
+                q = row[j] // row[j0]
                 if q:
-                    col_add(j, piv, q)
-                if acols[j].get(r, 0) == 0:
-                    row_support[r].discard(j)
-            touching = sorted(row_support[r])
-        piv = touching[0]
-        active.discard(piv)
-        for i in acols[piv]:
-            sup = row_support.get(i)
-            if sup:
-                sup.discard(piv)
-
-    cols = []
-    for j in sorted(active):
-        if acols[j]:
-            raise ExactLinError("column elimination left a nonzero column")
-        cols.append([vcols[j].get(i, 0) for i in range(n)])
-    return IntMat.from_columns(cols, n)
+                    work.sub_col(j, j0, q)
+                    _sub_row(basis[j], q, basis[j0])
+        j0 = next(iter(row))
+        work.pivot_out(i, j0, lambda b: 0)
+        del basis[j0]
+    return IntMat.from_columns([basis[j] for j in sorted(basis)], n)
 
 
 def cohomology_of_pair(d_in, d_out):
@@ -833,60 +806,17 @@ def field_rank(rows, ncols, fld):
 
 
 def fp_rank_sparse(entries, nrows, ncols, p):
-    """Rank mod p of a sparse matrix given as {(i, j): value}."""
-    cols = {}
-    for (i, j), v in entries.items():
-        v %= p
-        if v:
-            cols.setdefault(j, {})[i] = v
-    row_sup = {}
-    for j, col in cols.items():
-        for i in col:
-            row_sup.setdefault(i, set()).add(j)
-    heap = [(len(js), i) for i, js in row_sup.items()]
-    heapq.heapify(heap)
+    """Rank mod p of a sparse matrix given as {(i, j): value}: Markowitz
+    pivoting on the sparse elimination engine, a shortest row's sparsest
+    column first."""
+    work = _SchurWork(entries, p)
     rank = 0
-
-    def drop_entry(r, c):
-        s = row_sup.get(r)
-        if s is None:
-            return
-        s.discard(c)
-        if not s:
-            del row_sup[r]
-        else:
-            heapq.heappush(heap, (len(s), r))
-
-    while heap:
-        size, i = heapq.heappop(heap)
-        js = row_sup.get(i)
-        if js is None or len(js) != size:
-            continue
-        j = min(js, key=lambda c: (len(cols[c]), c))
+    while (i := work.shortest_row()) is not None:
+        row = work.rows[i]
+        j = min(row, key=lambda c: (len(work.cols[c]), c))
+        inv = pow(row[j], -1, p)
+        work.pivot_out(i, j, lambda b: b * inv)
         rank += 1
-        piv = cols.pop(j)
-        for r in list(piv):
-            drop_entry(r, j)
-        inv = pow(piv[i], p - 2, p) if p > 2 else piv[i]
-        others = [c for c in list(row_sup.get(i, ())) if c in cols]
-        for c in others:
-            col = cols[c]
-            factor = (col.get(i, 0) * inv) % p
-            if not factor:
-                continue
-            for r, v in piv.items():
-                nv = (col.get(r, 0) - factor * v) % p
-                if nv:
-                    if r not in col:
-                        s = row_sup.setdefault(r, set())
-                        s.add(c)
-                        heapq.heappush(heap, (len(s), r))
-                    col[r] = nv
-                else:
-                    if r in col:
-                        del col[r]
-                        drop_entry(r, c)
-        row_sup.pop(i, None)
     return rank
 
 
@@ -934,10 +864,11 @@ def fp_rref(mat, p):
         for j, v in basis[c].items()}), pivots
 
 
-def _sub_row(row, f, other, p):
-    # row -= f * other mod p, in place, dropping the zeros
+def _sub_row(row, f, other, p=None):
+    # row -= f * other, mod p when given, in place, dropping the zeros
     for j, v in other.items():
-        nv = (row.get(j, 0) - f * v) % p
+        nv = row.get(j, 0) - f * v
+        nv = nv % p if p else nv
         if nv:
             row[j] = nv
         else:

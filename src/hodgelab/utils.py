@@ -10,7 +10,7 @@ PROPERTY_SEEDS = {
     "derham_forms": 32452843,
     "specseq": 49979687,
     "cartan": 67867967,
-    "witt": 86028121,
+    "acrys": 86028121,
 }
 
 

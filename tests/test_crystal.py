@@ -92,7 +92,7 @@ def test_conjugate_filtration_multiplicative():
     """Products of Fil_a and Fil_b strand keys stay in Fil_{a+b} mod p."""
     p = 2
     A = acrys_mod(point_model(p, w_max=8), p)
-    rng = random.Random(PROPERTY_SEEDS["witt"])
+    rng = random.Random(PROPERTY_SEEDS["acrys"])
     pairs = 0
     for _ in range(60):
         wa, wb = rng.randrange(1, 5), rng.randrange(1, 4)
@@ -110,7 +110,7 @@ def test_conjugate_filtration_multiplicative():
 
 def test_frobenius_is_a_ring_map_both_moduli():
     S = point_model(2, w_max=6)
-    rng = random.Random(PROPERTY_SEEDS["witt"])
+    rng = random.Random(PROPERTY_SEEDS["acrys"])
 
     def sample(A):
         el = A.ctx.zero()

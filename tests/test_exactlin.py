@@ -16,6 +16,7 @@ from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
                                smith_normal_form, snf_diagonal,
                                strand_cohomology)
 from hodgelab.gralg import FP, QQ_R, ZP2, ZZ
+from hodgelab.stacks import BGm, _TotModel
 from hodgelab.utils import PROPERTY_SEEDS
 
 
@@ -28,10 +29,17 @@ def test_snf_seed_example():
 
 def test_snf_matches_minor_oracle(minor_divisors):
     rng = random.Random(7)
+    # N = 2 |det| of the top 2 x 2 minor has the cofactor 1031 * 1033 *
+    # 2111 past the primes below 2^10; the first row's entries, 2 * 1033
+    # and -4 * 1031 * 1039, have the gcds 1033 and 1031 with it, neither
+    # dividing the other, so the diagonal mod N needs a column step
+    cases = [[[2066, -4284836], [-4260092, -3195069], [0, 4260092]]]
     for _ in range(25):
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
-        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        cases.append([[rng.randint(-9, 9) for _ in range(c)]
+                      for _ in range(r)])
+    for rows in cases:
         m = IntMat.from_rows(rows)
         assert snf_diagonal(m) == minor_divisors(rows)
 
@@ -71,22 +79,48 @@ def test_snf_invariant_under_unimodular_changes(rows, seed):
     assert snf_diagonal(m) == snf_diagonal(m2)
 
 
+def _sparse_big(rng, m, n, p=None):
+    # a seeded sparse integer matrix with entries up to 10^6 in size;
+    # with p given, about a third of them are multiples of p
+    entries = {}
+    for _ in range(rng.randint(1, m * n // 3 + 1)):
+        v = rng.randint(-10 ** 6, 10 ** 6)
+        if p and rng.randrange(3) == 0:
+            v = p * rng.randint(-3, 3)
+        entries[(rng.randrange(m), rng.randrange(n))] = v
+    return IntMat(m, n, entries)
+
+
+def _engine_inputs(rng, p=None):
+    # the larger inputs of the two engine property tests: seeded sparse
+    # matrices up to 40 x 40, cobar strands and one stacks total-model map
+    shapes = [(40, 40), (25, 40), (40, 25), (30, 38), (12, 30), (8, 8)]
+    return ([_sparse_big(rng, m, n, p) for m, n in shapes]
+            + [strand_matrix(n, w) for n, w in ((2, 24), (4, 16), (5, 16))]
+            + [_TotModel(BGm(), 4, 1, 2).mats[3]])
+
+
 def test_kernel_is_saturated_and_correct():
     rng = random.Random(3)
+    cases = []
     for _ in range(30):
         r = rng.randint(1, 5)
         c = rng.randint(1, 6)
-        rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        m = IntMat.from_rows(rows)
+        cases.append(IntMat.from_rows([[rng.randint(-6, 6) for _ in range(c)]
+                                       for _ in range(r)]))
+    seen = 0
+    for m in cases + _engine_inputs(rng):
         k = kernel_basis(m)
         assert m.matmul(k).is_zero()
         # rank-nullity over Q
-        qrank = field_rank([[QQ_R.normalize(x) for x in row] for row in rows],
-                           c, QQ_R)
-        assert k.ncols == c - qrank
+        qrank = field_rank([[QQ_R.normalize(x) for x in row]
+                            for row in m.to_rows()], m.ncols, QQ_R)
+        assert k.ncols == m.ncols - qrank
         if k.ncols:
             # saturated: SNF divisors of the basis matrix are all 1
-            assert all(d == 1 for d in snf_diagonal(k))
+            assert snf_diagonal(k, k.ncols) == [1] * k.ncols
+            seen += max(abs(v) for v in m.entries.values()) > 10 ** 5
+    assert seen >= 2
 
 
 def test_abgroup_normalisation():
@@ -455,3 +489,8 @@ def test_sparse_rank_matches_dense():
             entries[(rng.randrange(m), rng.randrange(n))] = rng.randint(-9, 9)
         rows = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
         assert fp_rank_sparse(entries, m, n, p) == field_rank(rows, n, FP(p))
+    for p in (2, 3, 2 ** 31 - 1):
+        for a in _engine_inputs(rng, p):
+            rows = [[x % p for x in row] for row in a.to_rows()]
+            assert fp_rank_sparse(a.entries, a.nrows, a.ncols, p) == \
+                field_rank(rows, a.ncols, FP(p))
