@@ -19,6 +19,7 @@ from math import isqrt
 from . import __version__, cobar, crystal, derham, stacks
 from .exactlin import AbGroup, _is_prime
 from .gralg import FP
+from .specseq import pages
 from .utils import PROPERTY_SEEDS
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
@@ -329,15 +330,20 @@ def _run_unfold(ps):
 def _run_hodge(ps):
     stack = _parse_stack(ps["stack"])
     nmax = ps["nmax"]
+    rows = [stacks.hodge_cohomology(stack, pp, nmax)
+            for pp in range(nmax + 1)]
+    if stack.kind in ("affine", "p1"):
+        # the second route: E_1 of the Cartan model's Hodge filtration
+        e1 = pages(stacks._cartan_complex(stack, 2 * nmax, 3), 1)[1]
     entries = []
-    for pp in range(nmax + 1):
-        for q, d in enumerate(stacks.hodge_cohomology(stack, pp, nmax)):
+    for pp, row in enumerate(rows):
+        for q, d in enumerate(row):
             if stack.kind == "bgm":
                 ok = d == (1 if pp == q else 0)
             elif stack.kind == "bga":
                 ok = d == (1 if q - pp in (0, 1) else 0)
             else:
-                ok = True
+                ok = d == e1.dim(pp, pp + q)
             if d or not ok:
                 entries.append({"p": pp, "q": q, "dim": d, "ok": ok})
     if stack.kind in ("affine", "p1"):

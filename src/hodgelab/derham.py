@@ -57,9 +57,6 @@ class DgaForms:
     def zero(self):
         return Form(self, {})
 
-    def function(self, f):
-        return Form(self, {(): f})
-
     def monomial_form(self, exps, idxs, coeff=1):
         return Form(self, {tuple(idxs): self.ctx.monomial(exps, coeff)})
 
@@ -202,9 +199,6 @@ class Form:
 
     def __eq__(self, other):
         return self.dga is other.dga and self.parts == other.parts
-
-    def coefficient(self, idxs):
-        return self.parts.get(tuple(idxs), self.dga.ctx.zero())
 
     def vector(self, i, w):
         basis = self.dga.strand_basis(i, w)

@@ -78,8 +78,6 @@ class AbGroup:
     AbGroup(rank=1, torsion=(2, 4))
     >>> AbGroup(0, (6, 4)).torsion     # renormalised to a chain
     (2, 12)
-    >>> AbGroup(2).is_free()
-    True
     """
 
     __slots__ = ("rank", "torsion")
@@ -89,9 +87,6 @@ class AbGroup:
             raise ValueError("rank must be >= 0")
         self.rank = int(rank)
         self.torsion = _divisor_chain(torsion)
-
-    def is_free(self):
-        return not self.torsion
 
     def is_elementary(self, p=None):
         """True if all torsion is killed by one multiplication by a prime.
@@ -538,8 +533,7 @@ def smith_normal_form(mat, rank=None):
     size = min(core.nrows, core.ncols)
     found = []
     for ell, part in _coprime_parts(n_mod):
-        if ell and fp_rank_sparse(core.entries, core.nrows, core.ncols,
-                                  ell) == r:
+        if ell and fp_rank_sparse(core.entries, ell) == r:
             pivots = [1] * r
         else:
             pivots = _diagonal_mod(core.entries, part)
@@ -699,7 +693,7 @@ def complex_cohomology(dims, mats, ring, lower=None):
     for d_in, d_out in zip(outs, outs[1:]):
         if any(v % p for v in d_out.matmul(d_in).entries.values()):
             raise CompositionNonzero("d_out @ d_in != 0 mod %d" % p)
-    ranks = [fp_rank_sparse(d.entries, d.nrows, d.ncols, p) for d in outs]
+    ranks = [fp_rank_sparse(d.entries, p) for d in outs]
     return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
             for n in range(top)]
 
@@ -805,7 +799,7 @@ def field_rank(rows, ncols, fld):
 # sparse elimination mod p in Python ints, for any prime p
 
 
-def fp_rank_sparse(entries, nrows, ncols, p):
+def fp_rank_sparse(entries, p):
     """Rank mod p of a sparse matrix given as {(i, j): value}: Markowitz
     pivoting on the sparse elimination engine, a shortest row's sparsest
     column first."""
@@ -822,7 +816,7 @@ def fp_rank_sparse(entries, nrows, ncols, p):
 
 def fp_rank(mat, p):
     """Rank of an :class:`IntMat` mod p, by :func:`fp_rank_sparse`."""
-    return fp_rank_sparse(mat.entries, mat.nrows, mat.ncols, p)
+    return fp_rank_sparse(mat.entries, p)
 
 
 def fp_rref(mat, p):

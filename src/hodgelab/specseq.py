@@ -1,13 +1,10 @@
 """Spectral sequences of filtered cochain complexes, computed exactly.
 
-A FilteredComplex is a finite complex over Q, F_p or Z together with a
+A FilteredComplex is a finite complex over Q or F_p together with a
 decreasing exhaustive filtration, held in a basis adapted to it: every
 basis vector of C^n carries a level l, and F^s C^n is spanned by the
-vectors of level >= s.  Its entries lie in a field ring of
-:mod:`hodgelab.gralg`, ``fld``: QQ_R over Z and Q, FP(p) over F_p.  It
-is built from a level per coordinate
-(:meth:`FilteredComplex.from_levels`) or from spanning vectors per level
-and degree, in which case d is rewritten once in an adapted basis.
+vectors of level >= s.  Its maps are integer matrices read in a field
+ring of :mod:`hodgelab.gralg`, ``fld``: QQ_R or FP(p).
 
 Every page comes from one column reduction per map (Edelsbrunner,
 Letscher and Zomorodian, "Topological persistence and simplification",
@@ -25,16 +22,14 @@ formula
 
 is kept in the tests as the oracle the pairs are checked against.
 
-Degeneration verdicts run two independent routes over a field (all
-higher differentials vanish; page totals equal cohomology) and insist
-they agree; over Z the pages are taken with rational coefficients and
-only the vanishing route is reported.
+Degeneration verdicts run two independent routes (all higher
+differentials vanish; page totals equal cohomology) and insist they
+agree.
 """
 
 from __future__ import annotations
 
 from .exactlin import field_rank
-from .gralg import QQ_R, ZZ
 
 __all__ = [
     "FiltrationNotPreserved", "FilteredComplex", "SSPage", "pages",
@@ -44,14 +39,6 @@ __all__ = [
 
 class FiltrationNotPreserved(Exception):
     pass
-
-
-def _field_of(ring):
-    # over Z the pages are taken with rational coefficients
-    fld = QQ_R if ring is ZZ else ring
-    if not fld.is_field():
-        raise ValueError("coefficients must be Z, Q or F_p")
-    return fld
 
 
 def _axpy(fld, y, a, x):
@@ -64,136 +51,46 @@ def _axpy(fld, y, a, x):
             y[i] = s
 
 
-def _reduce(fld, vec, echelon):
-    """Reduce vec against echelon, a list of (pivot, row) in the order
-    added, each row zero at every earlier pivot.  Returns the coordinates
-    {k: c} with vec = sum c row_k + rest, and rest."""
-    rest = dict(vec)
-    coords = {}
-    for k, (piv, row) in enumerate(echelon):
-        c = rest.get(piv)
-        if c is not None:
-            c = fld.div(c, row[piv])
-            coords[k] = c
-            _axpy(fld, rest, fld.neg(c), row)
-    return coords, rest
-
-
 class FilteredComplex:
-    """Finite complex with a decreasing filtration by spanning vectors.
+    """Finite complex over the field ``fld``, filtered by coordinates.
 
-    dims[n] is the dimension of C^n; diffs[n] the matrix of
-    d: C^n -> C^(n+1) as a list of rows; filt[j][n] spans F^(j+1) C^n
-    (level 0 is the whole complex, levels beyond the last are zero).
-    Raises ValueError unless d o d = 0, and FiltrationNotPreserved unless
-    the levels are nested and d(F^j) stays inside F^j.
+    d^n = mats[n], an IntMat read in fld; basis vector i of C^n lies in
+    exactly F^0 .. F^levels[n][i].  Raises ValueError unless fld is Q or
+    F_p and d o d = 0 in fld, and FiltrationNotPreserved if an entry of
+    d maps a level into a lower one.
     """
 
-    def __init__(self, ring, dims, diffs, filt):
-        fld = _field_of(ring)
-        dims = list(dims)
-        cols = []
-        for n, mat in enumerate(diffs):
-            rows = [[fld.normalize(x) for x in row] for row in mat]
-            if len(rows) != dims[n + 1] or any(
-                    len(r) != dims[n] for r in rows):
-                raise ValueError("differential %d has the wrong shape" % n)
-            cols.append([{i: row[j] for i, row in enumerate(rows)
-                          if not fld.is_zero(row[j])}
-                         for j in range(dims[n])])
-        if len(cols) != len(dims) - 1:
-            raise ValueError("need one differential per adjacent pair")
-        _check_square_zero(fld, cols)
-        # adapted basis per degree, built from the top level down: each
-        # level's spanning vectors extend the basis of the level above
-        levels, bases = [], []
-        for n, dim in enumerate(dims):
-            echelon, lvl = [], []
-            for j in range(len(filt), -1, -1):
-                if j:
-                    vecs = [[fld.normalize(x) for x in v] for v in filt[j - 1][n]]
-                    if any(len(v) != dim for v in vecs):
-                        raise ValueError("filtration vector length mismatch")
-                else:
-                    vecs = [[fld.one if i == t else fld.zero
-                             for t in range(dim)] for i in range(dim)]
-                for v in vecs:
-                    _, rest = _reduce(fld, {i: x for i, x in enumerate(v)
-                                            if not fld.is_zero(x)}, echelon)
-                    if rest:
-                        echelon.append((min(rest), rest))
-                        lvl.append(j)
-                if j and len(echelon) != field_rank(vecs, dim, fld):
-                    raise FiltrationNotPreserved(
-                        "level %d is not inside level %d in degree %d"
-                        % (j + 1, j, n))
-            levels.append(lvl)
-            bases.append(echelon)
-        # d in the adapted bases: apply d to each basis vector of C^n and
-        # read off its coordinates in the basis of C^(n+1)
-        adapted = []
-        for n, mat in enumerate(cols):
-            out = []
-            for _, vec in bases[n]:
-                img = {}
-                for j, x in vec.items():
-                    _axpy(fld, img, x, mat[j])
-                out.append(_reduce(fld, img, bases[n + 1])[0])
-            adapted.append(out)
-        self._setup(ring, fld, levels, adapted, len(filt))
-
-    @classmethod
-    def from_levels(cls, ring, levels, mats):
-        """The complex with d^n = mats[n] (an IntMat), filtered by
-        coordinates: basis vector i of C^n lies in exactly F^0 ..
-        F^levels[n][i].  Raises ValueError unless d o d = 0, and
-        FiltrationNotPreserved if an entry of d maps a level into a
-        lower one."""
-        fld = _field_of(ring)
+    def __init__(self, fld, levels, mats):
+        if not fld.is_field():
+            raise ValueError("coefficients must be Q or F_p")
         if len(mats) != len(levels) - 1:
             raise ValueError("need one differential per adjacent pair")
         cols = []
         for n, mat in enumerate(mats):
-            if mat.shape != (len(levels[n + 1]), len(levels[n])):
+            lvl, tgt = levels[n], levels[n + 1]
+            if mat.shape != (len(tgt), len(lvl)):
                 raise ValueError("differential %d has the wrong shape" % n)
-            out = [{} for _ in levels[n]]
+            if n and not all(fld.is_zero(v) for v in
+                             mat.matmul(mats[n - 1]).entries.values()):
+                raise ValueError("d does not square to zero")
+            out = [{} for _ in lvl]
             for (i, j), v in mat.entries.items():
                 x = fld.normalize(v)
                 if not fld.is_zero(x):
+                    if tgt[i] < lvl[j]:
+                        raise FiltrationNotPreserved(
+                            "d leaves level %d in degree %d" % (lvl[j], n))
                     out[j][i] = x
             cols.append(out)
-        _check_square_zero(fld, cols)
-        top = max((lv for lvl in levels for lv in lvl), default=0)
-        fc = cls.__new__(cls)
-        fc._setup(ring, fld, [list(lvl) for lvl in levels], cols, top)
-        return fc
-
-    def _setup(self, ring, fld, levels, cols, n_levels):
-        for n, mat in enumerate(cols):
-            for j, col in enumerate(mat):
-                if any(levels[n + 1][i] < levels[n][j] for i in col):
-                    raise FiltrationNotPreserved(
-                        "d leaves level %d in degree %d" % (levels[n][j], n))
-        self.ring = ring
         self.fld = fld
-        self.levels = levels
+        self.levels = [list(lvl) for lvl in levels]
         self.dims = [len(lvl) for lvl in levels]
         self.top = len(self.dims) - 1
         self.diffs = cols
-        self._n_levels = n_levels
+        self._n_levels = max((lv for lvl in levels for lv in lvl), default=0)
 
     def n_levels(self):
         return self._n_levels
-
-
-def _check_square_zero(fld, cols):
-    for n in range(len(cols) - 1):
-        for col in cols[n]:
-            img = {}
-            for i, x in col.items():
-                _axpy(fld, img, x, cols[n + 1][i])
-            if img:
-                raise ValueError("d does not square to zero")
 
 
 class SSPage:
@@ -250,7 +147,9 @@ def pages(fc, r_max=None):
     """Pages E_0 .. E_r_max (default: levels + 1, where everything is
     stable), all read off one filtered reduction.
 
-    >>> fc = FilteredComplex(QQ_R, [2, 1], [[[1, 0]]], [[[[0, 1]], []]])
+    >>> from hodgelab.exactlin import IntMat
+    >>> from hodgelab.gralg import QQ_R
+    >>> fc = FilteredComplex(QQ_R, [[0, 1], [0]], [IntMat.from_rows([[1, 0]])])
     >>> e = pages(fc)
     >>> [pg.total(n) for pg in e for n in range(fc.top + 1)]
     [2, 1, 1, 0, 1, 0]
@@ -276,8 +175,7 @@ def pages(fc, r_max=None):
 
 
 def cohomology_dims(fc):
-    """Dimensions of H^n of the underlying complex over the field
-    (rational dimensions when the ring is Z)."""
+    """Dimensions of H^n of the underlying complex over the field."""
     fld = fc.fld
     ranks = [field_rank([[col.get(i, fld.zero) for col in mat]
                          for i in range(fc.dims[n + 1])], fc.dims[n], fld)
@@ -289,26 +187,21 @@ def cohomology_dims(fc):
 def degenerates_at(fc, r):
     """Does the sequence degenerate at page r?
 
-    Two routes over a field: (1) every d_r' for r' >= r vanishes, and
-    (2) the page-r totals already equal the cohomology dimensions.  The
-    routes must agree or an AssertionError flags the engine itself.
-    Over Z only route (1) runs (with rational pages) and the dimension
-    verdict is None.
+    Two routes: (1) every d_r' for r' >= r vanishes, and (2) the page-r
+    totals already equal the cohomology dimensions.  The routes must
+    agree or an AssertionError flags the engine itself.
     """
     stable = fc.n_levels() + 1
     pgs = pages(fc, max(r, stable))[r:]
     first_nonzero = next(((pg.r,) + key for pg in pgs
                           for key in sorted(pg.ranks)), None)
     by_vanishing = first_nonzero is None
-    by_dimension = None
-    if fc.ring is not ZZ:
-        h = cohomology_dims(fc)
-        by_dimension = all(pgs[0].total(n) == h[n]
-                           for n in range(fc.top + 1))
-        if by_dimension != by_vanishing:
-            raise AssertionError(
-                "degeneration routes disagree: vanishing=%s dimension=%s"
-                % (by_vanishing, by_dimension))
+    h = cohomology_dims(fc)
+    by_dimension = all(pgs[0].total(n) == h[n] for n in range(fc.top + 1))
+    if by_dimension != by_vanishing:
+        raise AssertionError(
+            "degeneration routes disagree: vanishing=%s dimension=%s"
+            % (by_vanishing, by_dimension))
     return {
         "page": r,
         "degenerate": by_vanishing,

@@ -725,7 +725,7 @@ def _coordinate_filtered(basis, mats, level):
     """The complex with per-degree bases ``basis`` and differentials
     ``mats`` as a FilteredComplex over Q, filtered by coordinates: F^r
     is spanned by the basis vectors whose key has level(key) >= r."""
-    return FilteredComplex.from_levels(
+    return FilteredComplex(
         QQ_R, [[level(key) for key in keys] for keys in basis], mats)
 
 

@@ -95,8 +95,7 @@ def test_integral_census_past_the_smith_wall():
         d_in = cobar.strand_matrix(n - 1, w)
         rank_q = d_in.ncols - kernel_basis(d_in).ncols
         for ell in (q for q, qi in _prime_powers(w // 2 + 3) if q == qi):
-            drop = rank_q - fp_rank_sparse(d_in.entries, d_in.nrows,
-                                           d_in.ncols, ell)
+            drop = rank_q - fp_rank_sparse(d_in.entries, ell)
             assert tables[n][n, w].torsion_count(ell) == drop, (n, w, ell)
     assert time.monotonic() - start < 60
 
@@ -258,20 +257,14 @@ def test_property_suites(minor_divisors):
     for _ in range(6):
         p = rng3.choice([2, 3])
         w = rng3.randint(1, 9)
-        base = DgaForms(FP(p), [("x", 1)])
-        d0 = base.strand_matrix(0, w)
-        dims = [d0.ncols, d0.nrows]
-        rows = [[d0.entries.get((i, j), 0) for j in range(d0.ncols)]
-                for i in range(d0.nrows)]
-        full1 = [[1 if i == j else 0 for j in range(dims[1])]
-                 for i in range(dims[1])]
-        fc = FilteredComplex(FP(p), dims, [rows], [[[], full1]])
+        d0 = DgaForms(FP(p), [("x", 1)]).strand_matrix(0, w)
+        fc = FilteredComplex(FP(p), [[0] * d0.ncols, [1] * d0.nrows], [d0])
         pgs = pages(fc, 3)
         for r in range(len(pgs) - 1):
             for key, val in pgs[r + 1].entries.items():
                 assert val <= pgs[r].entries.get(key, 0)
         h = cohomology_dims(fc)
-        assert [pgs[-1].total(n) for n in range(len(dims))] == h
+        assert [pgs[-1].total(n) for n in range(fc.top + 1)] == h
 
     # Euler-contraction homotopy as an exact matrix identity
     ent = verify_cartan_homotopy(GradedAffine((1, 2)),

@@ -169,6 +169,21 @@ def test_hodge_rejects_a_group_row_with_an_extra_class(
     assert bad == [(p, p + extra) for p in range(4 - extra)]
 
 
+@pytest.mark.parametrize("stack", ["A1", "P1", "affine:1,2"])
+def test_hodge_rejects_a_quotient_row_off_the_cartan_e1_page(
+        monkeypatch, stack):
+    # one class too many at (1, 1): the Cartan E_1 route must flag
+    # exactly that row
+    real = stacks.hodge_cohomology
+    monkeypatch.setattr(stacks, "hodge_cohomology", lambda st, p, q_max: [
+        d + (p == q == 1) for q, d in enumerate(real(st, p, q_max))])
+    report, code = cli.run(cli.RunConfig("hodge", {"stack": stack,
+                                                   "nmax": 3}))
+    assert code == 2
+    assert [(e["p"], e["q"]) for e in report["entries"]
+            if not e["ok"]] == [(1, 1)]
+
+
 def test_census_rejects_a_census_without_torsion(monkeypatch):
     real = cobar.torsion_census
     monkeypatch.setattr(cobar, "torsion_census", lambda p, n, w_max: [

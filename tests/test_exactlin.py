@@ -464,7 +464,7 @@ def test_mod_p_rank_is_exact_past_int64_products():
     a = IntMat.from_rows([[3, 5], [21, 35]])
     for p in (2 ** 61 - 1, 2147483647, 998244353):
         assert fp_rank(a, p) == 1
-        assert fp_rank_sparse(a.entries, 2, 2, p) == 1
+        assert fp_rank_sparse(a.entries, p) == 1
         assert fp_rref(a, p)[1] == [0]
 
 
@@ -488,9 +488,9 @@ def test_sparse_rank_matches_dense():
         for _ in range(rng.randint(0, m * n)):
             entries[(rng.randrange(m), rng.randrange(n))] = rng.randint(-9, 9)
         rows = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
-        assert fp_rank_sparse(entries, m, n, p) == field_rank(rows, n, FP(p))
+        assert fp_rank_sparse(entries, p) == field_rank(rows, n, FP(p))
     for p in (2, 3, 2 ** 31 - 1):
         for a in _engine_inputs(rng, p):
             rows = [[x % p for x in row] for row in a.to_rows()]
-            assert fp_rank_sparse(a.entries, a.nrows, a.ncols, p) == \
+            assert fp_rank_sparse(a.entries, p) == \
                 field_rank(rows, a.ncols, FP(p))
