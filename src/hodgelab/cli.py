@@ -262,13 +262,13 @@ def _run_acrys(ps):
         basis = a.strand_basis(w)
         if not basis:
             continue
-        ent, _, ncols = a.theta_matrix(w)
-        live = {c for (_, c), v in ent.items() if v % p}
+        theta = a.theta_matrix(w)
+        live = {c for (_, c), v in theta.entries.items() if v % p}
         pd_pos = sum(1 for _, comps in basis if sum(comps) > 0)
         entries.append({"w": w, "dim": len(basis),
-                        "theta_kernel": ncols - len(live),
+                        "theta_kernel": theta.ncols - len(live),
                         "pd_positive": pd_pos,
-                        "ok": ncols - len(live) == pd_pos})
+                        "ok": theta.ncols - len(live) == pd_pos})
     for w in range(wmax + 1):
         dim = len(a.strand_basis(w))
         reached = None

@@ -110,18 +110,13 @@ def _differential_terms(exps):
 
 
 def strand_matrix(n, w):
-    """The differential C^n_w -> C^{n+1}_w as an integer matrix."""
-    src = strand_basis(n, w)
-    tgt = strand_basis(n + 1, w)
-    index = {m: i for i, m in enumerate(tgt)}
-    entries = {}
-    for j, exps in enumerate(src):
-        for key, c in _differential_terms(exps).items():
-            if min(key) == 0:
-                # degenerate monomials must cancel in the normalized complex
-                raise AssertionError("normalization broken at %r" % (key,))
-            entries[(index[key], j)] = c
-    return IntMat(len(tgt), len(src), entries)
+    """The differential C^n_w -> C^{n+1}_w as an integer matrix.
+
+    Degenerate monomials (an exponent 0) are not in the target basis,
+    so a term on one that fails to cancel raises.
+    """
+    return IntMat.from_images(strand_basis(n, w), strand_basis(n + 1, w),
+                              _differential_terms)
 
 
 def apply_d(n, w, cochain):

@@ -185,26 +185,17 @@ class CrysAlgebra:
         return out
 
     def theta_matrix(self, w):
-        """Matrix of theta on the weight-w strand, in basis coordinates."""
-        keys = self.strand_basis(w)
-        tkeys = self.s_basis(w)
-        index = {k: i for i, k in enumerate(tkeys)}
-        entries = {}
-        for c, key in enumerate(keys):
-            if not any(key[1]):
-                entries[(index[key], c)] = 1
-        return entries, len(tkeys), len(keys)
+        """Matrix of theta from the weight-w strand onto its image of S."""
+        return IntMat.from_images(
+            self.strand_basis(w), self.s_basis(w),
+            lambda key: self.theta(self.ctx.monomial(*key)).terms)
 
     def phi_matrix(self, w):
         """Integer matrix of phi from strand w to strand p*w."""
         src = self.strand_basis(w)
         tgt = self.strand_basis(self.p * Fraction(w))
-        index = {k: i for i, k in enumerate(tgt)}
-        mat = IntMat.zeros(len(tgt), len(src))
-        for c, key in enumerate(src):
-            img = self.frobenius(self.ctx.monomial(key[0], key[1], 1))
-            for k2, v in img.terms.items():
-                mat.entries[(index[k2], c)] = int(v)
+        mat = IntMat.from_images(src, tgt, lambda key: self.frobenius(
+            self.ctx.monomial(*key)).terms)
         return mat, src, tgt
 
 
@@ -325,17 +316,6 @@ def kappa(A, r, elt):
     return out
 
 
-def _vector_on(el, keys):
-    index = {k: i for i, k in enumerate(keys)}
-    vec = [0] * len(keys)
-    for key, c in el.terms.items():
-        if key in index:
-            vec[index[key]] = int(c)
-        else:
-            raise AssertionError("element leaves the expected span")
-    return vec
-
-
 def _twist_sources(A, r, v):
     """Basis of Gamma^r(I/I^2) twisted, at source weight v: pairs of an
     S-monomial exponent tuple and a divided multi-exponent of total r."""
@@ -371,12 +351,9 @@ def verify_kappa_iso(S, r_max):
                                      S.depth - 1)
             ok = len(srcs) == len(gr_keys)
             if srcs and ok:
-                cols = []
-                for exps, comp in srcs:
-                    img = kappa(A, r, {(exps, comp): 1})
-                    cols.append(_vector_on(img, gr_keys))
-                ok = fp_rank(IntMat.from_columns(cols, len(gr_keys)),
-                             p) == len(srcs)
+                ok = fp_rank(IntMat.from_images(
+                    srcs, gr_keys, lambda src: kappa(A, r, {src: 1}).terms),
+                    p) == len(srcs)
             entries.append({"r": r, "w": str(w), "source_dim": len(srcs),
                             "gr_dim": len(gr_keys), "ok": bool(ok)})
             w += step
@@ -415,9 +392,8 @@ def di_splitting(S, lift, r_max=None):
     # theta_2 surjects onto the lift: the divided-power-free keys map
     # identically, so a strand spot-check suffices
     for w in (1, 2):
-        ent, nrows, _ = A2.theta_matrix(w)
-        hit = {i for (i, _c) in ent}
-        if hit != set(range(nrows)):
+        theta = A2.theta_matrix(w)
+        if {i for (i, _c) in theta.entries} != set(range(theta.nrows)):
             raise NotALift("theta_2 misses part of the lift")
 
     phi1_gen = []
@@ -453,13 +429,9 @@ def di_splitting(S, lift, r_max=None):
                                    S.depth - 1) if r else []
             gr_keys = depth_restrict(gr_conj_basis(A1, r, w), A1.ctx,
                                      S.depth - 1)
-            index = {k: i for i, k in enumerate(fil_r)}
-            gidx = {k: i for i, k in enumerate(gr_keys)}
-            ok = True
-            cols = []
             try:
-                for exps, comp in srcs:
-                    cols.append(_vector_on(f({(exps, comp): 1}), fil_r))
+                fmat = IntMat.from_images(srcs, fil_r,
+                                          lambda src: f({src: 1}).terms)
             except AssertionError:
                 # the image left the expected conjugate stage
                 entries.append({"r": r, "w": str(w),
@@ -467,18 +439,19 @@ def di_splitting(S, lift, r_max=None):
                                 "fil_dim": len(fil_r), "ok": False})
                 w += step
                 continue
-            low = [{index[k]: 1} for k in lower]
-            rank = fp_rank(IntMat.from_columns(cols + low, len(fil_r)), p)
+            low = IntMat.from_images(lower, fil_r, lambda key: {key: 1})
+            rank = fp_rank(IntMat.from_columns(
+                fmat.columns() + low.columns(), len(fil_r)), p)
+            # on gr_r, the quotient of fil_r by the lower stage, f agrees
+            # with kappa; both sides have their coefficients in 0..p-1
+            gr = set(gr_keys)
+            to_gr = IntMat.from_images(
+                fil_r, gr_keys, lambda key: {key: 1} if key in gr else {})
+            agrees = to_gr.matmul(fmat) == IntMat.from_images(
+                srcs, gr_keys, lambda src: kappa(A1, r, {src: 1}).terms)
             # injective, misses the lower stage, and together they fill it
-            ok = rank == len(srcs) + len(low) and rank == len(fil_r)
-            for (exps, comp), col in zip(srcs, cols):
-                gvec = _vector_on(kappa(A1, r, {(exps, comp): 1}), gr_keys)
-                fvec = [0] * len(gr_keys)
-                for key, i in index.items():
-                    if key in gidx:
-                        fvec[gidx[key]] = col[i] % p
-                if [x % p for x in gvec] != fvec:
-                    ok = False
+            ok = (rank == len(srcs) + len(lower) and rank == len(fil_r)
+                  and agrees)
             entries.append({"r": r, "w": str(w), "source_dim": len(srcs),
                             "fil_dim": len(fil_r), "ok": bool(ok)})
             w += step
@@ -508,21 +481,10 @@ def _unfold_strand_dims(ca, w):
     """(dim H^0, dim H^1) of the nerve's three levels at strand w."""
     b0 = ca.d1.strand_basis(w)
     b1 = ca.d2.strand_basis(w)
-    b2 = ca.d3.strand_basis(w)
-    i1 = {k: i for i, k in enumerate(b1)}
-    i2 = {k: i for i, k in enumerate(b2)}
-    ent0 = {}
-    for c, key in enumerate(b0):
-        img = ca.delta1(ca.d1.monomial(key[0], key[1], 1))
-        for k2, v in img.terms.items():
-            ent0[(i1[k2], c)] = int(v)
-    ent1 = {}
-    for c, key in enumerate(b1):
-        img = ca.delta2(ca.d2.monomial(key[0], key[1], 1))
-        for k2, v in img.terms.items():
-            ent1[(i2[k2], c)] = int(v)
-    d0 = IntMat(len(b1), len(b0), ent0)
-    d1 = IntMat(len(b2), len(b1), ent1)
+    d0 = IntMat.from_images(
+        b0, b1, lambda key: ca.delta1(ca.d1.monomial(*key)).terms)
+    d1 = IntMat.from_images(b1, ca.d3.strand_basis(w),
+                            lambda key: ca.delta2(ca.d2.monomial(*key)).terms)
     return tuple(complex_cohomology([len(b0), len(b1)], [d0, d1],
                                     FP(ca.p)))
 

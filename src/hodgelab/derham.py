@@ -1,7 +1,6 @@
 """De Rham complexes of (Laurent) polynomial algebras, weight strand by
-weight strand: cohomology over Z / Q / F_p, the Cartier isomorphism, the
-Hodge and conjugate filtration stages, and the Cech-Alexander comparison
-for F_p[x].
+weight strand: cohomology over Z / Q / F_p, the Cartier isomorphism and
+the Cech-Alexander comparison for F_p[x].
 
 Forms are sparse sums of (polynomial coefficient) * dx_{i_1} ^ ... ^
 dx_{i_k}; dx inherits the weight of x, so every complex here splits into
@@ -13,15 +12,14 @@ from __future__ import annotations
 from math import factorial
 
 from .exactlin import (
-    IntMat, complex_cohomology, fp_kernel, fp_rank, fp_solve,
-    strand_cohomology,
+    IntMat, complex_cohomology, fp_kernel, fp_rank, strand_cohomology,
 )
 from .gralg import FP, ZZ, PDContext, PolyContext, ZP2
 
 __all__ = [
     "UnsupportedBase", "NotCharP", "TruncationTooSmall", "DgaForms", "Form",
     "de_rham_cohomology", "cartier_inverse", "verify_cartier_iso",
-    "cartier_multiplicativity", "filtration", "CAComplex",
+    "cartier_multiplicativity", "CAComplex",
     "cech_alexander_compare",
 ]
 
@@ -114,31 +112,24 @@ class DgaForms:
 
     def strand_matrix(self, i, w):
         """d: Omega^i_w -> Omega^{i+1}_w as an integer matrix."""
-        src = self.strand_basis(i, w)
-        tgt = self.strand_basis(i + 1, w)
-        index = {b: r for r, b in enumerate(tgt)}
-        entries = {}
-        for c, (exps, idxs) in enumerate(src):
-            for v in range(self.nvars):
-                e = exps[v]
-                if e == 0 or v in idxs:
-                    continue
-                nexps = list(exps)
-                nexps[v] = e - 1
-                nidxs, sign = _insert_index(idxs, v)
-                if nidxs is None:
-                    continue
-                key = (tuple(nexps), nidxs)
-                r = index[key]
-                entries[(r, c)] = entries.get((r, c), 0) + sign * e
-        entries = {k: v for k, v in entries.items() if v}
-        return IntMat(len(tgt), len(src), entries)
+
+        def d(basis_form):
+            # each variable v lands on its own dx_v, so no key repeats
+            exps, idxs = basis_form
+            out = {}
+            for v, e in enumerate(exps):
+                if e and v not in idxs:
+                    nidxs, sign = _insert_index(idxs, v)
+                    out[exps[:v] + (e - 1,) + exps[v + 1:], nidxs] = sign * e
+            return out
+
+        return IntMat.from_images(self.strand_basis(i, w),
+                                  self.strand_basis(i + 1, w), d)
 
 
 def _insert_index(idxs, v):
-    """Insert v into the ordered tuple idxs; return (tuple, sign)."""
-    if v in idxs:
-        return None, 0
+    """Insert v, not in idxs, into the ordered tuple idxs; return
+    (tuple, sign)."""
     pos = 0
     while pos < len(idxs) and idxs[pos] < v:
         pos += 1
@@ -199,13 +190,6 @@ class Form:
 
     def __eq__(self, other):
         return self.dga is other.dga and self.parts == other.parts
-
-    def vector(self, i, w):
-        basis = self.dga.strand_basis(i, w)
-        vec = []
-        for exps, idxs in basis:
-            vec.append(self.parts.get(idxs, self.dga.ctx.zero()).coeff(exps))
-        return vec
 
     def __repr__(self):
         if not self.parts:
@@ -282,10 +266,17 @@ def verify_cartier_iso(p, d, w_max):
 
     Returns a list of entry dicts, one per (i, w <= w_max) target strand:
     off-p-multiple strands must have vanishing H^i, p-multiples must be
-    hit bijectively from weight w/p.  A failure becomes a False verdict,
-    never an exception.
+    hit bijectively from weight w/p.  A failed check becomes a False
+    verdict; an image of C^{-1} off the weight-w basis, which C^{-1}
+    cannot produce, raises AssertionError.
     """
     base = DgaForms(FP(p), [("x%d" % (k + 1), 1) for k in range(d)])
+
+    def cartier_image(basis_form):
+        form = cartier_inverse(base.monomial_form(*basis_form), p)
+        return {(exps, idxs): c for idxs, f in form.parts.items()
+                for exps, c in f.terms.items()}
+
     entries = []
     for i in range(0, d + 1):
         for w in range(0, w_max + 1):
@@ -298,17 +289,15 @@ def verify_cartier_iso(p, d, w_max):
                                 "source_dim": 0, "ok": bool(ok)})
                 continue
             src = base.strand_basis(i, w // p)
-            img = []
-            for exps, idxs in src:
-                c = cartier_inverse(base.monomial_form(exps, idxs), p)
-                img.append([x % p for x in c.vector(i, w)])
+            imat = IntMat.from_images(src, base.strand_basis(i, w),
+                                      cartier_image)
             ok = dim_h == len(src)
-            if img:
+            if src:
                 # cocycle check and independence mod boundaries
-                imat = IntMat.from_columns(img, d_out.ncols)
                 ok = ok and not any(v % p for v in
                                     d_out.matmul(imat).entries.values())
-                full = IntMat.from_columns(img + d_in.columns(), d_in.nrows)
+                full = IntMat.from_columns(imat.columns() + d_in.columns(),
+                                           d_in.nrows)
                 ok = ok and (fp_rank(full, p) == len(src) + rank_in)
             entries.append({"i": i, "w": w, "dim_h": dim_h,
                             "source_dim": len(src), "ok": bool(ok)})
@@ -342,71 +331,6 @@ def _random_form(base, rng, d, w_max):
         exps, idxs = rng.choice(basis)
         out = out + base.monomial_form(exps, idxs, rng.randint(1, base.ring.p))
     return out
-
-
-# -- filtration stages --------------------------------------------------------
-
-
-class StrandChain:
-    """A finite cochain complex in one weight strand.
-
-    dims[k] counts basis elements in degree offset k (starting at
-    degree_offset); mats[k] maps degree k to k+1.  Bases may be abstract
-    (kernel embeddings recorded in embeddings when present).
-    """
-
-    def __init__(self, degree_offset, dims, mats, embeddings=None):
-        self.degree_offset = degree_offset
-        self.dims = dims
-        self.mats = mats
-        self.embeddings = embeddings or {}
-
-
-def filtration(dga, kind, r, w):
-    """The r-th filtration stage of the weight-w de Rham strand.
-
-    hodge: the subcomplex Omega^{>=r}; conjugate: the truncation
-    tau^{<=r} = (Omega^0 -> ... -> Omega^{r-1} -> ker d|_{Omega^r}).
-    """
-    top = dga.nvars
-    if kind == "hodge":
-        r = max(r, 0)
-        dims, mats = [], []
-        for i in range(r, top + 1):
-            dims.append(len(dga.strand_basis(i, w)))
-            if i < top:
-                mats.append(dga.strand_matrix(i, w))
-        return StrandChain(r, dims, mats)
-    if kind == "conjugate":
-        if r >= top:
-            dims = [len(dga.strand_basis(i, w)) for i in range(top + 1)]
-            mats = [dga.strand_matrix(i, w) for i in range(top)]
-            return StrandChain(0, dims, mats)
-        p = dga.ring.p
-        if p is None or not dga.ring.is_field():
-            raise UnsupportedBase("conjugate truncation modeled over F_p")
-        dims, mats = [], []
-        for i in range(0, r):
-            dims.append(len(dga.strand_basis(i, w)))
-        d_r = dga.strand_matrix(r, w)
-        kmat = IntMat.from_columns(fp_kernel(d_r, p), d_r.ncols)
-        dims.append(kmat.ncols)
-        for i in range(0, r):
-            m = dga.strand_matrix(i, w)
-            if i < r - 1:
-                mats.append(m)
-            else:
-                # express d: Omega^{r-1} -> ker d_r in kernel coordinates
-                cols = []
-                for col in m.columns():
-                    x = fp_solve(kmat, col, p)
-                    if x is None:
-                        raise AssertionError("image escaped the kernel")
-                    cols.append(x)
-                mats.append(IntMat.from_columns(cols, kmat.ncols))
-        emb = {r: kmat}
-        return StrandChain(0, dims, mats, embeddings=emb)
-    raise ValueError("kind must be 'hodge' or 'conjugate'")
 
 
 # -- Cech-Alexander -----------------------------------------------------------
@@ -533,10 +457,6 @@ class CAComplex:
         return out
 
 
-def _pd_vector(el, keys):
-    return [el.terms.get(k, 0) for k in keys]
-
-
 def cech_alexander_compare(p, w_max):
     """Certify the crystalline comparison for B = F_p[x].
 
@@ -559,8 +479,7 @@ def cech_alexander_compare(p, w_max):
               (1,): -ca.coface12(ca.d1.one(), 1)}
     ok_b = dv == {k: v for k, v in expect.items() if not v.is_zero()}
     # uniqueness: ker(d) in weight 1 must vanish
-    keys1 = ca.d2.strand_basis(1)
-    kermat = _ca_d_matrix(ca, ca.d2, keys1, 1)
+    kermat = _ca_d_matrix(ca, 1)
     ok_b = ok_b and fp_rank(kermat, p) == kermat.ncols
     entries.append({"id": "dx-to-x1-minus-x2", "w": 1, "ok": bool(ok_b)})
 
@@ -577,7 +496,7 @@ def cech_alexander_compare(p, w_max):
     # every solution of d v = delta omega agrees with a mod Fil_0:
     # ker(d) on the weight-p strand must lie inside the Fil_0 span
     keysp = ca.d2.strand_basis(p)
-    dmat = _ca_d_matrix(ca, ca.d2, keysp, p)
+    dmat = _ca_d_matrix(ca, p)
     for kv in fp_kernel(dmat, p):
         for key, c in zip(keysp, kv):
             if c % p and key[1][0] >= p:
@@ -599,58 +518,54 @@ def cech_alexander_compare(p, w_max):
     return entries
 
 
-def _ca_d_matrix(ca, ctx, keys, w):
-    """Matrix of d_dR on the weight-w strand of 0-forms over ctx."""
-    tkeys = ctx.strand_basis(w - 1)
-    cols = []
-    for key in keys:
-        el = ctx.monomial(key[0], key[1], 1)
-        img = ca.d_dr(ctx, el)
-        vec = []
-        for i in range(ctx.nvars):
-            part = img.get((i,), ctx.zero())
-            vec.extend(_pd_vector(part, tkeys))
-        cols.append(vec)
-    return IntMat.from_columns(cols, ctx.nvars * len(tkeys))
+def _coords(level, el, form=None):
+    """Coordinates (level, form, key) of a PD element over D(level): a
+    function when form is None, else the dx_form part of a 1-form."""
+    return {(level, form, key): c for key, c in el.terms.items()}
+
+
+def _form_coords(level, parts):
+    """Coordinates of a 1-form {(i,): element} over D(level)."""
+    out = {}
+    for (i,), el in parts.items():
+        out.update(_coords(level, el, i))
+    return out
+
+
+def _ca_d_matrix(ca, w):
+    """Matrix of d_dR on the weight-w strand of 0-forms over D(2)."""
+    tkeys = ca.d2.strand_basis(w - 1)
+    return IntMat.from_images(
+        ca.d2.strand_basis(w), [(2, i, k) for i in range(2) for k in tkeys],
+        lambda key: _form_coords(2, ca.d_dr(ca.d2, ca.d2.monomial(*key))))
 
 
 def _ca_tot_dims(ca, w):
     """(dim H^0, dim H^1) of the truncated totalization in weight w."""
-    b0 = ca.d1.strand_basis(w)        # Tot^0 = D(1)
-    b1f = ca.d1.strand_basis(w - 1)   # Omega^1(D(1)) component of Tot^1
-    b1c = ca.d2.strand_basis(w)       # D(2) component of Tot^1
-    b2f = ca.d2.strand_basis(w - 1)   # Omega^1(D(2)) component of Tot^2
-    b2c = ca.d3.strand_basis(w)       # D(3) component of Tot^2
+    tot = [[(1, None, k) for k in ca.d1.strand_basis(w)],
+           [(1, 0, k) for k in ca.d1.strand_basis(w - 1)]
+           + [(2, None, k) for k in ca.d2.strand_basis(w)],
+           [(2, i, k) for i in range(2) for k in ca.d2.strand_basis(w - 1)]
+           + [(3, None, k) for k in ca.d3.strand_basis(w)]]
 
-    def vec_d2_forms(parts):
-        out = []
-        for i in range(2):
-            out.extend(_pd_vector(parts.get((i,), ca.d2.zero()), b2f))
-        return out
+    def d0(coord):
+        # f -> (d f, delta1 f)
+        el = ca.d1.monomial(*coord[2])
+        return {**_form_coords(1, ca.d_dr(ca.d1, el)),
+                **_coords(2, ca.delta1(el))}
 
-    # D^0: f -> (d f, delta1 f)
-    cols0 = []
-    for key in b0:
-        el = ca.d1.monomial(key[0], key[1], 1)
-        df = ca.d_dr(ca.d1, el)
-        vec = _pd_vector(df.get((0,), ca.d1.zero()), b1f)
-        vec += _pd_vector(ca.delta1(el), b1c)
-        cols0.append(vec)
-    d0 = IntMat.from_columns(cols0, len(b1f) + len(b1c))
-
-    # D^1: (omega, v) -> (delta1 omega - d v, delta2 v)
-    cols1 = []
-    for key in b1f:
-        om = {(0,): ca.d1.monomial(key[0], key[1], 1)}
-        vec = vec_d2_forms(ca.delta1_forms(om))
-        vec += [0] * len(b2c)
-        cols1.append(vec)
-    for key in b1c:
-        el = ca.d2.monomial(key[0], key[1], 1)
+    def d1(coord):
+        # (omega, v) -> (delta1 omega - d v, delta2 v)
+        level, _, key = coord
+        if level == 1:
+            return _form_coords(2, ca.delta1_forms(
+                {(0,): ca.d1.monomial(*key)}))
+        el = ca.d2.monomial(*key)
         dv = ca.d_dr(ca.d2, el)
-        vec = vec_d2_forms({k: -v for k, v in dv.items()})
-        vec += _pd_vector(ca.delta2(el), b2c)
-        cols1.append(vec)
-    d1 = IntMat.from_columns(cols1, 2 * len(b2f) + len(b2c))
-    return tuple(complex_cohomology([len(b0), d0.nrows], [d0, d1],
+        return {**_form_coords(2, {k: -v for k, v in dv.items()}),
+                **_coords(3, ca.delta2(el))}
+
+    mats = [IntMat.from_images(tot[0], tot[1], d0),
+            IntMat.from_images(tot[1], tot[2], d1)]
+    return tuple(complex_cohomology([len(tot[0]), len(tot[1])], mats,
                                     FP(ca.p)))

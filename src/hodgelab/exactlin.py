@@ -10,6 +10,12 @@ and the diagonal mod N; :func:`fp_rref`, the leftmost-pivot reduced
 echelon form, gives pivot columns, kernels and solutions mod p.  No
 floating point is ever produced.
 
+:meth:`IntMat.from_images` is the one way a map becomes a matrix: every
+differential and structure map in the package is read from its source
+basis, its target basis and the {key: coeff} image of each source key,
+and a nonzero term off the target basis raises unless it lies past a
+declared truncation window.
+
 The central consumer-facing pieces are
 
 * :func:`smith_normal_form` -- the diagonal D of the Smith form, its
@@ -177,6 +183,46 @@ class IntMat:
     @classmethod
     def zeros(cls, nrows, ncols):
         return cls(nrows, ncols)
+
+    @classmethod
+    def from_images(cls, src, tgt, image, outside=None):
+        """The matrix of a map from the basis src to the basis tgt.
+
+        Column j is image(src[j]), a {key: coeff} dict read in tgt: row
+        i holds the coefficient of tgt[i].  A nonzero coefficient on a
+        key that is not in tgt raises AssertionError, unless
+        outside(key) says the key lies past a truncation window; such a
+        term is dropped.
+
+        >>> shift = lambda n: {n: 2, n + 1: 1}
+        >>> IntMat.from_images([0, 1], [0, 1, 2], shift).to_rows()
+        [[2, 0], [1, 2], [0, 1]]
+        >>> IntMat.from_images([0, 1], [0, 1], shift)
+        Traceback (most recent call last):
+        ...
+        AssertionError: the image of 1 leaves the target basis at 2
+        >>> IntMat.from_images([0, 1], [0, 1], shift,
+        ...                    outside=lambda key: key > 1).to_rows()
+        [[2, 0], [1, 2]]
+        """
+        row = {key: i for i, key in enumerate(tgt)}
+        entries = {}
+        for j, s in enumerate(src):
+            for key, c in image(s).items():
+                if not c:
+                    continue
+                i = row.get(key)
+                if i is not None:
+                    entries[i, j] = int(c)
+                elif outside is None or not outside(key):
+                    raise AssertionError(
+                        "the image of %r leaves the target basis at %r"
+                        % (s, key))
+        # every entry is in shape, nonzero and an int by construction, so
+        # the dict is taken as it is rather than copied by __init__
+        mat = cls(len(tgt), len(src))
+        mat.entries = entries
+        return mat
 
     @classmethod
     def from_columns(cls, cols, nrows):

@@ -12,6 +12,14 @@ complex once, up to the top degree asked for, and read every degree
 from it: de Rham dimensions once per stack, Hodge dimensions once per
 exterior power p.  The filtered complexes for the spectral sequences
 come from one coordinate filtration builder.
+
+Every differential is read by IntMat.from_images.  The Cech total
+model, the Koszul model and the Cartan model are truncated, and each
+passes the window it is built on as ``outside``: a term past the window
+drops, and the lo/hi truncation pass is the certificate.  Any other
+term that misses the target basis raises, as does a unit slot that
+survives the coface sum :func:`_coface_terms`, which the total model
+and the G_m bar complex share.
 """
 
 from itertools import combinations, product
@@ -24,7 +32,7 @@ from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
 from .utils import PROPERTY_SEEDS
 
 __all__ = [
-    "UnsupportedStack", "UnstableTruncation", "GmQuotient", "CotangentModel",
+    "UnsupportedStack", "UnstableTruncation", "GmQuotient",
     "BGm", "BGa", "GradedAffine", "TwoChartP1",
     "hodge_cohomology", "derham_cohomology", "cartan_model_dims",
     "verify_cartan_homotopy", "koszul_consistency", "hdr_report",
@@ -87,9 +95,6 @@ class GmQuotient:
             self.weights, ", laurent=%s" % sorted(self.laurent)
             if self.laurent else "")
 
-    def cotangent(self):
-        return CotangentModel(self)
-
 
 def BGm():
     return GmQuotient("bgm")
@@ -105,38 +110,6 @@ def GradedAffine(weights, laurent=(), names=None):
 
 def TwoChartP1(weight=1):
     return GmQuotient("p1", (weight,))
-
-
-class CotangentModel:
-    """Chain-level cotangent complex of a supported stack.
-
-    For [Spec A/G_m] this is the two-term complex Omega^1_A -> A with
-    the Euler contraction as differential; for the classifying stacks
-    it is a one-dimensional g^* placed in degree 1 (so Sym powers are
-    one-dimensional).
-    """
-
-    def __init__(self, stack):
-        self.stack = stack
-        self.kind = "gstar" if stack.kind in ("bgm", "bga") else "two-term"
-        self.weights = stack.weights
-
-    def sym_dim(self, p):
-        if self.kind != "gstar":
-            raise UnsupportedStack("Sym model only for classifying stacks")
-        return 1 if p >= 0 else 0
-
-    def contract(self, exps, idxs):
-        """Euler contraction of the monomial form x^exps dx_idxs.
-
-        Returns [(coeff, exps', idxs')]; on f dg with g a homogeneous
-        coordinate this is f * wt(g) * g.
-        """
-        if self.kind != "two-term":
-            raise UnsupportedStack("no Omega^1 model for a classifying "
-                                   "stack")
-        sec = _Sector(0, self.weights, self.stack.laurent)
-        return _iota(sec, tuple(exps), tuple(idxs))
 
 
 # -- chart sectors (the X direction) ---------------------------------------
@@ -343,6 +316,45 @@ def _slot_tuples(group, bound, s, max_forms, weight=None):
     return out
 
 
+def _coface_terms(group, bound, weights, key):
+    """The alternating coface sum on a total-model key (sid, exps, idxs,
+    slots) over a sector with these weights, as {key: coeff}.
+
+    The unit slots of the first and last faces cancel against the
+    comultiplications; one that survives raises AssertionError.
+    """
+    sid, exps, idxs, slots = key
+    s = len(slots)
+    # j = 0: the action face.  Prepends a slot; on the weight-zero
+    # strand the pullback is id + (dlog t_1 ^ iota_v), slotwise a unit
+    # or a ("w", 0) insertion.
+    terms = [(1, (sid, exps, idxs, (None,) + slots))]
+    if group == "gm":
+        k = len(idxs)
+        for m, i in enumerate(idxs):
+            e2 = list(exps)
+            e2[i] += 1
+            sign = -1 if (k - m - 1) % 2 else 1
+            terms.append((sign * weights[i],
+                          (sid, tuple(e2), idxs[:m] + idxs[m + 1:],
+                           (("w", 0),) + slots)))
+    # j = 1..s: comultiplication of slot j
+    for j in range(1, s + 1):
+        sign = -1 if j % 2 else 1
+        for coeff, left, right in _comult(group, slots[j - 1], bound):
+            terms.append((sign * coeff, (sid, exps, idxs, slots[:j - 1]
+                                         + (left, right) + slots[j:])))
+    # j = s + 1: append a unit slot
+    terms.append((-1 if (s + 1) % 2 else 1,
+                  (sid, exps, idxs, slots + (None,))))
+    acc = {}
+    for coeff, new in terms:
+        acc[new] = acc.get(new, 0) + coeff
+    if any(c and None in k[3] for k, c in acc.items()):
+        raise AssertionError("unit slot survived the coface alternating sum")
+    return {k: c for k, c in acc.items() if c}
+
+
 # -- the Cech-de Rham total complex -----------------------------------------
 
 
@@ -350,10 +362,11 @@ class _TotModel:
     """Weight-zero truncated Cech-de Rham bicomplex of [X/G].
 
     Keys are (sector_id, exps, idxs, slots); the total degree is
-    chart-Cech + #dx + #slots + #dlog-slots.  All differentials are
-    assembled as sparse integer column maps and d o d = 0 is asserted.
-    basis[n] for n <= degree_cap and mats[n] for n < degree_cap do not
-    depend on the cap, so one model serves every degree below it.
+    chart-Cech + #dx + #slots + #dlog-slots.  Each differential is read
+    by IntMat.from_images, dropping only the terms past the exponent,
+    slot or degree window, and d o d = 0 is asserted.  basis[n] for
+    n <= degree_cap and mats[n] for n < degree_cap do not depend on the
+    cap, so one model serves every degree below it.
     """
 
     def __init__(self, stack, degree_cap, g_bound, x_bound, weight=None):
@@ -380,110 +393,58 @@ class _TotModel:
                             self.basis[n].append((sid, exps, idxs, slots))
         for keys in self.basis:
             keys.sort()
-        self.mats = [self._matrix(n) for n in range(degree_cap)]
+        self.mats = [IntMat.from_images(self.basis[n], self.basis[n + 1],
+                                        self._d_terms, self._outside)
+                     for n in range(degree_cap)]
         for n in range(degree_cap - 1):
             if not self.mats[n + 1].matmul(self.mats[n]).is_zero():
                 raise AssertionError("total differential does not square "
                                      "to zero at degree %d" % n)
 
-    # differential pieces; each returns [(coeff, key)]
-
-    def _add(self, acc, coeff, key):
-        if coeff:
-            acc[key] = acc.get(key, 0) + coeff
-
-    def _coface_terms(self, key):
-        sid, exps, idxs, slots = key
-        sec = self.secs[sid]
-        s = len(slots)
-        acc = {}
-        # j = 0: the action face.  Prepends a slot; on the weight-zero
-        # strand the pullback is id + (dlog t_1 ^ iota_v), slotwise a
-        # unit or a ("w", 0) insertion.
-        self._add(acc, 1, (sid, exps, idxs, (None,) + slots))
-        if self.group == "gm":
-            k = len(idxs)
-            for m, i in enumerate(idxs):
-                e2 = list(exps)
-                e2[i] += 1
-                sign = -1 if (k - m - 1) % 2 else 1
-                self._add(acc, sign * sec.weights[i],
-                          (sid, tuple(e2), idxs[:m] + idxs[m + 1:],
-                           (("w", 0),) + slots))
-        # j = 1..s: comultiplication of slot j
-        for j in range(1, s + 1):
-            sign = -1 if j % 2 else 1
-            for coeff, left, right in _comult(self.group, slots[j - 1],
-                                              self.g_bound):
-                new = slots[:j - 1] + (left, right) + slots[j:]
-                self._add(acc, sign * coeff, (sid, exps, idxs, new))
-        # j = s + 1: append a unit slot
-        sign = -1 if (s + 1) % 2 else 1
-        self._add(acc, sign, (sid, exps, idxs, slots + (None,)))
-        return acc
-
     def _level_d_terms(self, key):
+        # each term changes a different part of the key, so none repeats
         sid, exps, idxs, slots = key
         sec = self.secs[sid]
-        acc = {}
+        out = {}
         # chart-Cech part
         res = _restrict_to_overlap(self.stack, sid, exps, idxs)
         if res is not None:
             coeff, e2, i2 = res
-            if all(abs(e) <= self.x_bound for e in e2):
-                self._add(acc, coeff, (2, e2, i2, slots))
+            out[2, e2, i2, slots] = coeff
         # de Rham part, with the chart-Cech sign
         csign = -1 if sec.cech % 2 else 1
         for coeff, e2, i2 in _d_x(sec, exps, idxs):
-            self._add(acc, csign * coeff, (sid, e2, i2, slots))
+            out[sid, e2, i2, slots] = csign * coeff
         fsign = csign * (-1 if len(idxs) % 2 else 1)
         nw_before = 0
         for j, content in enumerate(slots):
             if content[0] == "f":
                 sign = fsign * (-1 if nw_before % 2 else 1)
                 for coeff, new in _slot_d(self.group, content, self.g_bound):
-                    self._add(acc, sign * coeff,
-                              (sid, exps, idxs,
-                               slots[:j] + (new,) + slots[j + 1:]))
+                    out[sid, exps, idxs,
+                        slots[:j] + (new,) + slots[j + 1:]] = sign * coeff
             else:
                 nw_before += 1
-        return acc
+        return out
 
     def _d_terms(self, key):
-        s = len(key[3])
-        acc = self._coface_terms(key)
-        lsign = -1 if s % 2 else 1
+        # the cofaces add a slot and the level differential keeps the
+        # slot count, so the two sums share no key
+        out = _coface_terms(self.group, self.g_bound,
+                            self.secs[key[0]].weights, key)
+        lsign = -1 if len(key[3]) % 2 else 1
         for k2, c in self._level_d_terms(key).items():
-            self._add(acc, lsign * c, k2)
-        return acc
+            out[k2] = lsign * c
+        return out
 
-    def _matrix(self, n):
-        src = self.basis[n]
-        tgt_index = {k: j for j, k in enumerate(self.basis[n + 1])}
-        ent = {}
-        for col, key in enumerate(src):
-            for k2, coeff in self._d_terms(key).items():
-                if coeff == 0:
-                    continue
-                if any(c is None for c in k2[3]):
-                    raise AssertionError(
-                        "unit slot survived the coface alternating sum")
-                if k2 in tgt_index:
-                    ent[(tgt_index[k2], col)] = coeff
-                elif self._in_window(k2):
-                    raise AssertionError("image left the degree window")
-        return IntMat(len(self.basis[n + 1]), len(src), ent)
-
-    def _in_window(self, key):
+    def _outside(self, key):
+        """Is the key past the exponent, slot or degree window?"""
         sid, exps, idxs, slots = key
-        if any(abs(e) > self.x_bound for e in exps):
-            return False
-        for c in slots:
-            if abs(c[1]) > self.g_bound:
-                return False
         nf = sum(1 for c in slots if c[0] == "w")
-        n = self.secs[sid].cech + len(idxs) + len(slots) + nf
-        return n <= self.cap
+        return (any(abs(e) > self.x_bound for e in exps)
+                or any(abs(c[1]) > self.g_bound for c in slots)
+                or self.secs[sid].cech + len(idxs) + len(slots) + nf
+                > self.cap)
 
     def cohomology(self, n_max):
         """[dim H^0, ..., dim H^n_max]; exact for n_max < cap."""
@@ -504,27 +465,11 @@ def _gm_group_cohomology(m_max, bound):
     of Q[t,1/t], truncated to |exponent| <= bound."""
     if m_max < 0:
         return []
-    bases = [_slot_tuples("gm", bound, s, 0) for s in range(m_max + 2)]
-    mats = []
-    for s in range(m_max + 1):
-        tgt = {k: j for j, k in enumerate(bases[s + 1])}
-        ent = {}
-        for col, combo in enumerate(bases[s]):
-            acc = {}
-            # the same coface sum as in the full model, functions only
-            terms = {(None,) + combo: 1,
-                     combo + (None,): -1 if (s + 1) % 2 else 1}
-            for key, c in terms.items():
-                acc[key] = acc.get(key, 0) + c
-            for j in range(1, s + 1):
-                sign = -1 if j % 2 else 1
-                for coeff, left, right in _comult("gm", combo[j - 1], bound):
-                    new = combo[:j - 1] + (left, right) + combo[j:]
-                    acc[new] = acc.get(new, 0) + sign * coeff
-            for key, coeff in acc.items():
-                if coeff and not any(c is None for c in key):
-                    ent[(tgt[key], col)] = coeff
-        mats.append(IntMat(len(bases[s + 1]), len(bases[s]), ent))
+    # the total model's keys with no X part and no form slots
+    bases = [[(0, (), (), slots) for slots in _slot_tuples("gm", bound, s, 0)]
+             for s in range(m_max + 2)]
+    mats = [IntMat.from_images(src, tgt, lambda key: _coface_terms(
+        "gm", bound, (), key)) for src, tgt in zip(bases, bases[1:])]
     return complex_cohomology([len(b) for b in bases[:-1]], mats, QQ_R)
 
 
@@ -560,11 +505,10 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R, trunc=2):
     _require_rational(ring)
     if q_max < 0 or p < 0:
         return [0] * (q_max + 1)
-    ct = stack.cotangent()
     if stack.kind in ("bgm", "bga"):
         group = (_gm_group_cohomology(q_max - p, 2) if stack.kind == "bgm"
                  else _ga_group_cohomology(q_max - p))
-        return ([0] * p + [ct.sym_dim(p) * d for d in group])[:q_max + 1]
+        return ([0] * p + group)[:q_max + 1]
     rows = []
     for bound in (trunc, trunc + 1):
         basis, mats = _koszul_complex(stack, p, bound)
@@ -590,28 +534,27 @@ def _koszul_complex(stack, p, bound):
                 table.setdefault(deg, []).append((j, sid, exps, idxs))
     basis = [sorted(table.get(n, []))
              for n in range(max(table, default=0) + 1)]
-    mats = []
-    for src, dst in zip(basis, basis[1:]):
-        tgt = {k: i for i, k in enumerate(dst)}
-        ent = {}
-        for col, (j, sid, exps, idxs) in enumerate(src):
-            sec = secs[sid]
-            res = _restrict_to_overlap(stack, sid, exps, idxs)
-            if res is not None:
-                coeff, e2, i2 = res
-                if all(abs(e) <= bound for e in e2):
-                    key = (j, 2, e2, i2)
-                    if key in tgt:
-                        ent[(tgt[key], col)] = ent.get(
-                            (tgt[key], col), 0) + coeff
-            csign = -1 if sec.cech % 2 else 1
-            for coeff, e2, i2 in _iota(sec, exps, idxs):
-                key = (j + 1, sid, e2, i2)
-                if key in tgt:
-                    ent[(tgt[key], col)] = ent.get(
-                        (tgt[key], col), 0) + csign * coeff
-        mats.append(IntMat(len(dst), len(src), ent))
+    mats = [IntMat.from_images(
+        src, tgt, lambda key: _restrict_iota_terms(stack, secs, key, 1),
+        lambda key: any(abs(e) > bound for e in key[2]))
+        for src, tgt in zip(basis, basis[1:])]
     return basis, mats
+
+
+def _restrict_iota_terms(stack, secs, key, iota_sign):
+    """Image of a Koszul or Cartan key (j, sid, exps, idxs) under the
+    chart-Cech restriction, which keeps j, plus iota_sign times the
+    Euler contraction, which raises j."""
+    j, sid, exps, idxs = key
+    out = {}
+    res = _restrict_to_overlap(stack, sid, exps, idxs)
+    if res is not None:
+        coeff, e2, i2 = res
+        out[j, 2, e2, i2] = coeff
+    csign = -1 if secs[sid].cech % 2 else 1
+    for coeff, e2, i2 in _iota(secs[sid], exps, idxs):
+        out[j + 1, sid, e2, i2] = iota_sign * csign * coeff
+    return out
 
 
 def koszul_consistency(stack, p, trunc=2):
@@ -695,28 +638,20 @@ def _cartan_complex(stack, n_max, x_bound):
                     basis[n].append((j,) + key)
     for keys in basis:
         keys.sort()
-    mats = []
-    for src, dst in zip(basis, basis[1:]):
-        tgt = {k: i for i, k in enumerate(dst)}
-        ent = {}
 
-        def add(key, col, coeff):
-            if key in tgt:
-                ent[(tgt[key], col)] = ent.get((tgt[key], col), 0) + coeff
+    def image(key):
+        # d - u iota; d_x keeps the u power j and adds a dx, so its keys
+        # are new
+        j, sid, exps, idxs = key
+        out = _restrict_iota_terms(stack, secs, key, -1)
+        csign = -1 if secs[sid].cech % 2 else 1
+        for coeff, e2, i2 in _d_x(secs[sid], exps, idxs):
+            out[j, sid, e2, i2] = csign * coeff
+        return out
 
-        for col, (j, sid, exps, idxs) in enumerate(src):
-            sec = secs[sid]
-            res = _restrict_to_overlap(stack, sid, exps, idxs)
-            if res is not None:
-                coeff, e2, i2 = res
-                if all(abs(e) <= x_bound for e in e2):
-                    add((j, 2, e2, i2), col, coeff)
-            csign = -1 if sec.cech % 2 else 1
-            for coeff, e2, i2 in _d_x(sec, exps, idxs):
-                add((j, sid, e2, i2), col, csign * coeff)
-            for coeff, e2, i2 in _iota(sec, exps, idxs):
-                add((j + 1, sid, e2, i2), col, -csign * coeff)
-        mats.append(IntMat(len(dst), len(src), ent))
+    mats = [IntMat.from_images(src, tgt, image, lambda key: any(
+        abs(e) > x_bound for e in key[2]))
+        for src, tgt in zip(basis, basis[1:])]
     # Hodge filtration: F^r is spanned by u^j (form degree i) with i+j >= r
     return _coordinate_filtered(basis, mats, lambda key: key[0] + len(key[3]))
 
@@ -762,7 +697,6 @@ def _homotopy_identity(stack, sec, sid, k, s, bound):
                 basis.append((exps, idxs, slots))
     if not basis:
         return True, 0
-    index = {b: i for i, b in enumerate(basis)}
 
     def apply_d(vec):
         out = {}

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hodgelab import cli, cobar, crystal, stacks
-from hodgelab.exactlin import AbGroup
+from hodgelab.exactlin import AbGroup, IntMat
 
 
 def run_main(argv, capsys):
@@ -213,11 +213,11 @@ def test_acrys_rejects_a_frobenius_that_is_no_ring_map(monkeypatch):
 def test_acrys_rejects_a_theta_matrix_with_a_dropped_entry(monkeypatch):
     def corrupt(true):
         def theta_matrix(self, w):
-            ent, nrows, ncols = true(self, w)
-            ent = dict(ent)
+            theta = true(self, w)
+            ent = dict(theta.entries)
             if ent:
                 del ent[min(ent)]
-            return ent, nrows, ncols
+            return IntMat(theta.nrows, theta.ncols, ent)
         return theta_matrix
 
     bad = _acrys_failures(monkeypatch, crystal.CrysAlgebra, "theta_matrix",

@@ -52,8 +52,9 @@ def test_theta_kills_exactly_divided_powers():
     for num in range(1, 9):
         w = Fraction(num, 2)
         keys = A.strand_basis(w)
-        entries, _, _ = A.theta_matrix(w)
-        live = {c for (_, c), v in entries.items() if v % 2}
+        theta = A.theta_matrix(w)
+        assert theta.shape == (len(A.s_basis(w)), len(keys))
+        live = {c for (_, c), v in theta.entries.items() if v % 2}
         for j, k in enumerate(keys):
             assert (sum(k[1]) > 0) == (j not in live)
 

@@ -1,4 +1,4 @@
-"""De Rham strands, Cartier, filtration stages, Cech-Alexander."""
+"""De Rham strands, Cartier, Cech-Alexander."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 from hodgelab.derham import (
     CAComplex, DgaForms, Form, TruncationTooSmall, UnsupportedBase,
     cartier_inverse, cartier_multiplicativity, cech_alexander_compare,
-    de_rham_cohomology, filtration, verify_cartier_iso, NotCharP,
+    de_rham_cohomology, verify_cartier_iso, NotCharP,
 )
 from hodgelab import derham
 from hodgelab.exactlin import AbGroup, IntMat
@@ -85,6 +85,27 @@ def test_d_squares_to_zero_random_forms():
         assert form.d().d().is_zero()
 
 
+@pytest.mark.parametrize("ring", [ZZ, FP(2), FP(3)], ids=str)
+def test_strand_matrix_columns_are_d_of_the_basis_forms(ring):
+    # column j of strand_matrix(i, w), read in ring, is Form.d of the
+    # j-th basis form written in the target basis
+    for base in (poly_line(ring), DgaForms(ring, [("x", 1), ("y", 2)]),
+                 DgaForms(ring, [("t", 1, True)])):
+        for i in range(base.nvars):
+            for w in range(-3, 7):
+                src = base.strand_basis(i, w)
+                tgt = base.strand_basis(i + 1, w)
+                cols = base.strand_matrix(i, w).columns()
+                assert len(cols) == len(src)
+                for (exps, idxs), col in zip(src, cols):
+                    img = base.monomial_form(exps, idxs).d()
+                    want = {tgt.index((e, k)): c
+                            for k, f in img.parts.items()
+                            for e, c in f.terms.items()}
+                    got = {r: ring.normalize(c) for r, c in col.items()}
+                    assert {r: c for r, c in got.items() if c} == want
+
+
 def test_leibniz_on_random_pairs():
     rng = random.Random(PROPERTY_SEEDS["derham_forms"] + 1)
     base = DgaForms(FP(7), [("x", 1), ("y", 1)])
@@ -158,28 +179,6 @@ def test_cartier_iso_rejects_a_corrupted_inverse(monkeypatch):
     monkeypatch.setattr(derham, "cartier_inverse", corrupted)
     entries = verify_cartier_iso(3, 1, 6)
     assert [(e["i"], e["w"]) for e in entries if not e["ok"]] == [(0, 0)]
-
-
-def test_hodge_filtration_stage():
-    base = DgaForms(FP(2), [("x", 1), ("y", 1)])
-    st = filtration(base, "hodge", 1, 4)
-    assert st.degree_offset == 1
-    assert st.dims == [len(base.strand_basis(1, 4)),
-                       len(base.strand_basis(2, 4))]
-    full = filtration(base, "hodge", 0, 4)
-    assert full.dims[0] == len(base.strand_basis(0, 4))
-
-
-def test_conjugate_truncation_kernel():
-    p = 3
-    base = poly_line(FP(p))
-    st = filtration(base, "conjugate", 0, 6)
-    # ker d in degree 0, weight 6 = span{x^6}
-    assert st.dims == [1]
-    emb = st.embeddings[0]
-    assert emb.shape == (1, 1) and emb.get(0, 0) % p != 0
-    st2 = filtration(base, "conjugate", 0, 4)
-    assert st2.dims == [0]
 
 
 def test_cech_alexander_window():

@@ -494,3 +494,25 @@ def test_sparse_rank_matches_dense():
             rows = [[x % p for x in row] for row in a.to_rows()]
             assert fp_rank_sparse(a.entries, p) == \
                 field_rank(rows, a.ncols, FP(p))
+
+
+def test_from_images_reads_rows_in_tgt_order_and_columns_in_src_order():
+    image = {"a": {"x": 2}, "b": {"y": -1, "x": 3}, "c": {}}
+    m = IntMat.from_images(["a", "b", "c"], ["y", "x"], image.get)
+    assert m.to_rows() == [[0, -1, 0], [2, 3, 0]]
+
+
+def test_from_images_refuses_a_term_off_the_target_basis():
+    image = {"a": {"x": 1, "z": 5}}.get
+    with pytest.raises(AssertionError, match="'z'"):
+        IntMat.from_images(["a"], ["x"], image)
+    # a term past a declared truncation window drops, and only there
+    kept = IntMat.from_images(["a"], ["x"], image,
+                              outside=lambda key: key == "z")
+    assert kept.to_rows() == [[1]]
+    with pytest.raises(AssertionError, match="'z'"):
+        IntMat.from_images(["a"], ["x"], image,
+                           outside=lambda key: key == "q")
+    # a zero coefficient on a stray key is no term at all
+    zero = {"a": {"x": 1, "z": 0}}.get
+    assert IntMat.from_images(["a"], ["x"], zero).to_rows() == [[1]]

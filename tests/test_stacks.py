@@ -242,21 +242,32 @@ def test_hdr_report_is_deterministic():
 
 def test_cotangent_two_term_contraction():
     """a^*(f dg) = f wt(g) g on homogeneous coordinates."""
-    ct = GradedAffine((3, 5)).cotangent()
-    assert ct.contract((1, 0), (1,)) == [(5, (1, 1), ())]
-    assert ct.contract((2, 0), (0,)) == [(3, (3, 0), ())]
-    out = ct.contract((0, 0), (0, 1))
+    sec = stacks._Sector(0, (3, 5), frozenset())
+    assert stacks._iota(sec, (1, 0), (1,)) == [(5, (1, 1), ())]
+    assert stacks._iota(sec, (2, 0), (0,)) == [(3, (3, 0), ())]
+    out = stacks._iota(sec, (0, 0), (0, 1))
     assert out == [(3, (1, 0), (1,)), (-5, (0, 1), (0,))]
 
 
-def test_cotangent_gstar_model():
-    ct = BGm().cotangent()
-    assert ct.kind == "gstar"
-    assert ct.sym_dim(0) == ct.sym_dim(3) == 1
-    with pytest.raises(UnsupportedStack):
-        ct.contract((0,), (0,))
-    with pytest.raises(UnsupportedStack):
-        GradedAffine((1,)).cotangent().sym_dim(1)
+def test_koszul_and_cartan_refuse_a_term_off_the_weight_zero_strand(
+        monkeypatch):
+    # negative control: a term that drops dx_i without raising x_i has
+    # weight -wt(x_i) but exponents inside the bound, so it misses the
+    # target basis inside the window and must raise, not vanish
+    true_iota = stacks._iota
+
+    def leaky(sec, exps, idxs):
+        out = true_iota(sec, exps, idxs)
+        if idxs:
+            out.append((1, exps, idxs[1:]))
+        return out
+
+    monkeypatch.setattr(stacks, "_iota", leaky)
+    for stack in (TwoChartP1(1), GradedAffine((1,), laurent=(0,))):
+        with pytest.raises(AssertionError, match="leaves the target basis"):
+            stacks._koszul_complex(stack, 1, 2)
+        with pytest.raises(AssertionError, match="leaves the target basis"):
+            _cartan_complex(stack, 2, 3)
 
 
 def test_unsupported_shapes_are_refused():
