@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import isqrt
 
 from . import __version__, cobar, crystal, derham, stacks
-from .exactlin import AbGroup, _is_prime
-from .gralg import FP
+from .exactlin import AbGroup
+from .gralg import FP, _is_prime
 from .specseq import pages
 from .utils import PROPERTY_SEEDS
 
@@ -51,9 +51,8 @@ _SCHEMAS = {
     "selftest": {"fast": False},
 }
 
-# p must stay below this because `_is_prime` is trial division by the odd
-# numbers up to isqrt(p), about 23,000 of them here; the mod-p
-# eliminators themselves are exact for any prime
+# the CLI's range for p; `_is_prime` and the mod-p eliminators are
+# exact far past it
 _P_LIMIT = 1 << 31
 
 _STR_PARAMS = {"model", "stack", "expect"}
@@ -140,12 +139,10 @@ def _parse_stack(spec):
                       "affine:w1,w2,...)" % (spec,))
 
 
-def _crystal_models(p, depth, wmax, model):
+def _crystal_model(p, depth, wmax, model):
     relators = [("var", 0)] if model == "point" else [("diff", 0, 1)]
     nvars = 1 if model == "point" else 2
-    s = crystal.SemiperfectModel(p, nvars, relators, depth, wmax)
-    lift = crystal.LiftModel(p, nvars, relators, depth, wmax)
-    return s, lift
+    return crystal.SemiperfectModel(p, nvars, relators, depth, wmax)
 
 
 # -- runners; each returns a list of entry dicts carrying "ok" --------------
@@ -253,7 +250,7 @@ def _run_cech_alexander(ps):
 
 def _run_acrys(ps):
     p, depth, wmax = ps["p"], ps["depth"], ps["wmax"]
-    s, _ = _crystal_models(p, depth, wmax, ps["model"])
+    s = _crystal_model(p, depth, wmax, ps["model"])
     a = crystal.acrys_mod(s, p * p)
     den = p ** (depth - 1)
     entries = []
@@ -309,14 +306,14 @@ def _run_acrys(ps):
 def _run_kappa(ps):
     p = ps["p"]
     rmax = ps["rmax"] if ps["rmax"] is not None else p - 1
-    s, _ = _crystal_models(p, ps["depth"], ps["wmax"], ps["model"])
+    s = _crystal_model(p, ps["depth"], ps["wmax"], ps["model"])
     return list(crystal.verify_kappa_iso(s, rmax))
 
 
 def _run_di_split(ps):
     p = ps["p"]
-    s, lift = _crystal_models(p, ps["depth"], ps["wmax"], ps["model"])
-    _, entries = crystal.di_splitting(s, lift, r_max=ps["rmax"])
+    s = _crystal_model(p, ps["depth"], ps["wmax"], ps["model"])
+    _, entries = crystal.di_splitting(s, r_max=ps["rmax"])
     return list(entries)
 
 

@@ -19,13 +19,13 @@ from math import comb, factorial
 
 from .derham import (CAComplex, DgaForms, TruncationTooSmall,
                      de_rham_cohomology)
-from .exactlin import (IntMat, _is_prime, complex_cohomology, fp_rank,
-                       fp_rref, kernel_basis)
+from .exactlin import (IntMat, complex_cohomology, fp_rank, fp_rref,
+                       kernel_basis)
 from .gralg import FP, PDContext, TruncationOverflow, ZP2
 
 __all__ = [
     "NotALift", "TruncationOverflow", "TruncationTooSmall",
-    "SemiperfectModel", "LiftModel", "CrysAlgebra", "acrys_mod",
+    "SemiperfectModel", "CrysAlgebra", "acrys_mod",
     "hodge_fil", "conj_fil", "gr_conj_basis", "nygaard", "kappa",
     "kappa_scalar", "verify_kappa_iso", "di_splitting", "unfold_derham",
 ]
@@ -45,8 +45,6 @@ class SemiperfectModel:
     """
 
     def __init__(self, p, nvars, relators, depth, w_max, names=None):
-        if not _is_prime(p):
-            raise ValueError("characteristic must be prime")
         if depth < 1:
             raise ValueError("semiperfect models need depth >= 1")
         if w_max < p:
@@ -57,24 +55,9 @@ class SemiperfectModel:
         self.depth = depth
         self.w_max = w_max
         self.names = names
-        # constructing the PD context validates the relator shapes
+        # constructing the PD context validates p and the relator shapes
         self._probe = PDContext(FP(p), nvars, self.relators, depth=depth,
                                 max_weight=w_max, names=names)
-
-    def tautological_lift(self):
-        return LiftModel(self.p, self.nvars, self.relators, self.depth,
-                         self.w_max)
-
-
-class LiftModel:
-    """The tautological flat lift (Z/p^2)[x^(1/p^m)]/(relators)."""
-
-    def __init__(self, p, nvars, relators, depth, w_max):
-        self.p = p
-        self.nvars = nvars
-        self.relators = [tuple(r) for r in relators]
-        self.depth = depth
-        self.w_max = w_max
 
 
 class CrysAlgebra:
@@ -363,8 +346,9 @@ def verify_kappa_iso(S, r_max):
 # -- the lift-induced splitting --------------------------------------------------
 
 
-def di_splitting(S, lift, r_max=None):
-    """Splitting of the conjugate filtration from a flat lift.
+def di_splitting(S, r_max=None):
+    """Splitting of the conjugate filtration from the tautological flat
+    lift of S, read in the Z/p^2 model acrys_mod(S, p^2).
 
     Builds f on Gamma^(<=r_max)(I/I^2) (default r_max = p-1): the S
     factor goes through phi, a divided generator through the divided
@@ -380,11 +364,6 @@ def di_splitting(S, lift, r_max=None):
         r_max = p - 1
     if r_max > p - 1:
         raise TruncationOverflow("the splitting extends only to grade p-1")
-    if not isinstance(lift, LiftModel) or lift.p != S.p \
-            or lift.nvars != S.nvars \
-            or [tuple(r) for r in lift.relators] != S.relators \
-            or lift.depth != S.depth:
-        raise NotALift("lift does not reduce to S")
     A2 = acrys_mod(S, p * p)
     A1 = acrys_mod(S, p)
     m = len(S.relators)

@@ -2,19 +2,23 @@
 weight strand: cohomology over Z / Q / F_p, the Cartier isomorphism and
 the Cech-Alexander comparison for F_p[x].
 
-Forms are sparse sums of (polynomial coefficient) * dx_{i_1} ^ ... ^
-dx_{i_k}; dx inherits the weight of x, so every complex here splits into
-finite weight strands.
+A form is a sparse sum of basis forms x^exps dx_{i_1} ^ ... ^ dx_{i_k},
+each keyed (exps, idxs) as in :meth:`DgaForms.strand_basis`; dx inherits
+the weight of x, so every complex here splits into finite weight
+strands.  d is defined once, on a basis key: the strand matrices read it
+column by column and :meth:`Form.d` sums it over a form's terms.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from math import factorial
 
 from .exactlin import (
     IntMat, complex_cohomology, fp_kernel, fp_rank, strand_cohomology,
 )
-from .gralg import FP, ZZ, PDContext, PolyContext, ZP2
+from .gralg import (FP, ZZ, PDContext, RingMismatch, TruncationOverflow,
+                    ZP2)
 
 __all__ = [
     "UnsupportedBase", "NotCharP", "TruncationTooSmall", "DgaForms", "Form",
@@ -40,15 +44,19 @@ class DgaForms:
     """Differential forms over a graded polynomial/Laurent base.
 
     vars: sequence of (name, weight) or (name, weight, invertible).
+    Exponents are ints; only an invertible variable takes negative ones.
     Strand enumeration requires the non-invertible weights to share a
     sign and at most one invertible variable (enough for every base the
     engine meets; anything else raises UnsupportedBase).
     """
 
     def __init__(self, ring, vars):
-        self.ctx = PolyContext(ring, vars)
         self.ring = ring
-        self.nvars = self.ctx.nvars()
+        self.names = tuple(spec[0] for spec in vars)
+        self.weights = tuple(spec[1] for spec in vars)
+        self.invertible = tuple(len(spec) > 2 and bool(spec[2])
+                                for spec in vars)
+        self.nvars = len(self.names)
 
     # -- elements -----------------------------------------------------------
 
@@ -56,29 +64,41 @@ class DgaForms:
         return Form(self, {})
 
     def monomial_form(self, exps, idxs, coeff=1):
-        return Form(self, {tuple(idxs): self.ctx.monomial(exps, coeff)})
+        """coeff * x^exps dx_idxs, idxs increasing.
+
+        Keys enter from outside here, so this is where their exponents
+        are checked.
+        """
+        exps = tuple(exps)
+        for name, inv, e in zip(self.names, self.invertible, exps):
+            if not isinstance(e, int):
+                raise TruncationOverflow("exponent %s is not an integer"
+                                         % (e,))
+            if e < 0 and not inv:
+                raise ValueError("negative exponent on non-invertible %s"
+                                 % name)
+        return Form(self, {(exps, tuple(idxs)): coeff})
 
     def dx(self, i):
-        return Form(self, {(i,): self.ctx.one()})
+        return self.monomial_form((0,) * self.nvars, (i,))
 
     # -- strand bases ---------------------------------------------------------
 
     def _check_enumerable(self):
-        if any(w == 0 for w in self.ctx.weights):
+        if any(w == 0 for w in self.weights):
             raise UnsupportedBase("weight-0 variables are not strand-finite")
-        if any(self.ctx.invertible) and self.nvars > 1:
+        if any(self.invertible) and self.nvars > 1:
             raise UnsupportedBase("inverted variables mix infinitely with"
                                   " bounded ones")
-        pos = [w for w, inv in zip(self.ctx.weights, self.ctx.invertible)
-               if not inv]
+        pos = [w for w, inv in zip(self.weights, self.invertible) if not inv]
         if pos and not (all(w > 0 for w in pos) or all(w < 0 for w in pos)):
             raise UnsupportedBase("mixed-sign bounded variables")
 
     def monomials(self, w):
         """Exponent tuples of weight exactly w, sorted."""
         self._check_enumerable()
-        weights = self.ctx.weights
-        if any(self.ctx.invertible):
+        weights = self.weights
+        if any(self.invertible):
             q = weights[0]
             return [(w // q,)] if w % q == 0 else []
         # sign normalization so the bounded exponent search decreases
@@ -102,29 +122,32 @@ class DgaForms:
 
     def strand_basis(self, i, w):
         """Basis of Omega^i in weight w: (exps, idxs) pairs, sorted."""
-        from itertools import combinations
         out = []
         for idxs in combinations(range(self.nvars), i):
-            dw = sum(self.ctx.weights[j] for j in idxs)
+            dw = sum(self.weights[j] for j in idxs)
             for exps in self.monomials(w - dw):
                 out.append((exps, idxs))
         return sorted(out, key=lambda t: (t[1], t[0]))
 
     def strand_matrix(self, i, w):
         """d: Omega^i_w -> Omega^{i+1}_w as an integer matrix."""
-
-        def d(basis_form):
-            # each variable v lands on its own dx_v, so no key repeats
-            exps, idxs = basis_form
-            out = {}
-            for v, e in enumerate(exps):
-                if e and v not in idxs:
-                    nidxs, sign = _insert_index(idxs, v)
-                    out[exps[:v] + (e - 1,) + exps[v + 1:], nidxs] = sign * e
-            return out
-
         return IntMat.from_images(self.strand_basis(i, w),
-                                  self.strand_basis(i + 1, w), d)
+                                  self.strand_basis(i + 1, w), _d_key)
+
+
+def _d_key(key):
+    """d of the basis form x^exps dx_idxs, as {key: int}.
+
+    d(x^e dx_I) = sum_v e_v x^(e - 1_v) dx_v ^ dx_I; each variable v
+    lands on its own dx_v, so no key repeats.
+    """
+    exps, idxs = key
+    out = {}
+    for v, e in enumerate(exps):
+        if e and v not in idxs:
+            nidxs, sign = _insert_index(idxs, v)
+            out[exps[:v] + (e - 1,) + exps[v + 1:], nidxs] = sign * e
+    return out
 
 
 def _insert_index(idxs, v):
@@ -137,69 +160,78 @@ def _insert_index(idxs, v):
 
 
 class Form:
-    """A differential form: map from index tuples to coefficient polys."""
+    """A differential form {(exps, idxs): coeff} over the strand keys of
+    its DgaForms, coefficients normalized in dga.ring, zeros dropped.
 
-    __slots__ = ("dga", "parts")
+    Build forms with :meth:`DgaForms.monomial_form`, which checks the
+    exponents; the operations here only combine keys that passed it.
+    """
 
-    def __init__(self, dga, parts):
+    __slots__ = ("dga", "terms")
+
+    def __init__(self, dga, terms):
         self.dga = dga
-        self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
+        normalize = dga.ring.normalize
+        self.terms = {}
+        for key, c in terms.items():
+            c = normalize(c)
+            if c:
+                self.terms[key] = c
+
+    def _require(self, other):
+        if self.dga is not other.dga:
+            raise RingMismatch("forms over different bases")
 
     def __add__(self, other):
-        out = dict(self.parts)
-        for k, v in other.parts.items():
-            out[k] = out[k] + v if k in out else v
-        return Form(self.dga, out)
+        self._require(other)
+        return _form_sum(self.dga, chain(self.terms.items(),
+                                         other.terms.items()))
 
     def __neg__(self):
-        return Form(self.dga, {k: -v for k, v in self.parts.items()})
+        return Form(self.dga, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def wedge(self, other):
-        out = {}
-        for i1, f1 in self.parts.items():
-            for i2, f2 in other.parts.items():
+        """Exponents add; _merge_indices gives the sign."""
+        self._require(other)
+        out = []
+        for (e1, i1), c1 in self.terms.items():
+            for (e2, i2), c2 in other.terms.items():
                 idxs, sign = _merge_indices(i1, i2)
-                if idxs is None:
-                    continue
-                term = (f1 * f2) * sign
-                out[idxs] = out[idxs] + term if idxs in out else term
-        return Form(self.dga, out)
+                if idxs is not None:
+                    exps = tuple(a + b for a, b in zip(e1, e2))
+                    out.append(((exps, idxs), sign * c1 * c2))
+        return _form_sum(self.dga, out)
 
     def d(self):
-        ctx = self.dga.ctx
-        out = {}
-        for idxs, f in self.parts.items():
-            for exps, c in f.terms.items():
-                for v in range(self.dga.nvars):
-                    e = exps[v]
-                    if e == 0 or v in idxs:
-                        continue
-                    nexps = list(exps)
-                    nexps[v] = e - 1
-                    nidxs, sign = _insert_index(idxs, v)
-                    coeff = ctx.ring.mul(c, ctx.ring.normalize(sign * e))
-                    term = ctx.monomial(tuple(nexps), coeff)
-                    out[nidxs] = out[nidxs] + term if nidxs in out else term
-        return Form(self.dga, out)
+        return _form_sum(self.dga, ((k, c * e)
+                                    for key, c in self.terms.items()
+                                    for k, e in _d_key(key).items()))
 
     def is_zero(self):
-        return not self.parts
+        return not self.terms
 
     def __eq__(self, other):
-        return self.dga is other.dga and self.parts == other.parts
+        return (isinstance(other, Form) and self.dga is other.dga
+                and self.terms == other.terms)
 
     def __repr__(self):
-        if not self.parts:
-            return "0"
-        names = self.dga.ctx.names
-        bits = []
-        for idxs in sorted(self.parts):
-            tail = "".join("*d%s" % names[j] for j in idxs)
-            bits.append("(%r)%s" % (self.parts[idxs], tail))
-        return " + ".join(bits)
+        names = self.dga.names
+        bits = ["*".join([str(c)]
+                         + ["%s^%s" % (n, e) for n, e in zip(names, exps) if e]
+                         + ["d%s" % names[j] for j in idxs])
+                for (exps, idxs), c in sorted(self.terms.items())]
+        return " + ".join(bits) or "0"
+
+
+def _form_sum(dga, terms):
+    """The form summing (key, coeff) pairs in which a key may repeat."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return Form(dga, out)
 
 
 def _merge_indices(i1, i2):
@@ -242,7 +274,8 @@ def de_rham_cohomology(dga, n, w):
 
 
 def cartier_inverse(form, p):
-    """C^{-1}: f dx_I over the twist -> f^p prod_I x^{p-1} dx_I.
+    """C^{-1} on keys: x^e dx_I -> x^(pe) prod_{i in I} x_i^(p-1) dx_I,
+    the coefficient kept (c^p = c in F_p).
 
     Multiplicative and Frobenius-semilinear; the result is a cocycle of
     the pushed-forward complex.
@@ -250,15 +283,10 @@ def cartier_inverse(form, p):
     dga = form.dga
     if dga.ring.char != p:
         raise NotCharP("Cartier needs characteristic %d" % p)
-    out = {}
-    for idxs, f in form.parts.items():
-        g = f.frobenius()
-        for j in idxs:
-            exps = [0] * dga.nvars
-            exps[j] = p - 1
-            g = g * dga.ctx.monomial(tuple(exps), 1)
-        out[idxs] = out[idxs] + g if idxs in out else g
-    return Form(dga, out)
+    # e -> p e + (p - 1) chi_I is injective, so no two images collide
+    return Form(dga, {(tuple(p * e + (p - 1) * (v in idxs)
+                             for v, e in enumerate(exps)), idxs): c
+                      for (exps, idxs), c in form.terms.items()})
 
 
 def verify_cartier_iso(p, d, w_max):
@@ -272,10 +300,8 @@ def verify_cartier_iso(p, d, w_max):
     """
     base = DgaForms(FP(p), [("x%d" % (k + 1), 1) for k in range(d)])
 
-    def cartier_image(basis_form):
-        form = cartier_inverse(base.monomial_form(*basis_form), p)
-        return {(exps, idxs): c for idxs, f in form.parts.items()
-                for exps, c in f.terms.items()}
+    def cartier_image(key):
+        return cartier_inverse(base.monomial_form(*key), p).terms
 
     entries = []
     for i in range(0, d + 1):

@@ -40,9 +40,9 @@ The central consumer-facing pieces are
 from __future__ import annotations
 
 import heapq
-from math import gcd, isqrt
+from math import gcd
 
-from .gralg import QQ_R, ZZ
+from .gralg import QQ_R, ZZ, _is_prime
 
 
 class ExactLinError(Exception):
@@ -94,26 +94,9 @@ class AbGroup:
         self.rank = int(rank)
         self.torsion = _divisor_chain(torsion)
 
-    def is_elementary(self, p=None):
-        """True if all torsion is killed by one multiplication by a prime.
-
-        With p given, insist every divisor equals that prime.
-        """
-        if p is not None:
-            return all(d == p for d in self.torsion)
-        return all(_is_prime(d) for d in self.torsion)
-
     def torsion_count(self, p):
         """Number of cyclic summands with order divisible by p."""
         return sum(1 for d in self.torsion if d % p == 0)
-
-    def dim_fp(self, p):
-        """dim_Fp (self tensor F_p)."""
-        return self.rank + self.torsion_count(p)
-
-    def tor_fp(self, p):
-        """dim_Fp Tor_1(self, F_p)."""
-        return self.torsion_count(p)
 
     def __eq__(self, other):
         return (isinstance(other, AbGroup) and self.rank == other.rank
@@ -133,13 +116,6 @@ class AbGroup:
             parts.append("Z^%d" % self.rank)
         parts.extend("Z/%d" % d for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _is_prime(n):
-    """Trial division by 2 and the odd numbers up to isqrt(n)."""
-    if n < 2 or n % 2 == 0:
-        return n == 2
-    return all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 class IntMat:

@@ -1,15 +1,16 @@
 """Graded commutative algebra substrate.
 
-Provides the exact coefficient rings (Z, Q, F_p, Z/p^2), sparse
-multivariate (Laurent) polynomials with integer exponents, and
-divided-power (PD) polynomial algebras in normal form.
+Provides the exact coefficient rings (Z, Q, F_p, Z/p^2) and
+divided-power (PD) polynomial algebras in normal form.  Forms over
+plain polynomial and Laurent bases live in :mod:`hodgelab.derham`.
 
 The rings are the engine's one coefficient type: the field eliminations
 of :mod:`hodgelab.exactlin` and :mod:`hodgelab.specseq` run on QQ_R and
 FP(p) too, and ``is_field()`` tells Q and F_p from Z and Z/p^2.  A ring
 takes ints and Fractions and maps them exactly (1/2 is 2 in F_3 and 5 in
 Z/9); a denominator divisible by p, a non-integral Fraction over Z and
-a float are refused, never truncated.
+a float are refused, never truncated.  FP(p) and ZP2(p) refuse a p
+that is not prime.
 
 Weight conventions: every generator carries a weight; the weight of a
 monomial is the exponent-weighted sum.  A PD model adjoins p^depth-th
@@ -28,8 +29,8 @@ from math import comb, factorial
 
 __all__ = [
     "RingMismatch", "WrongCharacteristic", "WeightOverflow",
-    "TruncationOverflow", "ZZ", "QQ_R", "FP", "ZP2", "PolyContext",
-    "MultiPoly", "PDContext", "PDElement",
+    "TruncationOverflow", "ZZ", "QQ_R", "FP", "ZP2", "PDContext",
+    "PDElement",
 ]
 
 
@@ -140,203 +141,58 @@ _fp_cache = {}
 _zp2_cache = {}
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below _MR_LIMIT
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Exact primality by deterministic Miller-Rabin; ValueError from
+    _MR_LIMIT on, where its bases no longer certify a prime."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True  # a composite below 43^2 has a prime factor <= 41
+    if n >= _MR_LIMIT:
+        raise ValueError("primality past %d is not certified" % _MR_LIMIT)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _prime(p):
+    if not (isinstance(p, int) and _is_prime(p)):
+        raise ValueError("p = %r is not a prime" % (p,))
+    return p
+
+
 def FP(p):
-    """The field F_p."""
+    """The field F_p; ValueError unless p is prime."""
     if p not in _fp_cache:
-        _fp_cache[p] = _Ring("F%d" % p, p, modulus=p, p=p)
+        _fp_cache[p] = _Ring("F%d" % p, p, modulus=p, p=_prime(p))
     return _fp_cache[p]
 
 
 def ZP2(p):
-    """The ring Z/p^2."""
+    """The ring Z/p^2; ValueError unless p is prime."""
     if p not in _zp2_cache:
-        _zp2_cache[p] = _Ring("Z/%d^2" % p, 0, modulus=p * p, p=p)
+        _zp2_cache[p] = _Ring("Z/%d^2" % p, 0, modulus=p * p, p=_prime(p))
     return _zp2_cache[p]
-
-
-class PolyContext:
-    """Shared description of a polynomial/Laurent algebra.
-
-    vars is a sequence of (name, weight) or (name, weight, invertible).
-    Exponents are ints; only an invertible variable takes negative ones.
-    """
-
-    __slots__ = ("ring", "names", "weights", "invertible")
-
-    def __init__(self, ring, vars):
-        self.ring = ring
-        names, weights, inv = [], [], []
-        for spec in vars:
-            if len(spec) == 2:
-                nm, w = spec
-                iv = False
-            else:
-                nm, w, iv = spec
-            names.append(nm)
-            weights.append(w)
-            inv.append(bool(iv))
-        self.names = tuple(names)
-        self.weights = tuple(weights)
-        self.invertible = tuple(inv)
-
-    def nvars(self):
-        return len(self.names)
-
-    def index(self, name):
-        return self.names.index(name)
-
-    def check_exponent(self, i, e):
-        if not isinstance(e, int):
-            raise TruncationOverflow("exponent %s is not an integer" % (e,))
-        if e < 0 and not self.invertible[i]:
-            raise ValueError("negative exponent on non-invertible %s"
-                             % self.names[i])
-
-    def compatible(self, other):
-        return (self.ring is other.ring and self.names == other.names
-                and self.weights == other.weights)
-
-    def zero(self):
-        return MultiPoly(self, {})
-
-    def one(self):
-        return MultiPoly(self, {(0,) * self.nvars(): self.ring.normalize(1)})
-
-    def const(self, c):
-        c = self.ring.normalize(c)
-        if self.ring.is_zero(c):
-            return self.zero()
-        return MultiPoly(self, {(0,) * self.nvars(): c})
-
-    def var(self, name, exp=1):
-        exps = [0] * self.nvars()
-        exps[self.index(name)] = exp
-        return self.monomial(exps, 1)
-
-    def monomial(self, exps, coeff=1):
-        return MultiPoly(self, {tuple(exps): self.ring.normalize(coeff)})
-
-
-class MultiPoly:
-    """Sparse multivariate polynomial over a PolyContext.
-
-    terms maps exponent tuples to nonzero normalised coefficients.
-
-    >>> ctx = PolyContext(ZZ, [("x", 2), ("y", 2)])
-    >>> f = ctx.var("x") + ctx.var("y")
-    >>> (f * f).terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    True
-    """
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = {}
-        ring = ctx.ring
-        for exps, c in terms.items():
-            c = ring.normalize(c)
-            if ring.is_zero(c):
-                continue
-            for i, e in enumerate(exps):
-                ctx.check_exponent(i, e)
-            self.terms[exps] = c
-
-    def _binop_ctx(self, other):
-        if isinstance(other, MultiPoly):
-            if not self.ctx.compatible(other.ctx):
-                raise RingMismatch("incompatible polynomial contexts")
-            return other
-        return self.ctx.const(other)
-
-    def __add__(self, other):
-        other = self._binop_ctx(other)
-        out = dict(self.terms)
-        ring = self.ctx.ring
-        for k, v in other.terms.items():
-            nv = ring.add(out.get(k, 0), v)
-            if ring.is_zero(nv):
-                out.pop(k, None)
-            else:
-                out[k] = nv
-        return MultiPoly(self.ctx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        ring = self.ctx.ring
-        return MultiPoly(self.ctx, {k: ring.neg(v)
-                                    for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._binop_ctx(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self.ctx.const(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            ring = self.ctx.ring
-            c = ring.normalize(other)
-            return MultiPoly(self.ctx, {k: ring.mul(v, c)
-                                        for k, v in self.terms.items()})
-        other = self._binop_ctx(other)
-        ring = self.ctx.ring
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(e1, e2))
-                nv = ring.add(out.get(k, 0), ring.mul(c1, c2))
-                if ring.is_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-        return MultiPoly(self.ctx, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("use monomial inversion explicitly")
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.ctx.compatible(other.ctx) and self.terms == other.terms
-        return self.terms == self.ctx.const(other).terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
-    def frobenius(self):
-        """Relative Frobenius: x -> x^p on generators, coefficients fixed."""
-        p = self.ctx.ring.p or self.ctx.ring.char
-        if not p:
-            raise WrongCharacteristic("frobenius needs p-typed coefficients")
-        return MultiPoly(self.ctx,
-                         {tuple(e * p for e in exps): c
-                          for exps, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps, c in sorted(self.terms.items()):
-            mono = "*".join("%s^%s" % (n, e)
-                            for n, e in zip(self.ctx.names, exps) if e != 0)
-            bits.append("%s%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_kappa_isomorphism():
 def test_lift_splitting():
     for p, wmax in ((2, 8), (3, 18)):
         s = SemiperfectModel(p, 1, [("var", 0)], depth=3, w_max=wmax)
-        f, entries = di_splitting(s, s.tautological_lift())
+        f, entries = di_splitting(s)
         assert entries and all(e["ok"] for e in entries), p
         assert sum(1 for e in entries if e["r"] == "phi-intertwine") == 1
         # on the degree-one generator the section hits (p-1)! s^[p],

@@ -8,7 +8,7 @@ import pytest
 
 from hodgelab import cli, crystal
 from hodgelab.crystal import (
-    CrysAlgebra, NotALift, SemiperfectModel, TruncationOverflow,
+    CrysAlgebra, SemiperfectModel, TruncationOverflow,
     TruncationTooSmall, acrys_mod, conj_fil, di_splitting, gr_conj_basis,
     hodge_fil, kappa, kappa_scalar, nygaard, unfold_derham, verify_kappa_iso,
 )
@@ -178,7 +178,7 @@ def test_kappa_iso_glued_model():
 def test_kappa_iso_rejects_a_non_unit_kappa_scalar(monkeypatch):
     # negative control: kappa_r with a scalar divisible by p is not
     # invertible mod p, so some strand of grade r >= 1 must fail
-    S = cli._crystal_models(2, 2, 8, "point")[0]
+    S = cli._crystal_model(2, 2, 8, "point")
     assert all(e["ok"] for e in verify_kappa_iso(S, 1))
     true_scalar = crystal.kappa_scalar
     monkeypatch.setattr(crystal, "kappa_scalar", lambda p, k:
@@ -263,7 +263,7 @@ def _from_vector(A, w, vec):
 def test_lift_splitting_point_models():
     for p, w_max in ((2, 8), (3, 18)):
         S = point_model(p, w_max=w_max)
-        f, entries = di_splitting(S, S.tautological_lift())
+        f, entries = di_splitting(S)
         assert all(e["ok"] for e in entries)
         # the section hits (p-1)! s^[p] on the degree-one generator
         img = f({((Fraction(0),), (1,)): 1})
@@ -273,7 +273,7 @@ def test_lift_splitting_point_models():
 
 def test_lift_splitting_glued_model():
     S = glued_model()
-    f, entries = di_splitting(S, S.tautological_lift())
+    f, entries = di_splitting(S)
     assert all(e["ok"] for e in entries)
     z = Fraction(0)
     img = f({((z, z), (1,)): 1})
@@ -286,7 +286,7 @@ def test_lift_splitting_glued_model():
 
 def test_lift_splitting_reports_phi_intertwine():
     S = point_model(2)
-    _, entries = di_splitting(S, S.tautological_lift())
+    _, entries = di_splitting(S)
     tags = [e for e in entries if e["r"] == "phi-intertwine"]
     assert len(tags) == 1 and tags[0]["ok"]
 
@@ -298,21 +298,14 @@ def test_lift_splitting_rejects_kappa_scaled_by_p(monkeypatch):
     true_kappa = crystal.kappa
     monkeypatch.setattr(crystal, "kappa", lambda A, r, elt:
                         true_kappa(A, r, elt).scale(A.p))
-    _, entries = di_splitting(S, S.tautological_lift())
+    _, entries = di_splitting(S)
     assert any(not e["ok"] for e in entries)
     assert all(e["ok"] for e in entries if e["r"] == "phi-intertwine")
 
 
-def test_lift_splitting_rejects_foreign_lifts():
-    S = point_model(2)
-    with pytest.raises(NotALift):
-        di_splitting(S, point_model(3).tautological_lift())
-    with pytest.raises(NotALift):
-        di_splitting(S, glued_model().tautological_lift())
-    with pytest.raises(NotALift):
-        di_splitting(S, object())
+def test_lift_splitting_rejects_grades_past_p_minus_one():
     with pytest.raises(TruncationOverflow):
-        di_splitting(S, S.tautological_lift(), r_max=2)
+        di_splitting(point_model(2), r_max=2)
 
 
 def test_unfold_matches_de_rham_p2():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hodgelab.derham import (
-    CAComplex, DgaForms, Form, TruncationTooSmall, UnsupportedBase,
+    CAComplex, DgaForms, TruncationTooSmall, UnsupportedBase,
     cartier_inverse, cartier_multiplicativity, cech_alexander_compare,
     de_rham_cohomology, verify_cartier_iso, NotCharP,
 )
@@ -74,14 +74,12 @@ def test_d_squares_to_zero_random_forms():
     rng = random.Random(PROPERTY_SEEDS["derham_forms"])
     base = DgaForms(FP(5), [("x", 1), ("y", 2), ("z", 1)])
     for _ in range(40):
-        parts = {}
+        form = base.zero()
         for _ in range(rng.randint(1, 4)):
             i = rng.randint(0, 2)
             idxs = tuple(sorted(rng.sample(range(3), i)))
             exps = tuple(rng.randint(0, 3) for _ in range(3))
-            f = base.ctx.monomial(exps, rng.randint(1, 4))
-            parts[idxs] = parts.get(idxs, base.ctx.zero()) + f
-        form = Form(base, parts)
+            form = form + base.monomial_form(exps, idxs, rng.randint(1, 4))
         assert form.d().d().is_zero()
 
 
@@ -99,9 +97,8 @@ def test_strand_matrix_columns_are_d_of_the_basis_forms(ring):
                 assert len(cols) == len(src)
                 for (exps, idxs), col in zip(src, cols):
                     img = base.monomial_form(exps, idxs).d()
-                    want = {tgt.index((e, k)): c
-                            for k, f in img.parts.items()
-                            for e, c in f.terms.items()}
+                    want = {tgt.index(key): c
+                            for key, c in img.terms.items()}
                     got = {r: ring.normalize(c) for r, c in col.items()}
                     assert {r: c for r, c in got.items() if c} == want
 
@@ -179,6 +176,23 @@ def test_cartier_iso_rejects_a_corrupted_inverse(monkeypatch):
     monkeypatch.setattr(derham, "cartier_inverse", corrupted)
     entries = verify_cartier_iso(3, 1, 6)
     assert [(e["i"], e["w"]) for e in entries if not e["ok"]] == [(0, 0)]
+
+
+def test_cartier_multiplicativity_rejects_a_non_multiplicative_inverse(
+        monkeypatch):
+    # negative control: C^{-1} followed by x_1 ^ (-) is additive but not
+    # multiplicative, since C^{-1}(a ^ b) picks up one x_1 and
+    # C^{-1}(a) ^ C^{-1}(b) two; its images leave their weight, so
+    # verify_cartier_iso would raise on it
+    true_inverse = derham.cartier_inverse
+
+    def shifted(form, p):
+        x1 = form.dga.monomial_form((1,) + (0,) * (form.dga.nvars - 1), ())
+        return true_inverse(form, p).wedge(x1)
+
+    monkeypatch.setattr(derham, "cartier_inverse", shifted)
+    assert cartier_multiplicativity(
+        3, 2, 12, pairs=100, seed=PROPERTY_SEEDS["cartier_pairs"]) > 0
 
 
 def test_cech_alexander_window():

@@ -1,4 +1,4 @@
-"""Algebra substrate tests: rings, sparse polynomials, PD normal forms."""
+"""Algebra substrate tests: rings, polynomial forms, PD normal forms."""
 
 import gc
 
@@ -12,62 +12,49 @@ from hypothesis import given, settings, strategies as st
 from hodgelab import cobar, stacks
 from hodgelab.derham import DgaForms
 from hodgelab.gralg import (
-    FP, ZP2, ZZ, QQ_R, MultiPoly, PDContext, PolyContext,
-    RingMismatch, TruncationOverflow, WeightOverflow,
+    FP, ZP2, ZZ, QQ_R, PDContext, RingMismatch, TruncationOverflow,
+    WeightOverflow,
 )
 
 
-def _rand_poly(ctx, data, max_terms=4, max_exp=3):
-    terms = {}
-    n = ctx.nvars()
+def _rand_form(forms, data, max_terms=4, max_exp=3):
+    out = forms.zero()
     for _ in range(data.draw(st.integers(0, max_terms))):
-        exps = tuple(data.draw(st.integers(0, max_exp)) for _ in range(n))
-        terms[exps] = data.draw(st.integers(-9, 9))
-    return MultiPoly(ctx, terms)
+        exps = tuple(data.draw(st.integers(0, max_exp))
+                     for _ in range(forms.nvars))
+        idxs = data.draw(st.sets(st.integers(0, forms.nvars - 1)))
+        out = out + forms.monomial_form(exps, sorted(idxs),
+                                        data.draw(st.integers(-9, 9)))
+    return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_poly_ring_axioms(data):
+    # forms over a polynomial base: + is an abelian group law, and wedge
+    # is associative, unital and distributes over +
     ring = data.draw(st.sampled_from([ZZ, FP(5), ZP2(3)]))
-    ctx = PolyContext(ring, [("x", 1), ("y", 2)])
-    a, b, c = (_rand_poly(ctx, data) for _ in range(3))
+    forms = DgaForms(ring, [("x", 1), ("y", 2)])
+    a, b, c = (_rand_form(forms, data) for _ in range(3))
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + ctx.zero() == a
-    assert a * ctx.one() == a
+    assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+    assert a.wedge(b + c) == a.wedge(b) + a.wedge(c)
+    assert a + forms.zero() == a
+    assert a.wedge(forms.monomial_form((0, 0), ())) == a
     assert (a - a).is_zero()
 
 
-def test_poly_weights_and_parts():
-    # the grading is ctx.weights: sums and products keep terms in weights
-    ctx = PolyContext(ZZ, [("x", 2), ("y", 4)])
-
-    def parts(f):
-        out = {}
-        for exps, c in f.terms.items():
-            w = sum(e * wt for e, wt in zip(exps, ctx.weights))
-            out.setdefault(w, {})[exps] = c
-        return out
-
-    f = ctx.var("x") ** 2 + 3 * ctx.var("y")
-    assert set(parts(f)) == {4}
-    g = f + ctx.var("x")
-    assert set(parts(g)) == {2, 4}
-    assert parts(g)[4] == f.terms
-    assert set(parts(f * g)) == {6, 8}
-
-
 def test_poly_fractional_exponents_and_depth():
-    # polynomial exponents are ints; roots of generators live in the PD
-    # models, whose exponents count units of 1/p^depth
-    plain = PolyContext(ZZ, [("x", 1)])
+    # form exponents are ints, negative only on an invertible variable;
+    # roots of generators live in the PD models, whose exponents count
+    # units of 1/p^depth
+    plain = DgaForms(ZZ, [("x", 1)])
     for e in (Fraction(1, 2), Fraction(3, 4)):
         with pytest.raises(TruncationOverflow):
-            plain.var("x", e)
+            plain.monomial_form((e,), ())
+    with pytest.raises(ValueError):
+        plain.monomial_form((-1,), (0,))
     ctx = PDContext(FP(2), 1, [], depth=2)
     assert ctx.var(0, Fraction(3, 4)).terms == {((3,), ()): 1}
     with pytest.raises(TruncationOverflow):
@@ -77,34 +64,34 @@ def test_poly_fractional_exponents_and_depth():
 
 
 def test_poly_laurent_and_substitution():
-    ctx = PolyContext(QQ_R, [("s", 1, True)])
-    s = ctx.var("s")
-    inv = ctx.var("s", -1)
-    assert s * inv == ctx.one()
-
-
-def test_poly_frobenius_semilinearity():
-    ctx = PolyContext(FP(3), [("x", 1), ("y", 1)])
-    x, y = ctx.var("x"), ctx.var("y")
-    f = x + 2 * y
-    # in characteristic p the Frobenius twist agrees with cubing here
-    assert f.frobenius() == f ** 3
-    g = 2 * x * y
-    assert g.frobenius().coeff((3, 3)) == 2  # coefficients untouched
+    forms = DgaForms(QQ_R, [("s", 1, True)])
+    s, inv = forms.monomial_form((1,), ()), forms.monomial_form((-1,), ())
+    assert s.wedge(inv) == forms.monomial_form((0,), ())
 
 
 def test_ring_mismatch_guard():
-    a = PolyContext(ZZ, [("x", 1)]).var("x")
-    b = PolyContext(FP(3), [("x", 1)]).var("x")
-    with pytest.raises(RingMismatch):
-        a + b
+    a = DgaForms(ZZ, [("x", 1)]).dx(0)
+    b = DgaForms(FP(3), [("x", 1)]).dx(0)
+    for op in (a.__add__, a.__sub__, a.wedge):
+        with pytest.raises(RingMismatch):
+            op(b)
+
+
+def test_fp_and_zp2_refuse_a_non_prime():
+    # Z/4 is no field: FP(4) once reported cohomology dimensions over it
+    for make in (FP, ZP2):
+        for p in (0, 1, 4, 6):
+            with pytest.raises(ValueError):
+                make(p)
+        for p in (2, 2147483647):
+            assert make(p).p == p
 
 
 def test_normalize_maps_fractions_exactly_and_refuses_floats():
     assert FP(3).normalize(Fraction(1, 2)) == 2
     assert ZP2(3).normalize(Fraction(1, 2)) == 5
-    assert PolyContext(FP(3), [("x", 1)]).const(Fraction(1, 2)).terms == {
-        (0,): 2}
+    assert DgaForms(FP(3), [("x", 1)]).monomial_form(
+        (0,), (), Fraction(1, 2)).terms == {((0,), ()): 2}
     assert QQ_R.normalize(Fraction(1, 2)) == Fraction(1, 2)
     assert ZZ.normalize(Fraction(4, 2)) == 2
     with pytest.raises(ValueError):
