@@ -44,7 +44,7 @@ class SemiperfectModel:
     weight up to w_max.
     """
 
-    def __init__(self, p, nvars, relators, depth, w_max, names=None):
+    def __init__(self, p, nvars, relators, depth, w_max):
         if depth < 1:
             raise ValueError("semiperfect models need depth >= 1")
         if w_max < p:
@@ -54,10 +54,9 @@ class SemiperfectModel:
         self.relators = [tuple(r) for r in relators]
         self.depth = depth
         self.w_max = w_max
-        self.names = names
         # constructing the PD context validates p and the relator shapes
         self._probe = PDContext(FP(p), nvars, self.relators, depth=depth,
-                                max_weight=w_max, names=names)
+                                max_weight=w_max)
 
 
 class CrysAlgebra:
@@ -80,7 +79,7 @@ class CrysAlgebra:
             raise ValueError("modulus must be p or p^2")
         self.modulus = modulus
         self.ctx = PDContext(ring, S.nvars, S.relators, depth=S.depth,
-                             max_weight=S.w_max, names=S.names)
+                             max_weight=S.w_max)
         self._phi_gen_cache = {}
         self._basis_cache = {}
 
@@ -369,8 +368,10 @@ def di_splitting(S, r_max=None):
     m = len(S.relators)
 
     # theta_2 surjects onto the lift: the divided-power-free keys map
-    # identically, so a strand spot-check suffices
-    for w in (1, 2):
+    # identically, so a strand spot-check suffices.  w = 1/p is in every
+    # model (depth >= 1) and has keys of S there; on the point model the
+    # strands w = 1, 2 of S are empty
+    for w in (Fraction(1, p), 1, 2):
         theta = A2.theta_matrix(w)
         if {i for (i, _c) in theta.entries} != set(range(theta.nrows)):
             raise NotALift("theta_2 misses part of the lift")

@@ -191,7 +191,8 @@ def FP(p):
 def ZP2(p):
     """The ring Z/p^2; ValueError unless p is prime."""
     if p not in _zp2_cache:
-        _zp2_cache[p] = _Ring("Z/%d^2" % p, 0, modulus=p * p, p=_prime(p))
+        _zp2_cache[p] = _Ring("Z/%d^2" % p, p * p, modulus=p * p,
+                              p=_prime(p))
     return _zp2_cache[p]
 
 
@@ -221,11 +222,10 @@ class PDContext:
     relator.
     """
 
-    __slots__ = ("ring", "p", "q", "nvars", "names", "relators", "depth",
+    __slots__ = ("ring", "p", "q", "nvars", "relators", "depth",
                  "max_weight")
 
-    def __init__(self, ring, nvars, relators, depth=0, max_weight=None,
-                 names=None):
+    def __init__(self, ring, nvars, relators, depth=0, max_weight=None):
         if ring.p is None:
             raise WrongCharacteristic("PD model needs F_p or Z/p^2")
         if not isinstance(depth, int) or depth < 0:
@@ -234,7 +234,6 @@ class PDContext:
         self.ring = ring
         self.p = ring.p
         self.nvars = nvars
-        self.names = tuple(names or ("x%d" % (i + 1) for i in range(nvars)))
         lead = []
         for rel in relators:
             if rel[0] == "var":
@@ -501,10 +500,10 @@ class PDElement:
         bits = []
         for (exps, pd), c in sorted(self.terms.items()):
             parts = []
-            for n, e in zip(ctx.names, exps):
+            for i, e in enumerate(exps):
                 if e != 0:
-                    parts.append("%s^%d" % (n, e) if ctx.q == 1
-                                 else "%s^(%d/%d)" % (n, e, ctx.q))
+                    parts.append("x%d^%d" % (i + 1, e) if ctx.q == 1
+                                 else "x%d^(%d/%d)" % (i + 1, e, ctx.q))
             for j, k in enumerate(pd):
                 if k:
                     parts.append("s%d^[%d]" % (j + 1, k))

@@ -2,30 +2,31 @@
 
 Supported shapes: the classifying stacks BG_m and BG_a, quotients
 [Spec A / G_m] for graded polynomial or Laurent algebras A, and the
-two-chart P^1 with a scaling action.  Hodge cohomology comes from a
-Koszul model of the exterior powers of the cotangent complex (group
-cohomology via cobar for the classifying stacks); de Rham cohomology
-from a truncated Cech totalization over the action nerve X x G^s,
-reduced to the weight-zero strand, with a small Cartan model as an
-independent second route.  Both sides of the comparison build each
-complex once, up to the top degree asked for, and read every degree
-from it: de Rham dimensions once per stack, Hodge dimensions once per
-exterior power p.  The filtered complexes for the spectral sequences
-come from one coordinate filtration builder.
+two-chart P^1 with a scaling action.  Hodge cohomology of every
+G_m-quotient, BG_m = [pt/G_m] included, comes from the weight-zero
+Koszul model of the exterior powers of the cotangent complex; for B G_a
+it is the rational group cohomology read off cobar.group_table.  De
+Rham cohomology comes from a truncated Cech totalization over the
+action nerve X x G^s, reduced to the weight-zero strand, with a small
+Cartan model as an independent second route.  Both sides of the
+comparison build each complex once, up to the top degree asked for,
+and read every degree from it: de Rham dimensions once per stack,
+Hodge dimensions once per exterior power p.  The filtered complexes
+for the spectral sequences come from one coordinate filtration builder.
 
 Every differential is read by IntMat.from_images.  The Cech total
 model, the Koszul model and the Cartan model are truncated, and each
 passes the window it is built on as ``outside``: a term past the window
 drops, and the lo/hi truncation pass is the certificate.  Any other
 term that misses the target basis raises, as does a unit slot that
-survives the coface sum :func:`_coface_terms`, which the total model
-and the G_m bar complex share.
+survives the total model's coface sum :func:`_coface_terms`.
 """
 
 from itertools import combinations, product
 from math import comb
 
 from . import cobar
+from .derham import _d_key
 from .exactlin import IntMat, complex_cohomology
 from .gralg import QQ_R
 from .specseq import FilteredComplex, cohomology_dims, degenerates_at, pages
@@ -67,7 +68,7 @@ class GmQuotient:
     for the coordinate ring) or "p1" (with the chart weight).
     """
 
-    def __init__(self, kind, weights=(), laurent=(), names=None):
+    def __init__(self, kind, weights=(), laurent=()):
         self.kind = kind
         self.weights = tuple(int(w) for w in weights)
         self.laurent = frozenset(laurent)
@@ -82,7 +83,6 @@ class GmQuotient:
                 raise UnsupportedStack("P^1 takes one nonzero chart weight")
         elif kind not in ("bgm", "bga"):
             raise UnsupportedStack("unknown stack kind %r" % (kind,))
-        self.names = names
 
     def __repr__(self):
         if self.kind == "bgm":
@@ -104,8 +104,8 @@ def BGa():
     return GmQuotient("bga")
 
 
-def GradedAffine(weights, laurent=(), names=None):
-    return GmQuotient("affine", weights, laurent, names)
+def GradedAffine(weights, laurent=()):
+    return GmQuotient("affine", weights, laurent)
 
 
 def TwoChartP1(weight=1):
@@ -118,12 +118,10 @@ def TwoChartP1(weight=1):
 class _Sector:
     """One affine piece of X at a fixed chart-Cech degree."""
 
-    def __init__(self, cech, weights, laurent, sub_sign=0):
+    def __init__(self, cech, weights, laurent):
         self.cech = cech
         self.weights = weights
         self.laurent = laurent
-        # for P^1 chart 1 the overlap substitution is x -> x^(-1)
-        self.sub_sign = sub_sign
 
 
 def _sectors(stack):
@@ -134,7 +132,7 @@ def _sectors(stack):
     w = stack.weights[0]
     return [
         _Sector(0, (w,), frozenset()),            # chart 0, coordinate x
-        _Sector(0, (-w,), frozenset(), sub_sign=-1),  # chart 1, y = 1/x
+        _Sector(0, (-w,), frozenset()),           # chart 1, y = 1/x
         _Sector(1, (w,), frozenset([0])),         # overlap, Laurent in x
     ]
 
@@ -157,8 +155,8 @@ def _sector_monomials(sec, weight, bound, nforms):
     return out
 
 
-def _x_basis(stack, bound, weight=0):
-    """Weight strand of the chart-Cech de Rham model of X, by degree.
+def _x_basis(stack, bound):
+    """Weight-zero strand of the chart-Cech de Rham model of X, by degree.
 
     Returns {degree: [(sector_id, exps, idxs), ...]}.
     """
@@ -166,7 +164,7 @@ def _x_basis(stack, bound, weight=0):
     table = {}
     for sid, sec in enumerate(secs):
         for nf in range(len(sec.weights) + 1):
-            for exps, idxs in _sector_monomials(sec, weight, bound, nf):
+            for exps, idxs in _sector_monomials(sec, 0, bound, nf):
                 deg = sec.cech + nf
                 table.setdefault(deg, []).append((sid, exps, idxs))
     for deg in table:
@@ -188,21 +186,6 @@ def _restrict_to_overlap(stack, sid, exps, idxs):
         coeff = -coeff
         e -= 2
     return coeff, (e,), idxs
-
-
-def _d_x(sec, exps, idxs):
-    """De Rham differential inside one sector."""
-    out = []
-    for i in range(len(sec.weights)):
-        if i in idxs or exps[i] == 0:
-            continue
-        pos = sum(1 for j in idxs if j < i)
-        sign = -1 if pos % 2 else 1
-        e2 = list(exps)
-        e2[i] -= 1
-        new = tuple(sorted(idxs + (i,)))
-        out.append((sign * exps[i], tuple(e2), new))
-    return out
 
 
 def _iota(sec, exps, idxs):
@@ -376,7 +359,6 @@ class _TotModel:
         self.cap = degree_cap
         self.g_bound = g_bound
         self.x_bound = x_bound
-        self.weight = weight
         self.basis = [[] for _ in range(degree_cap + 1)]
         x_table = _x_basis(stack, x_bound)
         for s in range(degree_cap + 1):
@@ -413,7 +395,7 @@ class _TotModel:
             out[2, e2, i2, slots] = coeff
         # de Rham part, with the chart-Cech sign
         csign = -1 if sec.cech % 2 else 1
-        for coeff, e2, i2 in _d_x(sec, exps, idxs):
+        for (e2, i2), coeff in _d_key((exps, idxs)).items():
             out[sid, e2, i2, slots] = csign * coeff
         fsign = csign * (-1 if len(idxs) % 2 else 1)
         nw_before = 0
@@ -457,58 +439,37 @@ def _require_rational(ring):
         raise UnsupportedStack("only the rational theory is modeled")
 
 
-# -- group cohomology of the two groups -------------------------------------
-
-
-def _gm_group_cohomology(m_max, bound):
-    """[dim H^0, ..., dim H^m_max](G_m, Q) from one reduced bar complex
-    of Q[t,1/t], truncated to |exponent| <= bound."""
-    if m_max < 0:
-        return []
-    # the total model's keys with no X part and no form slots
-    bases = [[(0, (), (), slots) for slots in _slot_tuples("gm", bound, s, 0)]
-             for s in range(m_max + 2)]
-    mats = [IntMat.from_images(src, tgt, lambda key: _coface_terms(
-        "gm", bound, (), key)) for src, tgt in zip(bases, bases[1:])]
-    return complex_cohomology([len(b) for b in bases[:-1]], mats, QQ_R)
-
-
-def _ga_group_cohomology(m_max, w_cap=10):
-    """[dim H^0, ..., dim H^m_max](G_a, Q), each summed over the cobar
-    weight window; one strand complex per weight."""
-    dims = [0] * (m_max + 1)
-    for w in range(w_cap + 1):
-        strand = complex_cohomology(
-            [len(cobar.strand_basis(n, w)) for n in range(m_max + 1)],
-            [cobar.strand_matrix(n, w) for n in range(m_max + 1)], QQ_R)
-        dims = [a + b for a, b in zip(dims, strand)]
-    return dims
-
-
 # -- the public operations ---------------------------------------------------
+
+
+_BGA_WEIGHT_CAP = 10
 
 
 def hodge_cohomology(stack, p, q_max, ring=QQ_R, trunc=2):
     """[dim H^0, ..., dim H^q_max](X, Lambda^p of the cotangent complex)
     over Q ([] for q_max < 0, zeros for p < 0).
 
-    For the classifying stacks H^q is H^(q-p)(G, Sym^p g*) with the
-    one-dimensional Sym twist; for quotients it is H^q of the
-    weight-zero Koszul model, built once per truncation and checked
-    stable under it in every degree asked for.
+    For every G_m-quotient, BG_m = [pt/G_m] included, H^q is H^q of the
+    weight-zero Koszul model, exact since G_m is linearly reductive,
+    built once per truncation and checked stable under it in every
+    degree asked for.  For B G_a, H^q is H^(q-p)(G_a, Sym^p g*) with
+    the one-dimensional Sym twist: the ranks of cobar.group_table,
+    summed over the weights w <= _BGA_WEIGHT_CAP.
 
     >>> hodge_cohomology(TwoChartP1(1), 1, 3)
     [0, 2, 0, 0]
+    >>> hodge_cohomology(BGm(), 1, 2)
+    [0, 1, 0]
     >>> hodge_cohomology(BGa(), 1, 3)
     [0, 1, 1, 0]
     """
     _require_rational(ring)
     if q_max < 0 or p < 0:
         return [0] * (q_max + 1)
-    if stack.kind in ("bgm", "bga"):
-        group = (_gm_group_cohomology(q_max - p, 2) if stack.kind == "bgm"
-                 else _ga_group_cohomology(q_max - p))
-        return ([0] * p + group)[:q_max + 1]
+    if stack.kind == "bga":
+        table = cobar.group_table(q_max - p, _BGA_WEIGHT_CAP)
+        return [sum(g.rank for (m, _w), g in table.items() if p + m == q)
+                for q in range(q_max + 1)]
     rows = []
     for bound in (trunc, trunc + 1):
         basis, mats = _koszul_complex(stack, p, bound)
@@ -645,7 +606,7 @@ def _cartan_complex(stack, n_max, x_bound):
         j, sid, exps, idxs = key
         out = _restrict_iota_terms(stack, secs, key, -1)
         csign = -1 if secs[sid].cech % 2 else 1
-        for coeff, e2, i2 in _d_x(secs[sid], exps, idxs):
+        for (e2, i2), coeff in _d_key((exps, idxs)).items():
             out[j, sid, e2, i2] = csign * coeff
         return out
 
@@ -701,10 +662,9 @@ def _homotopy_identity(stack, sec, sid, k, s, bound):
     def apply_d(vec):
         out = {}
         for (exps, idxs, slots), c in vec.items():
-            for coeff, e2, i2 in _d_x(sec, exps, idxs):
-                if all(abs(e) <= bound + 1 for e in e2):
-                    key = (e2, i2, slots)
-                    out[key] = out.get(key, 0) + c * coeff
+            for (e2, i2), coeff in _d_key((exps, idxs)).items():
+                key = (e2, i2, slots)
+                out[key] = out.get(key, 0) + c * coeff
             fsign = -1 if len(idxs) % 2 else 1
             nw = 0
             for j, content in enumerate(slots):
@@ -800,8 +760,7 @@ def hdr_report(stack, n_max):
         for strand in strands[1:n_max + 2]:
             located += _located_d1(_bga_strand_filtered(strand))
         entry["located_d1"] = located
-        entry["specseq"] = degenerates_at(_bga_strand_filtered(
-            _TotModel(BGa(), max(3, n_max), 1, 0, weight=1)), 1)
+        entry["specseq"] = degenerates_at(_bga_strand_filtered(strands[1]), 1)
     else:
         fc = _cartan_complex(stack, n_max, 3)
         entry["specseq"] = degenerates_at(fc, 1)

@@ -154,14 +154,42 @@ def test_bockstein_rejects_a_zero_bockstein(monkeypatch):
             [relation]
 
 
-@pytest.mark.parametrize("stack, group, extra", [
-    ("BGm", "_gm_group_cohomology", 1), ("BGa", "_ga_group_cohomology", 2)])
+def _koszul_with_an_extra_class(monkeypatch):
+    # BG_m's Koszul model for Lambda^p is one key in degree p; a closed
+    # key in degree p + 1 adds a class to H^(p+1)
+    real = stacks._koszul_complex
+
+    def corrupted(stack, p, bound):
+        basis, mats = real(stack, p, bound)
+        assert len(basis) == p + 1
+        extra = [("extra",)]
+        return basis + [extra], mats + [
+            IntMat.from_images(basis[p], extra, lambda key: {})]
+
+    monkeypatch.setattr(stacks, "_koszul_complex", corrupted)
+
+
+def _group_table_with_an_extra_class(monkeypatch):
+    # one free class more in H^2(G_a, Z) at weight 4
+    real = cobar.group_table
+
+    def corrupted(n_max, w_max):
+        table = real(n_max, w_max)
+        if (2, 4) in table:
+            g = table[2, 4]
+            table[2, 4] = AbGroup(g.rank + 1, g.torsion)
+        return table
+
+    monkeypatch.setattr(cobar, "group_table", corrupted)
+
+
+@pytest.mark.parametrize("stack, corrupt, extra", [
+    ("BGm", _koszul_with_an_extra_class, 1),
+    ("BGa", _group_table_with_an_extra_class, 2)])
 def test_hodge_rejects_a_group_row_with_an_extra_class(
-        monkeypatch, stack, group, extra):
+        monkeypatch, stack, corrupt, extra):
     # one class too many in H^extra(G): exactly the rows (p, p + extra)
-    real = getattr(stacks, group)
-    monkeypatch.setattr(stacks, group, lambda m_max, *args: [
-        d + (i == extra) for i, d in enumerate(real(m_max, *args))])
+    corrupt(monkeypatch)
     report, code = cli.run(cli.RunConfig("hodge", {"stack": stack,
                                                    "nmax": 3}))
     assert code == 2

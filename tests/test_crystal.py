@@ -8,7 +8,7 @@ import pytest
 
 from hodgelab import cli, crystal
 from hodgelab.crystal import (
-    CrysAlgebra, SemiperfectModel, TruncationOverflow,
+    CrysAlgebra, NotALift, SemiperfectModel, TruncationOverflow,
     TruncationTooSmall, acrys_mod, conj_fil, di_splitting, gr_conj_basis,
     hodge_fil, kappa, kappa_scalar, nygaard, unfold_derham, verify_kappa_iso,
 )
@@ -301,6 +301,23 @@ def test_lift_splitting_rejects_kappa_scaled_by_p(monkeypatch):
     _, entries = di_splitting(S)
     assert any(not e["ok"] for e in entries)
     assert all(e["ok"] for e in entries if e["r"] == "phi-intertwine")
+
+
+def test_lift_splitting_rejects_a_theta_missing_part_of_the_lift(
+        monkeypatch):
+    # negative control: with row 0 dropped theta_2 misses a key of S,
+    # which every model has at w = 1/p
+    true_theta = CrysAlgebra.theta_matrix
+
+    def theta_matrix(self, w):
+        mat = true_theta(self, w)
+        return IntMat(mat.nrows, mat.ncols, {
+            (i, j): c for (i, j), c in mat.entries.items() if i})
+
+    monkeypatch.setattr(CrysAlgebra, "theta_matrix", theta_matrix)
+    for S in (point_model(2), point_model(3, w_max=9), glued_model()):
+        with pytest.raises(NotALift):
+            di_splitting(S)
 
 
 def test_lift_splitting_rejects_grades_past_p_minus_one():

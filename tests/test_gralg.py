@@ -87,6 +87,12 @@ def test_fp_and_zp2_refuse_a_non_prime():
             assert make(p).p == p
 
 
+def test_ring_characteristics():
+    # Z/p^2 has characteristic p^2, so Cartier refuses it as not char p
+    assert FP(3).char == 3
+    assert ZP2(3).char == 9
+
+
 def test_normalize_maps_fractions_exactly_and_refuses_floats():
     assert FP(3).normalize(Fraction(1, 2)) == 2
     assert ZP2(3).normalize(Fraction(1, 2)) == 5

@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from hodgelab import stacks
-from hodgelab.gralg import FP
+from hodgelab.exactlin import IntMat, complex_cohomology
+from hodgelab.gralg import FP, QQ_R
 from hodgelab.specseq import pages
 from hodgelab.stacks import (
     BGa,
@@ -18,6 +19,7 @@ from hodgelab.stacks import (
     UnsupportedStack,
     _TotModel,
     _cartan_complex,
+    _coface_terms,
     _slot_contents,
     _slot_tuples,
     _slot_weight,
@@ -40,6 +42,29 @@ def test_bgm_hodge_sits_on_the_diagonal():
     tab = hodge_table(BGm(), 3)
     for (p, q), d in tab.items():
         assert d == (1 if p == q else 0), (p, q, d)
+
+
+def _gm_bar_row(m_max, bound):
+    """[dim H^0, ..., dim H^m_max](G_m, Q) from the reduced bar complex
+    of Q[t, 1/t] truncated to |exponent| <= bound: the total model's keys
+    with no X part and no form slots."""
+    bases = [[(0, (), (), slots) for slots in _slot_tuples("gm", bound, s, 0)]
+             for s in range(m_max + 2)]
+    mats = [IntMat.from_images(src, tgt, lambda key: _coface_terms(
+        "gm", bound, (), key)) for src, tgt in zip(bases, bases[1:])]
+    return complex_cohomology([len(b) for b in bases[:-1]], mats, QQ_R)
+
+
+def test_bgm_hodge_matches_the_bar_complex_oracle():
+    """The Koszul route for BG_m against H^(q-p)(G_m, Q) of the bar
+    complex, read at two exponent windows."""
+    for bound in (2, 3):
+        bar = _gm_bar_row(4, bound)
+        assert bar == [1, 0, 0, 0, 0], bound
+        for p in range(4):
+            for q_max in range(5):
+                assert hodge_cohomology(BGm(), p, q_max) == \
+                    ([0] * p + bar)[:q_max + 1], (bound, p, q_max)
 
 
 def test_bga_hodge_fills_two_diagonals():
