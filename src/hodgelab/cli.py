@@ -662,7 +662,7 @@ def main(argv=None):
         else:
             sys.stdout.write(text)
         return code
-    except ConfigError as e:
+    except (ConfigError, stacks.UnsupportedStack) as e:
         sys.stderr.write("hodgelab: error: %s\n" % e)
         return 1
     except stacks.UnstableTruncation as e:

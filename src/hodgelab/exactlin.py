@@ -5,8 +5,9 @@ Smith normal forms, computed modulo twice a nonsingular minor's
 determinant so that no entry outgrows it; rational work uses
 Fractions.  One sparse elimination engine, exact over Z or mod any
 modulus in Python ints, gives the rank mod p (:func:`fp_rank_sparse`),
-the saturated integer kernel (:func:`kernel_basis`), the Smith unit pass
-and the diagonal mod N; :func:`fp_rref`, the leftmost-pivot reduced
+the saturated integer kernel (:func:`kernel_basis`), the Smith unit
+pass, the fraction-free minor determinant, the l-adic levels and the
+diagonal mod N; :func:`fp_rref`, the leftmost-pivot reduced
 echelon form, gives pivot columns, kernels and solutions mod p.  No
 floating point is ever produced.
 
@@ -140,6 +141,14 @@ class IntMat:
                     self.entries[(i, j)] = v
 
     @classmethod
+    def _built(cls, nrows, ncols, entries):
+        # a matrix on an entries dict that is in shape, nonzero and int by
+        # construction, taken as it is rather than copied by __init__
+        mat = cls(nrows, ncols)
+        mat.entries = entries
+        return mat
+
+    @classmethod
     def from_rows(cls, rows):
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
@@ -148,13 +157,13 @@ class IntMat:
             if len(row) != nc:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                if v:
+                if int(v):
                     ent[(i, j)] = int(v)
-        return cls(nr, nc, ent)
+        return cls._built(nr, nc, ent)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._built(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -194,20 +203,18 @@ class IntMat:
                     raise AssertionError(
                         "the image of %r leaves the target basis at %r"
                         % (s, key))
-        # every entry is in shape, nonzero and an int by construction, so
-        # the dict is taken as it is rather than copied by __init__
-        mat = cls(len(tgt), len(src))
-        mat.entries = entries
-        return mat
+        return cls._built(len(tgt), len(src), entries)
 
     @classmethod
     def from_columns(cls, cols, nrows):
         ent = {}
         for j, col in enumerate(cols):
             for i, v in col.items() if isinstance(col, dict) else enumerate(col):
-                if v:
+                if int(v):
+                    if not 0 <= i < nrows:
+                        raise IndexError("entry out of shape")
                     ent[(i, j)] = int(v)
-        return cls(nrows, len(cols), ent)
+        return cls._built(nrows, len(cols), ent)
 
     @property
     def shape(self):
@@ -232,8 +239,8 @@ class IntMat:
         return rows
 
     def transpose(self):
-        return IntMat(self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
+        return IntMat._built(self.ncols, self.nrows,
+                             {(j, i): v for (i, j), v in self.entries.items()})
 
     def diagonal(self):
         return [self.get(t, t) for t in range(min(self.nrows, self.ncols))
@@ -257,7 +264,7 @@ class IntMat:
             for i, v in acc.items():
                 if v:
                     ent[(i, j)] = v
-        return IntMat(self.nrows, other.ncols, ent)
+        return IntMat._built(self.nrows, other.ncols, ent)
 
     def __eq__(self, other):
         return (isinstance(other, IntMat) and self.shape == other.shape
@@ -275,7 +282,8 @@ class _SchurWork:
     # The one sparse elimination engine: rows {i: {j: v}} with a column
     # index and a lazy heap of row lengths.  Entries are exact over Z, or
     # residues mod `modulus` when one is given.  Rank mod p, the integer
-    # kernel, the Smith unit pass and the diagonal mod N all drive it.
+    # kernel, the Smith unit pass, the minor determinant, the l-adic
+    # levels and the diagonal mod N all drive it.
 
     def __init__(self, entries, modulus=None):
         self.mod = modulus
@@ -308,10 +316,11 @@ class _SchurWork:
             heapq.heappush(self.heap, (len(new), i))
 
     def _combine(self, a, x, b, y):
-        # the row a*x + b*y mod the modulus
+        # the row a*x + b*y, mod the modulus when there is one
         out = {}
         for j in x.keys() | y.keys():
-            v = (a * x.get(j, 0) + b * y.get(j, 0)) % self.mod
+            v = a * x.get(j, 0) + b * y.get(j, 0)
+            v = v % self.mod if self.mod else v
             if v:
                 out[j] = v
         return out
@@ -360,6 +369,39 @@ class _SchurWork:
                 self.cols[j].discard(i)
                 heapq.heappush(self.heap, (len(row), i))
 
+    def pivot_out_exact(self, i0, j0):
+        # fraction-free Schur step over Z on the pivot (i0, j0): every other
+        # row i with b = row_i[j0] becomes (s*row_i - q*row_i0)/c, with
+        # s/q = a/b in lowest terms for a = row_i0[j0] and c the content
+        # of the result.  Row i0 is dropped, and {i: (s, c)} returned
+        prow = self.rows[i0]
+        a = prow[j0]
+        self._set_row(i0, {})
+        scaled = {}
+        for i in list(self.cols[j0]):
+            row = self.rows[i]
+            b = row[j0]
+            g = gcd(a, b)
+            s, q = a // g, b // g
+            new = self._combine(s, row, -q, prow)
+            c = gcd(*new.values()) if new else 1
+            if c != 1:
+                new = {j: v // c for j, v in new.items()}
+            self._set_row(i, new)
+            scaled[i] = (s, c)
+        del self.cols[j0]
+        return scaled
+
+    def divide(self, f):
+        # every entry and the modulus are multiples of f: divide them by f,
+        # and queue every row again
+        self.mod //= f
+        for row in self.rows.values():
+            for j in row:
+                row[j] //= f
+        self.heap = [(len(row), i) for i, row in self.rows.items()]
+        heapq.heapify(self.heap)
+
     # the unimodular 2x2 steps below work mod the modulus only
 
     def combine_rows(self, i0, i, j0):
@@ -394,23 +436,32 @@ def _xgcd(a, b):
     return a, s0, t0
 
 
-def _abs_det(rows):
-    # |det| of a nonsingular square integer matrix, by fraction-free
-    # (Bareiss) elimination: every intermediate entry is a minor
-    a = [list(r) for r in rows]
-    prev = 1
-    for k in range(len(a)):
-        s = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if s is None:
-            raise ExactLinError("minor is singular")
-        a[k], a[s] = a[s], a[k]
-        piv, rk = a[k][k], a[k]
-        for i in range(k + 1, len(a)):
-            ri, f = a[i], a[i][k]
-            a[i] = ri[:k + 1] + [(x * piv - f * y) // prev
-                                 for x, y in zip(ri[k + 1:], rk[k + 1:])]
-        prev = piv
-    return abs(prev)
+def _minor_abs_det(mat, cols):
+    # (|det|, rows) of a nonsingular r x r minor of mat on the r given
+    # columns, which must be independent over Q: sparse fraction-free
+    # elimination on mat[:, cols], a shortest row's sparsest column first.
+    # Each updated row is divided by its content, and each row keeps the
+    # factor a/h by which it has been scaled; the factor leaves the
+    # determinant, num/den, only when the row becomes a pivot
+    index = {j: k for k, j in enumerate(cols)}
+    work = _SchurWork({(i, index[j]): v for (i, j), v in mat.entries.items()
+                       if j in index})
+    num = den = 1
+    scale, rows = {}, []
+    while (i := work.shortest_row()) is not None:
+        row = work.rows[i]
+        j = min(row, key=lambda c: (len(work.cols[c]), c))
+        a, h = scale.pop(i, (1, 1))
+        num, den = num * abs(row[j]) * h, den * a
+        for k, (s, c) in work.pivot_out_exact(i, j).items():
+            if abs(s) != c:
+                a, h = scale.get(k, (1, 1))
+                scale[k] = (a * abs(s), h * c)
+        rows.append(i)
+    det, rest = divmod(num, den)
+    if len(rows) != len(cols) or rest:
+        raise ExactLinError("the columns of the minor are dependent")
+    return det, sorted(rows)
 
 
 def _coprime_parts(n):
@@ -455,6 +506,31 @@ def _diagonal_mod(entries, modulus):
     return found
 
 
+def _local_diagonal(entries, ell, part):
+    # gcd(pivot, part) for each pivot of a diagonalisation over Z/part,
+    # part = ell^v, level by level: at level t every entry is a multiple
+    # of ell^t, held divided by it mod part / ell^t.  Each entry that is a
+    # unit there is pivoted out as the pivot ell^t, and once none is left,
+    # what remains is divided by ell for level t + 1.  The loop ends when
+    # nothing is left, which for a matrix of rank r is once r pivots are
+    # found: a pivot past r is a rank too low, for the caller to refuse
+    work = _SchurWork(entries, part)
+    found, level = [], 1
+    while True:
+        while (i := work.shortest_row()) is not None:
+            row = work.rows[i]
+            units = [j for j, v in row.items() if v % ell]
+            if units:
+                j = min(units, key=lambda c: (len(work.cols[c]), c))
+                inv = pow(row[j], -1, work.mod)
+                work.pivot_out(i, j, lambda b: b * inv)
+                found.append(level)
+        if not work.rows:
+            return found
+        work.divide(ell)
+        level *= ell
+
+
 def _rank_primes():
     # the two rank primes, then every odd prime below 2^31 - 1, descending
     yield from _RANK_PRIMES
@@ -475,19 +551,29 @@ def smith_normal_form(mat, rank=None):
     N = 2D, D = |det| of one nonsingular r x r minor:
 
     1. +-1 pivots are eliminated exactly over Z by Schur complement, each
-       one an invariant factor 1;
+       one an invariant factor 1; a matrix with no +-1 entry is its own
+       core, with no unit pass and no copy;
     2. the rank r of what is left (the core) is the given rank minus
        those pivots or, with no rank given, its column count minus the
        size of :func:`kernel_basis` of it;
     3. primes are tried in turn: the two rank primes, then every prime
-       below 2^31 - 1, descending.  For the first prime whose rank mod p
-       is r, the pivot columns and then pivot rows of the core give the
-       minor, and D is its |det| by fraction-free elimination;
+       below 2^31 - 1, descending.  The first prime whose rank mod p is
+       r gives, from one :func:`fp_rref` of the core, r pivot columns
+       independent over Q.  Sparse fraction-free elimination on those
+       columns, a shortest row's sparsest column first, picks r pivot
+       rows and D, the |det| of that minor.  Each updated row is divided
+       by its content, and the factor by which it has been scaled enters
+       D only when the row becomes a pivot;
     4. the core is diagonalised over Z/N one coprime part of N at a time
        (the power of each prime below 2^10, then the cofactor), keeping
-       gcd(pivot, part) for each pivot and the part for each missing one;
-       a part l^v whose rank mod l is already r gives r unit pivots
-       without a diagonalisation;
+       gcd(pivot, part) for each pivot and the part for each missing one,
+       on the side of the core with fewer rows (the transpose has the
+       same Smith form).  A part l^v whose rank mod l is r gives r unit
+       pivots.  Any other is diagonalised level by level: every entry
+       that is a unit mod l is pivoted out as the pivot l^t of level t,
+       then what is left is divided by l for level t + 1, until nothing
+       is left.  Only the cofactor is diagonalised by unimodular 2 x 2
+       steps and gcd pivots;
     5. the pairwise gcd/lcm normal form of all of these is the Smith form
        mod N; only then are the entries equal to N dropped, and exactly r
        must remain, else :class:`ExactLinError`.
@@ -496,36 +582,35 @@ def smith_normal_form(mat, rank=None):
     mod p falls short of r only when p divides the gcd of the r x r
     minors, which is nonzero, so the prime search ends; an input built
     for it, such as [[2147483647 * 998244353]], takes one prime past the
-    rank primes.  A given rank is cross-checked: more unit pivots or a
-    larger rank mod some prime than it raise :class:`ExactLinError`, and
-    so does a core whose exact kernel disagrees with it once neither
-    rank prime reaches it, so a rank too high cannot send the search
-    past every prime.
+    rank primes.  A given rank is cross-checked, and every check raises
+    :class:`ExactLinError`: more unit pivots than it, a larger rank mod
+    some prime, a core whose exact kernel disagrees with it once neither
+    rank prime reaches it (so a rank too high cannot send the search past
+    every prime), pivots past r in some part, and pivot columns that the
+    fraction-free elimination finds dependent.
 
     >>> smith_normal_form(IntMat.from_rows([[2, 4], [6, 8]])).to_rows()
     [[2, 0], [0, 4]]
     """
-    work = _SchurWork(mat.entries)
-    ones = 0
-    while (i := work.shortest_row()) is not None:
-        row = work.rows[i]
-        units = [j for j, v in row.items() if v == 1 or v == -1]
-        if units:
-            j = min(units, key=lambda c: (len(work.cols[c]), c))
-            u = row[j]
-            work.pivot_out(i, j, lambda b: b * u)
-            ones += 1
-    if rank is not None and (ones > rank or not work.rows and ones < rank):
+    ones, core = 0, mat
+    if any(v == 1 or v == -1 for v in mat.entries.values()):
+        work = _SchurWork(mat.entries)
+        while (i := work.shortest_row()) is not None:
+            row = work.rows[i]
+            units = [j for j, v in row.items() if v == 1 or v == -1]
+            if units:
+                j = min(units, key=lambda c: (len(work.cols[c]), c))
+                u = row[j]
+                work.pivot_out(i, j, lambda b: b * u)
+                ones += 1
+        core = IntMat._built(mat.nrows, mat.ncols, {
+            (i, j): v for i, row in work.rows.items() for j, v in row.items()})
+    if rank is not None and (ones > rank or core.is_zero() and ones < rank):
         raise ExactLinError("rank %d given, %d unit pivots found%s" % (
-            rank, ones, "" if work.rows else " and nothing else"))
-    if not work.rows:
-        return IntMat(mat.nrows, mat.ncols, {(t, t): 1 for t in range(ones)})
-    rows = {i: k for k, i in enumerate(sorted(work.rows))}
-    cols = {j: k for k, j in enumerate(sorted(j for j, s in work.cols.items()
-                                              if s))}
-    core = IntMat(len(rows), len(cols), {
-        (rows[i], cols[j]): v for i, row in work.rows.items()
-        for j, v in row.items()})
+            rank, ones, " and nothing else" if core.is_zero() else ""))
+    if core.is_zero():
+        return IntMat._built(mat.nrows, mat.ncols,
+                             {(t, t): 1 for t in range(ones)})
     r = _kernel_rank(core) if rank is None else rank - ones
     for k, p in enumerate(_rank_primes()):
         if (k == len(_RANK_PRIMES) and rank is not None
@@ -541,32 +626,33 @@ def smith_normal_form(mat, rank=None):
     else:
         raise ExactLinError("no prime below 2^31 reaches the rank %d"
                             % (ones + r))
-    columns = core.columns()
-    pivot_rows = fp_rref(IntMat.from_columns(
-        [columns[j] for j in pivot_cols], core.nrows).transpose(), p)[1]
-    n_mod = 2 * _abs_det([[core.get(i, j) for j in pivot_cols]
-                          for i in pivot_rows])
+    n_mod = 2 * _minor_abs_det(core, pivot_cols)[0]
     # Z/N is the product of the rings Z/part over coprime parts, so one
     # diagonal mod N is the pivots' gcds mod every part, with each part's
     # missing pivots as zeros (the part itself); the pairwise gcd/lcm
-    # normal form of them all is then the Smith form mod N.  A part l^v
-    # whose rank mod l is already r divides no invariant factor, so its
-    # r pivots are units and it needs no diagonalisation
-    size = min(core.nrows, core.ncols)
+    # normal form of them all is then the Smith form mod N.  The Smith
+    # form of the transpose is the same, so each part is diagonalised on
+    # the side of the core with fewer rows
+    nrows = len({i for i, _ in core.entries})
+    ncols = len({j for _, j in core.entries})
+    short = core.entries if nrows <= ncols else core.transpose().entries
+    size = min(nrows, ncols)
     found = []
     for ell, part in _coprime_parts(n_mod):
-        if ell and fp_rank_sparse(core.entries, ell) == r:
+        if ell is None:
+            pivots = _diagonal_mod(short, part)
+        elif fp_rank_sparse(short, ell) == r:
             pivots = [1] * r
         else:
-            pivots = _diagonal_mod(core.entries, part)
+            pivots = _local_diagonal(short, ell, part)
         found += pivots + [part] * (size - len(pivots))
     chain = _divisor_chain(found)
     torsion = [d for d in chain if d != n_mod]
     if len(chain) - len(torsion) != size - r:
         raise ExactLinError("Smith form mod %d lost the rank %d" % (n_mod, r))
     diag = [1] * (ones + r - len(torsion)) + torsion
-    return IntMat(mat.nrows, mat.ncols,
-                  {(t, t): d for t, d in enumerate(diag)})
+    return IntMat._built(mat.nrows, mat.ncols,
+                         {(t, t): d for t, d in enumerate(diag)})
 
 
 def snf_diagonal(mat, rank=None):

@@ -727,8 +727,13 @@ def hdr_report(stack, n_max):
     cross-check where it exists), and reports degeneration: the pages
     collapse exactly when every Hodge total matches the de Rham
     dimension.  For B G_a the failure is witnessed by the located
-    nonzero d_1.
+    nonzero d_1, which leaves degree 1, so B G_a needs n_max >= 1 for
+    the dimension verdict to see it; a smaller n_max raises
+    :class:`UnsupportedStack`.
     """
+    if stack.kind == "bga" and n_max < 1:
+        raise UnsupportedStack("hdr for B G_a needs n_max >= 1: its first "
+                               "nonzero d_1 leaves degree 1")
     hodge = {}
     for p2 in range(n_max + 2):
         for q, d in enumerate(hodge_cohomology(stack, p2, n_max + 1 - p2)):

@@ -6,6 +6,7 @@ from __future__ import annotations
 # are reproducible and the CLI selftest exercises the same instances.
 PROPERTY_SEEDS = {
     "snf": 1299709,
+    "snf_local": 104395301,
     "cartier_pairs": 15485863,
     "derham_forms": 32452843,
     "specseq": 49979687,

@@ -315,6 +315,76 @@ def test_snf_diagonal_matches_planted_diagonal(monkeypatch):
     assert kinds == {"emptied", "untouched", "reduced"}
 
 
+# invariant factors with 2^3, 2^4, 3^3 and 3^4 and the prime 1031 past
+# 2^10: the Smith route then takes parts 2^v and 3^v level by level, and
+# the cofactor mod N by _diagonal_mod
+_LOCAL = (2, 8, 16, 9, 27, 81, 24, 216, 1031, 2 * 1031, 8 * 1031,
+          27 * 1031)
+
+
+def test_snf_route_matches_the_minor_oracle_on_planted_local_factors(
+        monkeypatch, minor_divisors):
+    levels, cofactors = set(), []
+    real_local, real_mod = exactlin._local_diagonal, exactlin._diagonal_mod
+
+    def local(entries, ell, part):
+        found = real_local(entries, ell, part)
+        levels.update((ell, f) for f in found)
+        return found
+
+    def cofactor(entries, modulus):
+        cofactors.append(modulus)
+        return real_mod(entries, modulus)
+
+    monkeypatch.setattr(exactlin, "_local_diagonal", local)
+    monkeypatch.setattr(exactlin, "_diagonal_mod", cofactor)
+    rng = random.Random(PROPERTY_SEEDS["snf_local"])
+    for k in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        diag = [rng.choice(_LOCAL) for _ in range(rng.randint(1, min(m, n)))]
+        if k % 3 == 0:
+            diag[0] = 1
+        mid = IntMat(m, n, {(t, t): d for t, d in enumerate(diag)})
+        mat = _unimodular(rng, m).matmul(mid).matmul(_unimodular(rng, n))
+        want = minor_divisors(mat.to_rows())
+        assert snf_diagonal(mat) == want, mat.to_rows()
+        assert snf_diagonal(mat, len(want)) == want, mat.to_rows()
+    assert {(2, 8), (2, 16), (3, 27), (3, 81)} <= levels
+    assert any(c > 1 << 10 for c in cofactors)
+
+
+def _dense_abs_det(rows):
+    # |det| of a nonsingular square integer matrix by dense fraction-free
+    # (Bareiss) elimination, every intermediate entry a minor: the oracle
+    # for the sparse minor determinant of the Smith route
+    a = [list(r) for r in rows]
+    prev = 1
+    for k in range(len(a)):
+        s = next(i for i in range(k, len(a)) if a[i][k])
+        a[k], a[s] = a[s], a[k]
+        piv, rk = a[k][k], a[k]
+        for i in range(k + 1, len(a)):
+            ri, f = a[i], a[i][k]
+            a[i] = ri[:k + 1] + [(x * piv - f * y) // prev
+                                 for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        prev = piv
+    return abs(prev)
+
+
+@pytest.mark.parametrize("n, w", [(3, 28), (4, 20)])
+def test_minor_determinant_matches_dense_bareiss(n, w):
+    # the pivot columns of the rank prime's echelon form, and the rows
+    # that the sparse elimination picks, give a minor of no +-1 entry
+    mat = strand_matrix(n, w)
+    cols = fp_rref(mat, _RANK_PRIMES[0])[1]
+    det, rows = exactlin._minor_abs_det(mat, cols)
+    assert len(rows) == len(cols) == len(snf_diagonal(mat))
+    assert det == _dense_abs_det([[mat.get(i, j) for j in cols]
+                                  for i in rows])
+    with pytest.raises(ExactLinError, match="dependent"):
+        exactlin._minor_abs_det(mat, list(range(mat.ncols)))
+
+
 def test_snf_diagonal_normalises_before_dropping_zeros():
     # mod N = 79833600 the pivots need the gcd/lcm step before the
     # entries equal to N (zeros mod N) are dropped
