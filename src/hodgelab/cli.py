@@ -331,7 +331,7 @@ def _run_hodge(ps):
             for pp in range(nmax + 1)]
     if stack.kind in ("affine", "p1"):
         # the second route: E_1 of the Cartan model's Hodge filtration
-        e1 = pages(stacks._cartan_complex(stack, 2 * nmax, 3), 1)[1]
+        e1 = pages(stacks._cartan_complex(stack, 2 * nmax), 1)[1]
     entries = []
     for pp, row in enumerate(rows):
         for q, d in enumerate(row):

@@ -66,8 +66,8 @@ class DgaForms:
     def monomial_form(self, exps, idxs, coeff=1):
         """coeff * x^exps dx_idxs, idxs increasing.
 
-        Keys enter from outside here, so this is where their exponents
-        are checked.
+        Callers' keys enter here, so this is where their exponents are
+        checked.
         """
         exps = tuple(exps)
         for name, inv, e in zip(self.names, self.invertible, exps):

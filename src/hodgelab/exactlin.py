@@ -14,8 +14,7 @@ floating point is ever produced.
 :meth:`IntMat.from_images` is the one way a map becomes a matrix: every
 differential and structure map in the package is read from its source
 basis, its target basis and the {key: coeff} image of each source key,
-and a nonzero term off the target basis raises unless it lies past a
-declared truncation window.
+and a nonzero term off the target basis always raises.
 
 The central consumer-facing pieces are
 
@@ -170,14 +169,13 @@ class IntMat:
         return cls(nrows, ncols)
 
     @classmethod
-    def from_images(cls, src, tgt, image, outside=None):
+    def from_images(cls, src, tgt, image):
         """The matrix of a map from the basis src to the basis tgt.
 
         Column j is image(src[j]), a {key: coeff} dict read in tgt: row
         i holds the coefficient of tgt[i].  A nonzero coefficient on a
-        key that is not in tgt raises AssertionError, unless
-        outside(key) says the key lies past a truncation window; such a
-        term is dropped.
+        key that is not in tgt raises AssertionError: a truncated model
+        must be closed under its own maps.
 
         >>> shift = lambda n: {n: 2, n + 1: 1}
         >>> IntMat.from_images([0, 1], [0, 1, 2], shift).to_rows()
@@ -186,9 +184,6 @@ class IntMat:
         Traceback (most recent call last):
         ...
         AssertionError: the image of 1 leaves the target basis at 2
-        >>> IntMat.from_images([0, 1], [0, 1], shift,
-        ...                    outside=lambda key: key > 1).to_rows()
-        [[2, 0], [1, 2]]
         """
         row = {key: i for i, key in enumerate(tgt)}
         entries = {}
@@ -197,12 +192,11 @@ class IntMat:
                 if not c:
                     continue
                 i = row.get(key)
-                if i is not None:
-                    entries[i, j] = int(c)
-                elif outside is None or not outside(key):
+                if i is None:
                     raise AssertionError(
                         "the image of %r leaves the target basis at %r"
                         % (s, key))
+                entries[i, j] = int(c)
         return cls._built(len(tgt), len(src), entries)
 
     @classmethod

@@ -14,11 +14,12 @@ and read every degree from it: de Rham dimensions once per stack,
 Hodge dimensions once per exterior power p.  The filtered complexes
 for the spectral sequences come from one coordinate filtration builder.
 
-Every differential is read by IntMat.from_images.  The Cech total
-model, the Koszul model and the Cartan model are truncated, and each
-passes the window it is built on as ``outside``: a term past the window
-drops, and the lo/hi truncation pass is the certificate.  Any other
-term that misses the target basis raises, as does a unit slot that
+Every model keeps the forms x^e dx_I = x^c dlog x_I whose character
+c = e + eps_I has every |c_i| <= _CHAR_BOUND.  d, the Euler contraction,
+the G_m action coface and the chart restriction keep c (the P^1 chart-1
+restriction negates it), so each model is a sum of whole character
+summands and IntMat.from_images reads every differential with no term
+dropped: a term off the target basis raises, as does a unit slot that
 survives the total model's coface sum :func:`_coface_terms`.
 """
 
@@ -46,7 +47,7 @@ class UnsupportedStack(Exception):
 
 class UnstableTruncation(AssertionError):
     """H^q(Lambda^p) of the truncated Koszul model moved when the
-    truncation bound grew, so no window count is reported.  A stack that
+    character bound grew, so no window count is reported.  A stack that
     is not Hodge-proper, such as affine:1,-1, ends here.
 
     Carries (p, q), the two bounds and the two dimensions read there.
@@ -138,24 +139,22 @@ def _sectors(stack):
 
 
 def _sector_monomials(sec, weight, bound, nforms):
-    """Weight-`weight` monomial forms x^e dx_I in one sector, |e| <= bound."""
+    """Weight-`weight` forms x^e dx_I in one sector whose character
+    c = e + eps_I has every |c_i| <= bound; the weight is w.c, and
+    c_i >= 1 for i in I on a polynomial variable."""
     nv = len(sec.weights)
-    if nforms > nv:
-        return []
     out = []
     for idxs in combinations(range(nv), nforms):
-        need = weight - sum(sec.weights[i] for i in idxs)
-        ranges = []
-        for i in range(nv):
-            lo = -bound if i in sec.laurent else 0
-            ranges.append(range(lo, bound + 1))
-        for exps in product(*ranges):
-            if sum(e * w for e, w in zip(exps, sec.weights)) == need:
-                out.append((exps, idxs))
+        ranges = [range(-bound if i in sec.laurent else int(i in idxs),
+                        bound + 1) for i in range(nv)]
+        for chars in product(*ranges):
+            if sum(c * w for c, w in zip(chars, sec.weights)) == weight:
+                out.append((tuple(c - (i in idxs)
+                                  for i, c in enumerate(chars)), idxs))
     return out
 
 
-def _x_basis(stack, bound):
+def _x_basis(stack):
     """Weight-zero strand of the chart-Cech de Rham model of X, by degree.
 
     Returns {degree: [(sector_id, exps, idxs), ...]}.
@@ -164,7 +163,7 @@ def _x_basis(stack, bound):
     table = {}
     for sid, sec in enumerate(secs):
         for nf in range(len(sec.weights) + 1):
-            for exps, idxs in _sector_monomials(sec, 0, bound, nf):
+            for exps, idxs in _sector_monomials(sec, 0, _CHAR_BOUND, nf):
                 deg = sec.cech + nf
                 table.setdefault(deg, []).append((sid, exps, idxs))
     for deg in table:
@@ -224,22 +223,22 @@ def _slot_weight(group, content):
     return k if kind == "f" else k + 1
 
 
-def _slot_d(group, content, bound):
-    """De Rham differential of one slot content."""
+def _slot_d(group, content):
+    """De Rham differential of one slot content; it keeps the exponent."""
     kind, k = content
     if kind == "w":
         return []
     if group == "gm":
-        return [(k, ("w", k))] if abs(k) <= bound else []
+        return [(k, ("w", k))]
     return [(k, ("w", k - 1))]
 
 
-def _comult(group, content, bound):
+def _comult(group, content):
     """Expansion of a slot under the multiplication coface.
 
     Returns [(coeff, left, right)] where left/right are contents or
-    None for a unit slot.  Terms leaving the exponent window are
-    dropped; windows are enlarged until the answers stabilize.
+    None for a unit slot.  No exponent in the expansion passes the
+    slot's own, so a slot window is closed under it.
     """
     kind, k = content
     out = []
@@ -299,7 +298,7 @@ def _slot_tuples(group, bound, s, max_forms, weight=None):
     return out
 
 
-def _coface_terms(group, bound, weights, key):
+def _coface_terms(group, weights, key):
     """The alternating coface sum on a total-model key (sid, exps, idxs,
     slots) over a sector with these weights, as {key: coeff}.
 
@@ -324,7 +323,7 @@ def _coface_terms(group, bound, weights, key):
     # j = 1..s: comultiplication of slot j
     for j in range(1, s + 1):
         sign = -1 if j % 2 else 1
-        for coeff, left, right in _comult(group, slots[j - 1], bound):
+        for coeff, left, right in _comult(group, slots[j - 1]):
             terms.append((sign * coeff, (sid, exps, idxs, slots[:j - 1]
                                          + (left, right) + slots[j:])))
     # j = s + 1: append a unit slot
@@ -345,22 +344,19 @@ class _TotModel:
     """Weight-zero truncated Cech-de Rham bicomplex of [X/G].
 
     Keys are (sector_id, exps, idxs, slots); the total degree is
-    chart-Cech + #dx + #slots + #dlog-slots.  Each differential is read
-    by IntMat.from_images, dropping only the terms past the exponent,
-    slot or degree window, and d o d = 0 is asserted.  basis[n] for
-    n <= degree_cap and mats[n] for n < degree_cap do not depend on the
-    cap, so one model serves every degree below it.
+    chart-Cech + #dx + #slots + #dlog-slots.  Characters and slot
+    exponents are bounded (the latter by g_bound), every differential
+    keeps both, and d o d = 0 is asserted.  basis[n] for n <= degree_cap
+    and mats[n] for n < degree_cap do not depend on the cap, so one
+    model serves every degree below it.  weight keeps one G_a strand.
     """
 
-    def __init__(self, stack, degree_cap, g_bound, x_bound, weight=None):
+    def __init__(self, stack, degree_cap, g_bound, *, weight=None):
         self.stack = stack
         self.secs = _sectors(stack)
         self.group = "ga" if stack.kind == "bga" else "gm"
-        self.cap = degree_cap
-        self.g_bound = g_bound
-        self.x_bound = x_bound
         self.basis = [[] for _ in range(degree_cap + 1)]
-        x_table = _x_basis(stack, x_bound)
+        x_table = _x_basis(stack)
         for s in range(degree_cap + 1):
             for xdeg, xs in x_table.items():
                 max_forms = degree_cap - s - xdeg
@@ -376,7 +372,7 @@ class _TotModel:
         for keys in self.basis:
             keys.sort()
         self.mats = [IntMat.from_images(self.basis[n], self.basis[n + 1],
-                                        self._d_terms, self._outside)
+                                        self._d_terms)
                      for n in range(degree_cap)]
         for n in range(degree_cap - 1):
             if not self.mats[n + 1].matmul(self.mats[n]).is_zero():
@@ -402,7 +398,7 @@ class _TotModel:
         for j, content in enumerate(slots):
             if content[0] == "f":
                 sign = fsign * (-1 if nw_before % 2 else 1)
-                for coeff, new in _slot_d(self.group, content, self.g_bound):
+                for coeff, new in _slot_d(self.group, content):
                     out[sid, exps, idxs,
                         slots[:j] + (new,) + slots[j + 1:]] = sign * coeff
             else:
@@ -412,21 +408,11 @@ class _TotModel:
     def _d_terms(self, key):
         # the cofaces add a slot and the level differential keeps the
         # slot count, so the two sums share no key
-        out = _coface_terms(self.group, self.g_bound,
-                            self.secs[key[0]].weights, key)
+        out = _coface_terms(self.group, self.secs[key[0]].weights, key)
         lsign = -1 if len(key[3]) % 2 else 1
         for k2, c in self._level_d_terms(key).items():
             out[k2] = lsign * c
         return out
-
-    def _outside(self, key):
-        """Is the key past the exponent, slot or degree window?"""
-        sid, exps, idxs, slots = key
-        nf = sum(1 for c in slots if c[0] == "w")
-        return (any(abs(e) > self.x_bound for e in exps)
-                or any(abs(c[1]) > self.g_bound for c in slots)
-                or self.secs[sid].cech + len(idxs) + len(slots) + nf
-                > self.cap)
 
     def cohomology(self, n_max):
         """[dim H^0, ..., dim H^n_max]; exact for n_max < cap."""
@@ -444,15 +430,21 @@ def _require_rational(ring):
 
 _BGA_WEIGHT_CAP = 10
 
+# Every stacks model keeps the forms x^c dlog x_I with |c_i| <= _CHAR_BOUND.
+_CHAR_BOUND = 2
 
-def hodge_cohomology(stack, p, q_max, ring=QQ_R, trunc=2):
+
+def hodge_cohomology(stack, p, q_max, ring=QQ_R):
     """[dim H^0, ..., dim H^q_max](X, Lambda^p of the cotangent complex)
     over Q ([] for q_max < 0, zeros for p < 0).
 
     For every G_m-quotient, BG_m = [pt/G_m] included, H^q is H^q of the
     weight-zero Koszul model, exact since G_m is linearly reductive,
-    built once per truncation and checked stable under it in every
-    degree asked for.  For B G_a, H^q is H^(q-p)(G_a, Sym^p g*) with
+    built at the character bounds B and B + max|w_i| and checked equal in
+    every degree asked for: an infinite weight-zero strand has a
+    character of max-norm <= max|w_i|, whose multiples add an H^0(O)
+    class in every shell that wide.  With no weights (BG_m) one build is
+    exact.  For B G_a, H^q is H^(q-p)(G_a, Sym^p g*) with
     the one-dimensional Sym twist: the ranks of cobar.group_table,
     summed over the weights w <= _BGA_WEIGHT_CAP.
 
@@ -470,16 +462,17 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R, trunc=2):
         table = cobar.group_table(q_max - p, _BGA_WEIGHT_CAP)
         return [sum(g.rank for (m, _w), g in table.items() if p + m == q)
                 for q in range(q_max + 1)]
+    spread = max((abs(w) for w in stack.weights), default=0)
+    bounds = (_CHAR_BOUND, _CHAR_BOUND + spread) if spread else (_CHAR_BOUND,)
     rows = []
-    for bound in (trunc, trunc + 1):
+    for bound in bounds:
         basis, mats = _koszul_complex(stack, p, bound)
         row = complex_cohomology([len(b) for b in basis[:q_max + 1]],
                                  mats, QQ_R)
         rows.append(row + [0] * (q_max + 1 - len(row)))
     for q in range(q_max + 1):
-        if rows[0][q] != rows[1][q]:
-            raise UnstableTruncation(p, q, (trunc, trunc + 1),
-                                     (rows[0][q], rows[1][q]))
+        if rows[0][q] != rows[-1][q]:
+            raise UnstableTruncation(p, q, bounds, (rows[0][q], rows[-1][q]))
     return rows[0]
 
 
@@ -496,8 +489,7 @@ def _koszul_complex(stack, p, bound):
     basis = [sorted(table.get(n, []))
              for n in range(max(table, default=0) + 1)]
     mats = [IntMat.from_images(
-        src, tgt, lambda key: _restrict_iota_terms(stack, secs, key, 1),
-        lambda key: any(abs(e) > bound for e in key[2]))
+        src, tgt, lambda key: _restrict_iota_terms(stack, secs, key, 1))
         for src, tgt in zip(basis, basis[1:])]
     return basis, mats
 
@@ -518,7 +510,7 @@ def _restrict_iota_terms(stack, secs, key, iota_sign):
     return out
 
 
-def koszul_consistency(stack, p, trunc=2):
+def koszul_consistency(stack, p):
     """Cross-check H^q of the Koszul model against the spectral
     sequence of its filtration by exterior-power stage.
 
@@ -528,20 +520,22 @@ def koszul_consistency(stack, p, trunc=2):
     """
     if stack.kind in ("bgm", "bga"):
         raise UnsupportedStack("Koszul model applies to quotient models")
-    basis, mats = _koszul_complex(stack, p, trunc)
+    basis, mats = _koszul_complex(stack, p, _CHAR_BOUND)
     stable = pages(_coordinate_filtered(basis, mats, lambda key: key[0]))[-1]
     direct = complex_cohomology([len(b) for b in basis], mats, QQ_R)
     return [{"q": q, "direct": d, "ss_total": stable.total(q),
              "ok": d == stable.total(q)} for q, d in enumerate(direct)]
 
 
-def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
+def derham_cohomology(stack, n_max, ring=QQ_R):
     """[dim H^0, ..., dim H^n_max] over Q via the truncated Cech
     totalization ([] for n_max < 0).
 
     Every degree is read from one model of degree cap n_max + 1, the
-    least cap whose maps reach H^n_max.  G_m-type models are rebuilt
-    once at an enlarged truncation and must agree in every degree.  The
+    least cap whose maps reach H^n_max.  A character c != 0 spans an
+    acyclic summand (L_E = [d - u iota_v, iota_E] for an Euler field E
+    with <c, E> != 0), so the character bound is exact; G_m-type models
+    are rebuilt at a wider G-slot window and must agree.  The
     B G_a complex splits into exact finite weight strands, one model per
     weight w <= n_max + 2 at degree cap n_max + 2, and degree n sums the
     strands w <= n + 2; its answer needs no stability pass.
@@ -552,8 +546,8 @@ def derham_cohomology(stack, n_max, ring=QQ_R, g_bound=1, x_bound=2):
     if stack.kind == "bga":
         return _bga_derham(n_max)[0]
     cap = n_max + 1
-    lo = _TotModel(stack, cap, g_bound, x_bound).cohomology(n_max)
-    hi = _TotModel(stack, cap, g_bound + 1, x_bound + 1).cohomology(n_max)
+    lo = _TotModel(stack, cap, 1).cohomology(n_max)
+    hi = _TotModel(stack, cap, 2).cohomology(n_max)
     for n in range(n_max + 1):
         if lo[n] != hi[n]:
             raise AssertionError(
@@ -565,7 +559,7 @@ def _bga_derham(n_max):
     """B G_a de Rham dims [H^0, ..., H^n_max] and the weight strands
     w = 0, ..., n_max + 2 (degree cap n_max + 2) that they sum."""
     cap = n_max + 2
-    strands = [_TotModel(BGa(), cap, max(w, 1), 0, weight=w)
+    strands = [_TotModel(BGa(), cap, max(w, 1), weight=w)
                for w in range(cap + 1)]
     dims = [0] * (n_max + 1)
     for w, strand in enumerate(strands):
@@ -575,20 +569,19 @@ def _bga_derham(n_max):
     return dims, strands
 
 
-def cartan_model_dims(stack, n_max, x_bound=3):
+def cartan_model_dims(stack, n_max):
     """H^n of the small Cartan model ((Omega_X x Q[u])^(wt 0), d - u iota)
     for n <= n_max; the independent second route to de Rham dims."""
     if stack.kind == "bga":
         raise UnsupportedStack("no Cartan model for a unipotent group")
-    fc = _cartan_complex(stack, n_max, x_bound)
-    return cohomology_dims(fc)[:n_max + 1]
+    return cohomology_dims(_cartan_complex(stack, n_max))[:n_max + 1]
 
 
-def _cartan_complex(stack, n_max, x_bound):
+def _cartan_complex(stack, n_max):
     """The Cartan model as a FilteredComplex (Hodge filtration by
     form degree + u power)."""
     secs = _sectors(stack)
-    x_table = _x_basis(stack, x_bound)
+    x_table = _x_basis(stack)
     cap = n_max + 1
     basis = [[] for _ in range(cap + 1)]
     for xdeg, xs in x_table.items():
@@ -610,9 +603,8 @@ def _cartan_complex(stack, n_max, x_bound):
             out[j, sid, e2, i2] = csign * coeff
         return out
 
-    mats = [IntMat.from_images(src, tgt, image, lambda key: any(
-        abs(e) > x_bound for e in key[2]))
-        for src, tgt in zip(basis, basis[1:])]
+    mats = [IntMat.from_images(src, tgt, image)
+            for src, tgt in zip(basis, basis[1:])]
     # Hodge filtration: F^r is spanned by u^j (form degree i) with i+j >= r
     return _coordinate_filtered(basis, mats, lambda key: key[0] + len(key[3]))
 
@@ -625,31 +617,32 @@ def _coordinate_filtered(basis, mats, level):
         QQ_R, [[level(key) for key in keys] for keys in basis], mats)
 
 
-def verify_cartan_homotopy(stack, levels=2, x_bound=3, seed=None):
+def verify_cartan_homotopy(stack, seed=None):
     """Check iota_v d + d iota_v = k id on nonzero-weight strands.
 
-    Builds unreduced weight-k de Rham strands of X x G^s for sampled
-    weights k and s <= levels, and verifies the homotopy identity as an
-    exact matrix identity.  Entries report each strand checked.
+    Builds unreduced weight-k de Rham strands of X x G^s, at character
+    bound 3, for sampled weights 0 < |k| < 6 and s <= 2, and verifies
+    the homotopy identity as an exact matrix identity.  Entries report
+    each strand checked.
     """
     import random
     if stack.kind == "bga":
         raise UnsupportedStack("the Euler homotopy needs a G_m grading")
     rng = random.Random(PROPERTY_SEEDS["cartan"] if seed is None else seed)
-    weights = sorted(set(rng.randrange(1, 2 * x_bound) * rng.choice((1, -1))
-                     for _ in range(4)) - {0})
+    weights = sorted({rng.randrange(1, 6) * rng.choice((1, -1))
+                      for _ in range(4)})
     secs = _sectors(stack)
     entries = []
     for k in weights:
-        for s in range(levels + 1):
+        for s in range(3):
             for sid, sec in enumerate(secs):
-                ok, dim = _homotopy_identity(stack, sec, sid, k, s, x_bound)
+                ok, dim = _homotopy_identity(sec, k, s, 3)
                 entries.append({"weight": k, "level": s, "sector": sid,
                                 "dim": dim, "ok": ok})
     return entries
 
 
-def _homotopy_identity(stack, sec, sid, k, s, bound):
+def _homotopy_identity(sec, k, s, bound):
     """iota d + d iota on the weight-k strand of Omega(U x G^s)."""
     basis = []
     for nf in range(len(sec.weights) + 1):
@@ -670,7 +663,7 @@ def _homotopy_identity(stack, sec, sid, k, s, bound):
             for j, content in enumerate(slots):
                 if content[0] == "f":
                     sign = fsign * (-1 if nw % 2 else 1)
-                    for coeff, new in _slot_d("gm", content, 1):
+                    for coeff, new in _slot_d("gm", content):
                         key = (exps, idxs,
                                slots[:j] + (new,) + slots[j + 1:])
                         out[key] = out.get(key, 0) + c * sign * coeff
@@ -767,7 +760,7 @@ def hdr_report(stack, n_max):
         entry["located_d1"] = located
         entry["specseq"] = degenerates_at(_bga_strand_filtered(strands[1]), 1)
     else:
-        fc = _cartan_complex(stack, n_max, 3)
+        fc = _cartan_complex(stack, n_max)
         entry["specseq"] = degenerates_at(fc, 1)
         entry["located_d1"] = []
     if entry["degenerate"] != entry["specseq"]["degenerate"]:

@@ -32,7 +32,8 @@ from hodgelab.exactlin import (
 from hodgelab.gralg import FP, PDContext
 from hodgelab.specseq import FilteredComplex, cohomology_dims, pages
 from hodgelab.stacks import (
-    BGa, BGm, GradedAffine, hdr_report, verify_cartan_homotopy,
+    BGa, BGm, GradedAffine, cartan_model_dims, derham_cohomology, hdr_report,
+    verify_cartan_homotopy,
 )
 from hodgelab.utils import PROPERTY_SEEDS
 
@@ -213,6 +214,15 @@ def test_degeneration_verdicts():
     assert arrows[0]["target"] == (1, 1)
     assert arrows[0]["rank"] == 1
     assert arrows[0]["source_dim"] + arrows[0]["target_dim"] == 2
+
+
+def test_mixed_sign_quotients_read_bgm():
+    # [A^2 / G_m] with weights of both signs retracts G_m-equivariantly
+    # to the origin, so de Rham cohomology is Q[u] on both routes
+    for weights in ((1, -1), (1, -2), (2, -3)):
+        stack = GradedAffine(weights)
+        assert derham_cohomology(stack, 4) == [1, 0, 1, 0, 1], weights
+        assert cartan_model_dims(stack, 4) == [1, 0, 1, 0, 1], weights
 
 
 def test_torsion_growth_census():

@@ -273,24 +273,29 @@ def test_unstable_truncation_exits_two_without_traceback(capsys):
 
 
 @pytest.mark.parametrize("stack", ["BGm", "BGa", "A1", "P1", "P1:2",
-                                   "affine:1,2", "affine:1,-1"])
+                                   "affine:1,2", "affine:1,-1",
+                                   "affine:1,-2", "affine:2,-3"])
 def test_hdr_ends_in_a_report_or_one_error_line(stack, capsys):
-    # every n_max from 0 to 4: a JSON report, or one error line and no
-    # traceback; B G_a at n_max 0 is refused, since its first nonzero d_1
-    # leaves degree 1
-    for nmax in range(5):
-        code = cli.main(["hdr", "--stack", stack, "--nmax", str(nmax),
-                         "--format", "json"])
-        out, err = capsys.readouterr()
-        if err:
-            assert code in (1, 2) and out == "", (stack, nmax)
-            assert err.startswith("hodgelab: error: ")
-            assert err.count("\n") == 1 and "Traceback" not in err
-        else:
-            assert code in (0, 2) and json.loads(out)["entries"]
-        if (stack, nmax) == ("BGa", 0):
-            # an input error, not a failed verdict
-            assert code == 1 and err
+    # hdr, hodge and derham-stack at every n_max from 0 to 4: a JSON
+    # report, or one error line and no traceback; hdr on B G_a at n_max 0
+    # is refused, since its first nonzero d_1 leaves degree 1, and
+    # derham-stack always reports
+    for cmd in ("hdr", "hodge", "derham-stack"):
+        for nmax in range(5):
+            code = cli.main([cmd, "--stack", stack, "--nmax", str(nmax),
+                             "--format", "json"])
+            out, err = capsys.readouterr()
+            if err:
+                assert code in (1, 2) and out == "", (cmd, stack, nmax)
+                assert err.startswith("hodgelab: error: ")
+                assert err.count("\n") == 1 and "Traceback" not in err
+            else:
+                assert code in (0, 2) and json.loads(out)["entries"]
+            if (cmd, stack, nmax) == ("hdr", "BGa", 0):
+                # an input error, not a failed verdict
+                assert code == 1 and err
+            if cmd == "derham-stack":
+                assert code == 0, (stack, nmax)
 
 
 def test_runconfig_rejects_unknown_parameter():

@@ -51,7 +51,7 @@ def _gm_bar_row(m_max, bound):
     bases = [[(0, (), (), slots) for slots in _slot_tuples("gm", bound, s, 0)]
              for s in range(m_max + 2)]
     mats = [IntMat.from_images(src, tgt, lambda key: _coface_terms(
-        "gm", bound, (), key)) for src, tgt in zip(bases, bases[1:])]
+        "gm", (), key)) for src, tgt in zip(bases, bases[1:])]
     return complex_cohomology([len(b) for b in bases[:-1]], mats, QQ_R)
 
 
@@ -162,7 +162,7 @@ def test_cartan_e1_page_is_the_hodge_table():
     has E_1 equal to Hodge cohomology from the Koszul model; a wrong
     filtration level moves the P^1 classes off the diagonal."""
     for stack in (TwoChartP1(1), GradedAffine((1, 2))):
-        e1 = pages(_cartan_complex(stack, 3, 3), 1)[1]
+        e1 = pages(_cartan_complex(stack, 3), 1)[1]
         for p in range(4):
             for q, d in enumerate(hodge_cohomology(stack, p, 3 - p)):
                 assert e1.dim(p, p + q) == d, (repr(stack), p, q)
@@ -205,7 +205,7 @@ def test_koszul_stage_filtration_pages(monkeypatch):
             captured.clear()
             koszul_consistency(stack, p)
             e0, e1 = true_pages(captured[0], 1)
-            basis, _ = stacks._koszul_complex(stack, p, 2)
+            basis, _ = stacks._koszul_complex(stack, p, stacks._CHAR_BOUND)
             counts = {}
             for n, keys in enumerate(basis):
                 for key in keys:
@@ -292,7 +292,7 @@ def test_koszul_and_cartan_refuse_a_term_off_the_weight_zero_strand(
         with pytest.raises(AssertionError, match="leaves the target basis"):
             stacks._koszul_complex(stack, 1, 2)
         with pytest.raises(AssertionError, match="leaves the target basis"):
-            _cartan_complex(stack, 2, 3)
+            _cartan_complex(stack, 2)
 
 
 def test_unsupported_shapes_are_refused():
@@ -321,15 +321,75 @@ def test_unstable_truncation_is_detected():
         hodge_cohomology(GradedAffine((1, -1)), 0, 0)
 
 
-def test_unstable_truncation_carries_both_values():
-    # H^0(O) of affine:1,-1 is k[xy]: 3 monomials at bound 2, 4 at bound 3
+def test_unstable_truncation_carries_both_values(monkeypatch):
+    # H^0(O) of affine:1,-1 is k[xy]: 3 monomials at bound 2, 4 at bound
+    # 2 + max|w| = 3
     with pytest.raises(UnstableTruncation) as err:
         hodge_cohomology(GradedAffine((1, -1)), 0, 2)
     e = err.value
     assert (e.p, e.q, e.bounds, e.values) == (0, 0, (2, 3), (3, 4))
+    monkeypatch.setattr(stacks, "_CHAR_BOUND", 3)
     with pytest.raises(UnstableTruncation) as err:
-        hodge_cohomology(GradedAffine((1, -1)), 0, 0, trunc=3)
-    assert err.value.values == (4, 5)
+        hodge_cohomology(GradedAffine((1, -1)), 0, 0)
+    assert (err.value.bounds, err.value.values) == ((3, 4), (4, 5))
+
+
+def test_unstable_truncation_compares_shells_as_wide_as_the_weights():
+    # H^0(O) of [G_m^2 / G_m] at weights (1, 2) is Q[t, 1/t], t = x^-2 y:
+    # the characters (-2k, k) reach one more k only when the bound grows
+    # by max|w| = 2, so a bound one wider would see no growth
+    with pytest.raises(UnstableTruncation) as err:
+        hodge_cohomology(GradedAffine((1, 2), laurent=(0, 1)), 0, 2)
+    assert (err.value.bounds, err.value.values) == ((2, 4), (3, 5))
+    with pytest.raises(UnstableTruncation) as err:
+        hodge_cohomology(GradedAffine((1, -2)), 1, 1)
+    assert err.value.bounds == (2, 4)
+
+
+def test_mixed_sign_quotients_have_the_cohomology_of_bgm():
+    """[A^2 / G_m] with weights of both signs is G_m-equivariantly
+    contractible, so its de Rham cohomology is Q[u], on both routes.  An
+    exponent window that drops the terms crossing its edge would read
+    [1, 0, 2, 0, 2] on affine:1,-1 and break d o d on the other two."""
+    for weights in ((1, -1), (1, -2), (2, -3)):
+        stack = GradedAffine(weights)
+        assert derham_cohomology(stack, 4) == [1, 0, 1, 0, 1], weights
+        assert cartan_model_dims(stack, 4) == [1, 0, 1, 0, 1], weights
+
+
+def test_a_model_missing_part_of_a_character_refuses_to_build(monkeypatch):
+    # each model takes in whole characters up to the bound with no term
+    # dropped.  Negative control: drop the functions x^c whose character
+    # sits at the bound but keep the 1-forms of that character; the
+    # contraction and the action coface then send a kept form off the
+    # basis.  These quotients have a weight-zero character at the bound 2:
+    # (2, 2), (2, 1) and (-2, 1)
+    at_the_bound = (GradedAffine((1, -1)), GradedAffine((1, -2)),
+                    GradedAffine((1, 2), laurent=(0, 1)))
+
+    def builds(stack):
+        return [lambda: stacks._koszul_complex(stack, 1, stacks._CHAR_BOUND),
+                lambda: _cartan_complex(stack, 3),
+                lambda: _TotModel(stack, 3, 1)]
+
+    for stack in at_the_bound:
+        for build in builds(stack):
+            build()
+    true_monomials = stacks._sector_monomials
+
+    def ragged(sec, weight, bound, nforms):
+        out = true_monomials(sec, weight, bound, nforms)
+        if nforms:
+            return out
+        return [(exps, idxs) for exps, idxs in out
+                if max(map(abs, exps), default=0) < bound]
+
+    monkeypatch.setattr(stacks, "_sector_monomials", ragged)
+    for stack in at_the_bound:
+        for build in builds(stack):
+            with pytest.raises(AssertionError,
+                               match="leaves the target basis"):
+                build()
 
 
 def test_negative_degrees_vanish():
@@ -379,9 +439,9 @@ def test_tot_model_below_its_cap_does_not_depend_on_it():
     n = 3
     for stack in (BGm(), GradedAffine((1,)), GradedAffine((1, 2)),
                   TwoChartP1(1)):
-        for g_bound, x_bound in ((1, 2), (2, 3)):
-            lo = _TotModel(stack, n + 1, g_bound, x_bound)
-            hi = _TotModel(stack, n + 2, g_bound, x_bound)
+        for g_bound in (1, 2):
+            lo = _TotModel(stack, n + 1, g_bound)
+            hi = _TotModel(stack, n + 2, g_bound)
             assert lo.basis == hi.basis[:n + 2], (repr(stack), g_bound)
             assert lo.mats == hi.mats[:n + 1], (repr(stack), g_bound)
             assert lo.cohomology(n) == hi.cohomology(n)
