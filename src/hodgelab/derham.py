@@ -383,6 +383,7 @@ class CAComplex:
                             depth=depth, max_weight=cap)
         self.d2_lift = PDContext(ZP2(p), 2, [("diff", 0, 1)], depth=depth,
                                  max_weight=cap)
+        self._s_images = {}
 
     # cosimplicial structure maps on basis keys
 
@@ -411,15 +412,21 @@ class CAComplex:
         return out
 
     def _image_of_s(self, keep, k):
-        # s = x_a - x_b maps to a sum of the target PD generators
+        # s = x_a - x_b maps to a sum of the target PD generators; each
+        # image is built once per complex, and no caller mutates it
+        out = self._s_images.get((keep, k))
+        if out is not None:
+            return out
         if keep == (0, 1):
-            return self.d3.pd_gen(0, k)
-        if keep == (1, 2):
-            return self.d3.pd_gen(1, k)
-        # x_1 - x_3 = s_1 + s_2: gamma_k(u+v) = sum gamma_a(u) gamma_b(v)
-        out = self.d3.zero()
-        for a in range(k + 1):
-            out = out + self.d3.monomial((0, 0, 0), (a, k - a), 1)
+            out = self.d3.pd_gen(0, k)
+        elif keep == (1, 2):
+            out = self.d3.pd_gen(1, k)
+        else:
+            # x_1 - x_3 = s_1 + s_2: gamma_k(u+v) = sum gamma_a(u) gamma_b(v)
+            out = self.d3.zero()
+            for a in range(k + 1):
+                out = out + self.d3.monomial((0, 0, 0), (a, k - a), 1)
+        self._s_images[keep, k] = out
         return out
 
     def delta1(self, el):

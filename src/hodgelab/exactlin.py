@@ -22,10 +22,10 @@ The central consumer-facing pieces are
   nonzero entries forming a divisibility chain d1 | d2 | ...;
 * :func:`complex_cohomology` -- every degree of one complex at once.
   Over Z it certifies each map's rank once, from lower bounds (the
-  caller's, a nonzero map's 1, ranks mod p) that meet the d o d = 0
-  upper bounds, with an exact kernel only where no such chain closes,
-  and takes each map's Smith form once from that rank; over F_p it
-  ranks each map once;
+  caller's, a nonzero map's 1, the rank mod one prime) that meet the
+  d o d = 0 upper bounds, with an exact kernel only where no such chain
+  closes, and takes each map's Smith form once from that rank; over F_p
+  it ranks each map once;
 * :func:`cohomology_of_pair` -- the finitely generated abelian group
   ker(d_out)/im(d_in) of a pair of integer matrices, degree 1 of the
   two-map complex;
@@ -325,27 +325,30 @@ class _SchurWork:
         # column j0; row i0 then holds the only entry of column j0, so
         # column operations clear the rest of it without touching any
         # other row, and it is dropped
-        prow = self.rows[i0]
-        self._set_row(i0, {})
-        for i in self.cols.pop(j0):
-            row = self.rows[i]
+        rows, cols, mod, heap = self.rows, self.cols, self.mod, self.heap
+        prow = rows.pop(i0)
+        others = [(j, v) for j, v in prow.items() if j != j0]
+        for j, _ in others:
+            cols[j].discard(i0)
+        pivot_col = cols.pop(j0)
+        pivot_col.discard(i0)
+        for i in pivot_col:
+            row = rows[i]
             q = factor(row.pop(j0))
-            for j, v in prow.items():
-                if j == j0:
-                    continue
+            for j, v in others:
                 nv = row.get(j, 0) - q * v
-                nv = nv % self.mod if self.mod else nv
+                nv = nv % mod if mod else nv
                 if nv:
                     if j not in row:
-                        self.cols[j].add(i)
+                        cols[j].add(i)
                     row[j] = nv
                 elif j in row:
                     del row[j]
-                    self.cols[j].discard(i)
+                    cols[j].discard(i)
             if row:
-                heapq.heappush(self.heap, (len(row), i))
+                heapq.heappush(heap, (len(row), i))
             else:
-                del self.rows[i]
+                del rows[i]
 
     def sub_col(self, j, j0, q):
         # column j -= q * column j0, which changes only column j0's rows
@@ -750,9 +753,11 @@ def complex_cohomology(dims, mats, ring, lower=None):
     Q each degree is the rank of :func:`cohomology_of_pair`.  Over Z each
     map's rank r_n over Q is certified once (see :func:`_certified_ranks`;
     ``lower[n]``, when given and not None, is a certified lower bound on
-    r_n), each map's Smith form is taken once by :func:`snf_diagonal`,
-    from that rank or while ranking it, and H^n = Z^(dims[n] - r_(n-1) -
-    r_n) plus the torsion of d_(n-1).  That torsion is all of it: C^n/ker(d_n) is free,
+    r_n): by the rank mod the first rank prime where the d o d = 0
+    bounds then close, else by an exact kernel.  Each map's Smith form
+    is taken once by :func:`snf_diagonal`, from that rank or while
+    ranking it, and H^n = Z^(dims[n] - r_(n-1) - r_n) plus the torsion
+    of d_(n-1).  That torsion is all of it: C^n/ker(d_n) is free,
     so 0 -> ker/im -> C^n/im -> C^n/ker -> 0 splits, and the torsion of
     C^n/im(d_(n-1)) is read off d_(n-1)'s invariant factors.
 
@@ -806,15 +811,16 @@ def _certified_ranks(dims, mats, lower=None):
     # len(mats) + 1, whose consecutive maps compose to zero, and the
     # Smith diagonals computed on the way.  Every rank r_n has a lower
     # bound l_n: 0 for a zero map, else the larger of 1 and lower[n],
-    # raised where needed by the rank mod each rank prime (a rank mod p
-    # is at most the rank over Q).  d o d = 0 gives r_(n-1) + r_n <=
-    # dims[n], with r_(-1) = 0 and no map out of the last space, so where
-    # l_(n-1) + l_n == dims[n] both bounds are exact.  Only a map that no
-    # such closed chain reaches is ranked by an exact kernel: the last map
-    # by :func:`kernel_basis`, any other by the length of its unranked
-    # :func:`snf_diagonal`, whose own certificate is the kernel of the
-    # core left after the unit pivots, and whose diagonal the caller
-    # needs for the torsion anyway.
+    # raised where needed by the rank mod the first rank prime alone (a
+    # rank mod p is at most the rank over Q; where it falls short, the
+    # exact route below fixes the rank, so a second prime is waste).
+    # d o d = 0 gives r_(n-1) + r_n <= dims[n], with r_(-1) = 0 and no map
+    # out of the last space, so where l_(n-1) + l_n == dims[n] both bounds
+    # are exact.  Only a map that no such closed chain reaches is ranked
+    # by an exact kernel: the last map by :func:`kernel_basis`, any other
+    # by the length of its unranked :func:`snf_diagonal`, whose own
+    # certificate is the kernel of the core left after the unit pivots,
+    # and whose diagonal the caller needs for the torsion anyway.
     top = len(mats)
     low, exact = [], []
     for n, mat in enumerate(mats):
@@ -834,13 +840,9 @@ def _certified_ranks(dims, mats, lower=None):
                         exact[k] = True
         return [n for n in range(top) if not exact[n]]
 
+    for n in close():
+        low[n] = max(low[n], fp_rank(mats[n], _RANK_PRIMES[0]))
     todo = close()
-    for p in _RANK_PRIMES:
-        if not todo:
-            break
-        for n in todo:
-            low[n] = max(low[n], fp_rank(mats[n], p))
-        todo = close()
     diags = {}
     for n in todo:
         if exact[n]:

@@ -337,7 +337,10 @@ class PDContext:
                 top, unit = (min(left, q - 1) if led[i] else left), 1
             else:
                 top, unit = left // q, q
-            for c in range(top + 1):
+            # past the last exponent slot what is left must be a whole
+            # number of q units, so there only c = left (mod q) lives
+            first, step = (left % q, q) if i == nv - 1 else (0, 1)
+            for c in range(first, top + 1, step):
                 slots.append(c)
                 rec(i + 1, left - c * unit)
                 slots.pop()

@@ -73,6 +73,12 @@ class GmQuotient:
         self.kind = kind
         self.weights = tuple(int(w) for w in weights)
         self.laurent = frozenset(laurent)
+        stray = self.laurent.difference(
+            range(len(self.weights)) if kind == "affine" else ())
+        if stray:
+            raise UnsupportedStack("Laurent indices %s name no variable of "
+                                   "an affine quotient"
+                                   % sorted(stray, key=repr))
         if kind == "affine":
             if not self.weights:
                 raise UnsupportedStack("affine quotient needs variables")
@@ -307,32 +313,32 @@ def _coface_terms(group, weights, key):
     """
     sid, exps, idxs, slots = key
     s = len(slots)
-    # j = 0: the action face.  Prepends a slot; on the weight-zero
+    # the terms with a unit slot are summed apart, in `units`, and must
+    # all cancel.  j = 0: the action face.  Prepends a slot; on the weight-zero
     # strand the pullback is id + (dlog t_1 ^ iota_v), slotwise a unit
-    # or a ("w", 0) insertion.
-    terms = [(1, (sid, exps, idxs, (None,) + slots))]
+    # or a ("w", 0) insertion, whose keys no other face makes.
+    units = {(sid, exps, idxs, (None,) + slots): 1}
+    acc = {}
     if group == "gm":
         k = len(idxs)
         for m, i in enumerate(idxs):
             e2 = list(exps)
             e2[i] += 1
             sign = -1 if (k - m - 1) % 2 else 1
-            terms.append((sign * weights[i],
-                          (sid, tuple(e2), idxs[:m] + idxs[m + 1:],
-                           (("w", 0),) + slots)))
+            acc[sid, tuple(e2), idxs[:m] + idxs[m + 1:],
+                (("w", 0),) + slots] = sign * weights[i]
     # j = 1..s: comultiplication of slot j
     for j in range(1, s + 1):
         sign = -1 if j % 2 else 1
+        head, tail = slots[:j - 1], slots[j:]
         for coeff, left, right in _comult(group, slots[j - 1]):
-            terms.append((sign * coeff, (sid, exps, idxs, slots[:j - 1]
-                                         + (left, right) + slots[j:])))
+            new = (sid, exps, idxs, head + (left, right) + tail)
+            sums = units if left is None or right is None else acc
+            sums[new] = sums.get(new, 0) + sign * coeff
     # j = s + 1: append a unit slot
-    terms.append((-1 if (s + 1) % 2 else 1,
-                  (sid, exps, idxs, slots + (None,))))
-    acc = {}
-    for coeff, new in terms:
-        acc[new] = acc.get(new, 0) + coeff
-    if any(c and None in k[3] for k, c in acc.items()):
+    new = (sid, exps, idxs, slots + (None,))
+    units[new] = units.get(new, 0) + (-1 if (s + 1) % 2 else 1)
+    if any(units.values()):
         raise AssertionError("unit slot survived the coface alternating sum")
     return {k: c for k, c in acc.items() if c}
 

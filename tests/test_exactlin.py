@@ -437,6 +437,31 @@ def test_snf_diagonal_falls_back_when_no_rank_prime_sees_the_rank(
         assert set(primes) - set(_RANK_PRIMES)
 
 
+def test_an_open_last_map_is_ranked_by_its_kernel(monkeypatch):
+    # rank 0 mod the first rank prime and 2 mod the second: the one
+    # prime leaves d_out's bound open, so its exact kernel ranks it
+    big = _RANK_PRIMES[0]
+    d_out = IntMat.from_rows([[big, 0], [0, big]])
+    assert [fp_rank(d_out, p) for p in _RANK_PRIMES] == [0, 2]
+    kernels = []
+    real = exactlin.kernel_basis
+    monkeypatch.setattr(exactlin, "kernel_basis",
+                        lambda mat: kernels.append(mat) or real(mat))
+    assert cohomology_of_pair(IntMat.zeros(2, 0), d_out) == AbGroup(0)
+    assert kernels == [d_out]
+
+
+def test_certified_ranks_use_the_first_rank_prime_only(monkeypatch):
+    # the rank bounds are raised mod the first rank prime only; a bound
+    # it leaves open goes straight to the exact route, not a second prime
+    primes = []
+    real = exactlin.fp_rank
+    monkeypatch.setattr(exactlin, "fp_rank",
+                        lambda mat, p: primes.append(p) or real(mat, p))
+    assert _TotModel(BGm(), 5, 2).cohomology(4) == [1, 0, 1, 0, 1]
+    assert primes and set(primes) == {_RANK_PRIMES[0]}
+
+
 def test_lattice_quotient():
     # Z^n / (columns of sub) is the degree-1 group of sub followed by
     # the zero map out of Z^n

@@ -217,8 +217,12 @@ def _key_types(keys):
 
 
 def test_pd_strand_basis_matches_brute_force():
+    # the enumeration walks the last exponent slot over the residue of
+    # what is left mod q only: these shapes end on a free slot, on a
+    # relator's slot, and with no relator at all
     shapes = [(1, []), (2, []), (1, [("var", 0)]), (2, [("diff", 0, 1)]),
               (3, [("diff", 0, 1), ("var", 2)]),
+              (3, [("diff", 0, 1), ("diff", 1, 2)]),
               (2, [("var", 0), ("var", 1)])]
     for p, depths in ((2, (0, 1, 2)), (3, (0, 1, 2)), (5, (0, 1))):
         for depth in depths:

@@ -114,6 +114,20 @@ def test_p1_quotient_counts_both_fixed_points():
     assert cartan_model_dims(p1, 4) == dims
 
 
+def test_laurent_quotients_are_the_free_orbits():
+    """[G_m / G_m] is a point and [G_m^2 / G_m] at weights (1, 2) is a
+    free quotient isomorphic to G_m, on both de Rham routes; the point
+    has Hodge cohomology O in degree 0 only."""
+    point = GradedAffine((1,), laurent=(0,))
+    assert derham_cohomology(point, 3) == [1, 0, 0, 0]
+    assert cartan_model_dims(point, 3) == [1, 0, 0, 0]
+    assert [hodge_cohomology(point, p, 2) for p in range(2)] == \
+        [[1, 0, 0], [0, 0, 0]]
+    torus = GradedAffine((1, 2), laurent=(0, 1))
+    assert derham_cohomology(torus, 3) == [1, 1, 0, 0]
+    assert cartan_model_dims(torus, 3) == [1, 1, 0, 0]
+
+
 def test_cech_and_cartan_routes_agree_everywhere():
     for stack in (BGm(), GradedAffine((1,)), GradedAffine((2,)),
                   GradedAffine((1, 1)), TwoChartP1(1), TwoChartP1(2)):
@@ -302,6 +316,15 @@ def test_unsupported_shapes_are_refused():
         GradedAffine(())
     with pytest.raises(UnsupportedStack):
         TwoChartP1(0)
+    # a Laurent index must name a variable of an affine quotient, else
+    # affine:1 with laurent=(3,) would silently be the polynomial A^1
+    with pytest.raises(UnsupportedStack, match="name no variable"):
+        GradedAffine((1,), laurent=(3,))
+    with pytest.raises(UnsupportedStack, match="name no variable"):
+        GradedAffine((1, 2), laurent=(0, -1))
+    for kind, weights in (("bgm", ()), ("bga", ()), ("p1", (1,))):
+        with pytest.raises(UnsupportedStack, match="name no variable"):
+            stacks.GmQuotient(kind, weights, laurent=(0,))
     with pytest.raises(UnsupportedStack):
         cartan_model_dims(BGa(), 2)
     with pytest.raises(UnsupportedStack):
@@ -390,6 +413,24 @@ def test_a_model_missing_part_of_a_character_refuses_to_build(monkeypatch):
             with pytest.raises(AssertionError,
                                match="leaves the target basis"):
                 build()
+
+
+def test_a_surviving_unit_slot_refuses_to_build(monkeypatch):
+    # the unit slots of the first and last cofaces cancel against the
+    # comultiplications.  Negative control: drop the (form, unit) term
+    # of every form slot's comultiplication, and the last coface's unit
+    # slot survives the alternating sum
+    true_comult = stacks._comult
+
+    def lossy(group, content):
+        out = true_comult(group, content)
+        if content[0] == "w":
+            out = [t for t in out if t[1:] != (content, None)]
+        return out
+
+    monkeypatch.setattr(stacks, "_comult", lossy)
+    with pytest.raises(AssertionError, match="unit slot survived"):
+        _TotModel(BGm(), 3, 1)
 
 
 def test_negative_degrees_vanish():
