@@ -329,21 +329,22 @@ def _run_hodge(ps):
     nmax = ps["nmax"]
     rows = [stacks.hodge_cohomology(stack, pp, nmax)
             for pp in range(nmax + 1)]
-    if stack.kind in ("affine", "p1"):
+    has_x = bool(stack.sectors[0].weights)
+    if has_x:
         # the second route: E_1 of the Cartan model's Hodge filtration
         e1 = pages(stacks._cartan_complex(stack, 2 * nmax), 1)[1]
     entries = []
     for pp, row in enumerate(rows):
         for q, d in enumerate(row):
-            if stack.kind == "bgm":
-                ok = d == (1 if pp == q else 0)
-            elif stack.kind == "bga":
+            if has_x:
+                ok = d == e1.dim(pp, pp + q)
+            elif stack.group == "ga":
                 ok = d == (1 if q - pp in (0, 1) else 0)
             else:
-                ok = d == e1.dim(pp, pp + q)
+                ok = d == (1 if pp == q else 0)
             if d or not ok:
                 entries.append({"p": pp, "q": q, "dim": d, "ok": ok})
-    if stack.kind in ("affine", "p1"):
+    if has_x:
         for pp in range(1, nmax + 1):
             rows = stacks.koszul_consistency(stack, pp)
             entries.append({"id": "koszul-consistency", "p": pp,
@@ -356,7 +357,7 @@ def _run_derham_stack(ps):
     nmax = ps["nmax"]
     dims = stacks.derham_cohomology(stack, nmax)
     entries = []
-    if stack.kind == "bga":
+    if stack.group == "ga":
         for n, d in enumerate(dims):
             entries.append({"n": n, "dim": d,
                             "ok": d == (1 if n == 0 else 0)})
@@ -365,7 +366,7 @@ def _run_derham_stack(ps):
     for n, d in enumerate(dims):
         entries.append({"n": n, "dim": d, "cartan_dim": cartan[n],
                         "ok": d == cartan[n]})
-    if stack.weights:
+    if stack.sectors[0].weights:
         hom = stacks.verify_cartan_homotopy(stack)
         entries.append({"id": "euler-homotopy",
                         "strands": len(hom),
@@ -379,7 +380,7 @@ def _run_hdr(ps):
     rep = stacks.hdr_report(stack, ps["nmax"])
     expect = ps["expect"]
     if expect is None:
-        expect = "non-degenerate" if stack.kind == "bga" else "degenerate"
+        expect = "non-degenerate" if stack.group == "ga" else "degenerate"
     computed = "degenerate" if rep["degenerate"] else "non-degenerate"
     entries = []
     for n in range(ps["nmax"] + 1):

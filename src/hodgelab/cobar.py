@@ -346,35 +346,6 @@ def torsion_census(p, n, w_max):
     return [(w, group_cohomology(n, w, ZZ)) for w in range(0, w_max + 1, 2)]
 
 
-def phi_span_divisors(n):
-    """Elementary divisors of the two differential-convention spans.
-
-    Returns (ours, alternate) where ours is the span of d_1(x^n) and the
-    alternate is the span of (y-z)^n - y^n + z^n, both inside the full
-    weight-2n bidegree-(2) monomial lattice.  The two conventions differ
-    by an antipode twist; their coboundary lattices must agree up to
-    elementary divisors.
-    """
-    ours = phi_class(n)
-    alt = {}
-    for j in range(0, n + 1):
-        c = comb(n, j) * ((-1) ** (n - j))
-        if j == n:
-            c -= 1
-        if j == 0:
-            c += 1
-        if c:
-            alt[(j, n - j)] = c
-    full = [(j, n - j) for j in range(0, n + 1)]
-
-    def divisors(vec_dict):
-        col = [[vec_dict.get(m, 0)] for m in full]
-        mat = IntMat.from_rows(col)
-        return snf_diagonal(mat)
-
-    return divisors(ours), divisors(alt)
-
-
 # -- dimension oracles -------------------------------------------------------
 
 

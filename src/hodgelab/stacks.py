@@ -1,8 +1,11 @@
 """Hodge and de Rham cohomology of G_m-quotient stacks over Q.
 
-Supported shapes: the classifying stacks BG_m and BG_a, quotients
-[Spec A / G_m] for graded polynomial or Laurent algebras A, and the
-two-chart P^1 with a scaling action.  Hodge cohomology of every
+A stack [X/G] is data, a :class:`GmQuotient`: the group G (G_m or
+G_a) and the affine charts of X, each a sector that carries its
+chart-Cech degree, its variables' weights, which of them are inverted,
+and its restriction to the overlap.  The constructors are BGm, BGa,
+GradedAffine (a graded polynomial or Laurent algebra A, [Spec A/G_m])
+and TwoChartP1 (P^1 with a scaling action).  Hodge cohomology of every
 G_m-quotient, BG_m = [pt/G_m] included, comes from the weight-zero
 Koszul model of the exterior powers of the cotangent complex; for B G_a
 it is the rational group cohomology read off cobar.group_table.  De
@@ -15,12 +18,13 @@ Hodge dimensions once per exterior power p.  The filtered complexes
 for the spectral sequences come from one coordinate filtration builder.
 
 Every model keeps the forms x^e dx_I = x^c dlog x_I whose character
-c = e + eps_I has every |c_i| <= _CHAR_BOUND.  d, the Euler contraction,
-the G_m action coface and the chart restriction keep c (the P^1 chart-1
-restriction negates it), so each model is a sum of whole character
-summands and IntMat.from_images reads every differential with no term
-dropped: a term off the target basis raises, as does a unit slot that
-survives the total model's coface sum :func:`_coface_terms`.
+c = e + eps_I has every |c_i| <= _CHAR_BOUND.  d, the Euler contraction
+and the G_m action coface keep c, and a chart restriction x_i ->
+x_i^(+-1) sends it to flips * c, which keeps the bound; so each model
+is a sum of whole character summands and IntMat.from_images reads every
+differential with no term dropped: a term off the target basis raises,
+as does a unit slot that survives the total model's coface sum
+:func:`_coface_terms`.
 """
 
 from itertools import combinations, product
@@ -63,85 +67,70 @@ class UnstableTruncation(AssertionError):
 
 
 class GmQuotient:
-    """Descriptor for a supported G_m-quotient stack.
-
-    kind is one of "bgm", "bga", "affine" (with weights/laurent data
-    for the coordinate ring) or "p1" (with the chart weight).
+    """A quotient stack [X/G] as data: G is "gm" or "ga", and X is glued
+    from the affine charts in `sectors`, each a :class:`_Sector` that
+    carries its own chart-Cech restriction.  The repr is `name`.
     """
 
-    def __init__(self, kind, weights=(), laurent=()):
-        self.kind = kind
-        self.weights = tuple(int(w) for w in weights)
-        self.laurent = frozenset(laurent)
-        stray = self.laurent.difference(
-            range(len(self.weights)) if kind == "affine" else ())
-        if stray:
-            raise UnsupportedStack("Laurent indices %s name no variable of "
-                                   "an affine quotient"
-                                   % sorted(stray, key=repr))
-        if kind == "affine":
-            if not self.weights:
-                raise UnsupportedStack("affine quotient needs variables")
-            if any(w == 0 for w in self.weights):
-                raise UnsupportedStack(
-                    "weight-zero variables give infinite strands")
-        elif kind == "p1":
-            if len(self.weights) != 1 or self.weights[0] == 0:
-                raise UnsupportedStack("P^1 takes one nonzero chart weight")
-        elif kind not in ("bgm", "bga"):
-            raise UnsupportedStack("unknown stack kind %r" % (kind,))
+    def __init__(self, name, group, sectors):
+        self.name = name
+        self.group = group
+        self.sectors = tuple(sectors)
 
     def __repr__(self):
-        if self.kind == "bgm":
-            return "BGm"
-        if self.kind == "bga":
-            return "BGa"
-        if self.kind == "p1":
-            return "TwoChartP1(%d)" % self.weights[0]
-        return "GradedAffine(weights=%s%s)" % (
-            self.weights, ", laurent=%s" % sorted(self.laurent)
-            if self.laurent else "")
-
-
-def BGm():
-    return GmQuotient("bgm")
-
-
-def BGa():
-    return GmQuotient("bga")
-
-
-def GradedAffine(weights, laurent=()):
-    return GmQuotient("affine", weights, laurent)
-
-
-def TwoChartP1(weight=1):
-    return GmQuotient("p1", (weight,))
-
-
-# -- chart sectors (the X direction) ---------------------------------------
+        return self.name
 
 
 class _Sector:
-    """One affine piece of X at a fixed chart-Cech degree."""
+    """One affine piece of X at a fixed chart-Cech degree: x_i has weight
+    weights[i] and is inverted when i is in laurent.  restrict is None
+    or (target, sign, flips): sign times the pullback x_i -> x_i^flips[i]
+    into the coordinates of sector `target`."""
 
-    def __init__(self, cech, weights, laurent):
+    def __init__(self, cech, weights, laurent=frozenset(), restrict=None):
         self.cech = cech
         self.weights = weights
         self.laurent = laurent
+        self.restrict = restrict
 
 
-def _sectors(stack):
-    if stack.kind in ("bgm", "bga"):
-        return [_Sector(0, (), frozenset())]
-    if stack.kind == "affine":
-        return [_Sector(0, stack.weights, stack.laurent)]
-    w = stack.weights[0]
-    return [
-        _Sector(0, (w,), frozenset()),            # chart 0, coordinate x
-        _Sector(0, (-w,), frozenset()),           # chart 1, y = 1/x
-        _Sector(1, (w,), frozenset([0])),         # overlap, Laurent in x
-    ]
+def BGm():
+    return GmQuotient("BGm", "gm", [_Sector(0, ())])
+
+
+def BGa():
+    return GmQuotient("BGa", "ga", [_Sector(0, ())])
+
+
+def GradedAffine(weights, laurent=()):
+    weights = tuple(int(w) for w in weights)
+    laurent = frozenset(laurent)
+    stray = laurent.difference(range(len(weights)))
+    if stray:
+        raise UnsupportedStack("Laurent indices %s name no variable of "
+                               "an affine quotient" % sorted(stray, key=repr))
+    if not weights:
+        raise UnsupportedStack("affine quotient needs variables")
+    if any(w == 0 for w in weights):
+        raise UnsupportedStack("weight-zero variables give infinite strands")
+    return GmQuotient("GradedAffine(weights=%s%s)" % (
+        weights, ", laurent=%s" % sorted(laurent) if laurent else ""),
+        "gm", [_Sector(0, weights, laurent)])
+
+
+def TwoChartP1(weight=1):
+    w = int(weight)
+    if w == 0:
+        raise UnsupportedStack("P^1 takes one nonzero chart weight")
+    # (delta f)_01 = f_1 - f_0 on the overlap, Laurent in x; y = 1/x
+    return GmQuotient("TwoChartP1(%d)" % w, "gm", [
+        _Sector(0, (w,), restrict=(2, -1, (1,))),     # chart 0, x
+        _Sector(0, (-w,), restrict=(2, 1, (-1,))),    # chart 1, y
+        _Sector(1, (w,), frozenset([0])),             # the overlap
+    ])
+
+
+# -- chart sectors (the X direction) ---------------------------------------
 
 
 def _sector_monomials(sec, weight, bound, nforms):
@@ -165,9 +154,8 @@ def _x_basis(stack):
 
     Returns {degree: [(sector_id, exps, idxs), ...]}.
     """
-    secs = _sectors(stack)
     table = {}
-    for sid, sec in enumerate(secs):
+    for sid, sec in enumerate(stack.sectors):
         for nf in range(len(sec.weights) + 1):
             for exps, idxs in _sector_monomials(sec, 0, _CHAR_BOUND, nf):
                 deg = sec.cech + nf
@@ -177,20 +165,21 @@ def _x_basis(stack):
     return table
 
 
-def _restrict_to_overlap(stack, sid, exps, idxs):
-    """Chart-Cech restriction for P^1; None when the sector has none."""
-    if stack.kind != "p1" or sid == 2:
+def _restrict(sec, exps, idxs):
+    """Chart-Cech restriction of x^e dx_I = x^c dlog x_I out of sec, as
+    (target, coeff, exps, idxs), or None.  The pullback x_i ->
+    x_i^flips[i] is linear in character coordinates: c -> flips * c and
+    dlog x_i -> flips[i] dlog x_i."""
+    if sec.restrict is None:
         return None
-    sign = -1 if sid == 0 else 1   # (delta f)_{01} = f_1 - f_0
-    if sid == 0:
-        return sign, exps, idxs
-    # chart 1: y = x^(-1), dy = -x^(-2) dx
-    e = -exps[0]
-    coeff = sign
-    if idxs:
-        coeff = -coeff
-        e -= 2
-    return coeff, (e,), idxs
+    target, coeff, flips = sec.restrict
+    e2 = []
+    for i, (e, f) in enumerate(zip(exps, flips)):
+        eps = i in idxs
+        e2.append(f * (e + eps) - eps)
+        if eps:
+            coeff *= f
+    return target, coeff, tuple(e2), idxs
 
 
 def _iota(sec, exps, idxs):
@@ -237,6 +226,23 @@ def _slot_d(group, content):
     if group == "gm":
         return [(k, ("w", k))]
     return [(k, ("w", k - 1))]
+
+
+def _form_d(group, key):
+    """De Rham d of x^e dx_I (x) slots on U x G^s, for key (exps, idxs,
+    slots), as {key: coeff}: d_x, then the slot d past the forms before
+    it.  Each term changes a different part of the key, so none
+    repeats."""
+    exps, idxs, slots = key
+    out = {(e2, i2, slots): c for (e2, i2), c in _d_key((exps, idxs)).items()}
+    sign = -1 if len(idxs) % 2 else 1
+    for j, content in enumerate(slots):
+        if content[0] == "w":
+            sign = -sign
+            continue
+        for coeff, new in _slot_d(group, content):
+            out[exps, idxs, slots[:j] + (new,) + slots[j + 1:]] = sign * coeff
+    return out
 
 
 def _comult(group, content):
@@ -351,16 +357,17 @@ class _TotModel:
 
     Keys are (sector_id, exps, idxs, slots); the total degree is
     chart-Cech + #dx + #slots + #dlog-slots.  Characters and slot
-    exponents are bounded (the latter by g_bound), every differential
-    keeps both, and d o d = 0 is asserted.  basis[n] for n <= degree_cap
+    exponents are bounded (the latter by g_bound) and every differential
+    keeps both.  d o d = 0 is checked where a pair is read:
+    complex_cohomology checks each pair up to the degree it reports, and
+    a FilteredComplex its whole chain.  basis[n] for n <= degree_cap
     and mats[n] for n < degree_cap do not depend on the cap, so one
     model serves every degree below it.  weight keeps one G_a strand.
     """
 
     def __init__(self, stack, degree_cap, g_bound, *, weight=None):
-        self.stack = stack
-        self.secs = _sectors(stack)
-        self.group = "ga" if stack.kind == "bga" else "gm"
+        self.secs = stack.sectors
+        self.group = stack.group
         self.basis = [[] for _ in range(degree_cap + 1)]
         x_table = _x_basis(stack)
         for s in range(degree_cap + 1):
@@ -380,44 +387,22 @@ class _TotModel:
         self.mats = [IntMat.from_images(self.basis[n], self.basis[n + 1],
                                         self._d_terms)
                      for n in range(degree_cap)]
-        for n in range(degree_cap - 1):
-            if not self.mats[n + 1].matmul(self.mats[n]).is_zero():
-                raise AssertionError("total differential does not square "
-                                     "to zero at degree %d" % n)
-
-    def _level_d_terms(self, key):
-        # each term changes a different part of the key, so none repeats
-        sid, exps, idxs, slots = key
-        sec = self.secs[sid]
-        out = {}
-        # chart-Cech part
-        res = _restrict_to_overlap(self.stack, sid, exps, idxs)
-        if res is not None:
-            coeff, e2, i2 = res
-            out[2, e2, i2, slots] = coeff
-        # de Rham part, with the chart-Cech sign
-        csign = -1 if sec.cech % 2 else 1
-        for (e2, i2), coeff in _d_key((exps, idxs)).items():
-            out[sid, e2, i2, slots] = csign * coeff
-        fsign = csign * (-1 if len(idxs) % 2 else 1)
-        nw_before = 0
-        for j, content in enumerate(slots):
-            if content[0] == "f":
-                sign = fsign * (-1 if nw_before % 2 else 1)
-                for coeff, new in _slot_d(self.group, content):
-                    out[sid, exps, idxs,
-                        slots[:j] + (new,) + slots[j + 1:]] = sign * coeff
-            else:
-                nw_before += 1
-        return out
 
     def _d_terms(self, key):
-        # the cofaces add a slot and the level differential keeps the
-        # slot count, so the two sums share no key
-        out = _coface_terms(self.group, self.secs[key[0]].weights, key)
-        lsign = -1 if len(key[3]) % 2 else 1
-        for k2, c in self._level_d_terms(key).items():
-            out[k2] = lsign * c
+        # the cofaces add a slot and the level differential (the chart
+        # restriction into another sector, then d with the chart-Cech
+        # sign) keeps the slot count, so no two parts share a key
+        sid, exps, idxs, slots = key
+        sec = self.secs[sid]
+        out = _coface_terms(self.group, sec.weights, key)
+        lsign = -1 if len(slots) % 2 else 1
+        res = _restrict(sec, exps, idxs)
+        if res is not None:
+            target, coeff, e2, i2 = res
+            out[target, e2, i2, slots] = lsign * coeff
+        csign = -lsign if sec.cech % 2 else lsign
+        for (e2, i2, s2), c in _form_d(self.group, key[1:]).items():
+            out[sid, e2, i2, s2] = csign * c
         return out
 
     def cohomology(self, n_max):
@@ -464,11 +449,12 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R):
     _require_rational(ring)
     if q_max < 0 or p < 0:
         return [0] * (q_max + 1)
-    if stack.kind == "bga":
+    if stack.group == "ga":
         table = cobar.group_table(q_max - p, _BGA_WEIGHT_CAP)
         return [sum(g.rank for (m, _w), g in table.items() if p + m == q)
                 for q in range(q_max + 1)]
-    spread = max((abs(w) for w in stack.weights), default=0)
+    spread = max((abs(w) for sec in stack.sectors for w in sec.weights),
+                 default=0)
     bounds = (_CHAR_BOUND, _CHAR_BOUND + spread) if spread else (_CHAR_BOUND,)
     rows = []
     for bound in bounds:
@@ -485,31 +471,30 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R):
 def _koszul_complex(stack, p, bound):
     """Stages Lambda^(p-j) Omega^1 (tensor the trivial line) of the
     weight-zero Koszul model, as per-degree bases plus matrices."""
-    secs = _sectors(stack)
     table = {}
     for j in range(p + 1):
-        for sid, sec in enumerate(secs):
+        for sid, sec in enumerate(stack.sectors):
             for exps, idxs in _sector_monomials(sec, 0, bound, p - j):
                 deg = sec.cech + j
                 table.setdefault(deg, []).append((j, sid, exps, idxs))
     basis = [sorted(table.get(n, []))
              for n in range(max(table, default=0) + 1)]
     mats = [IntMat.from_images(
-        src, tgt, lambda key: _restrict_iota_terms(stack, secs, key, 1))
+        src, tgt, lambda key: _restrict_iota_terms(stack.sectors, key, 1))
         for src, tgt in zip(basis, basis[1:])]
     return basis, mats
 
 
-def _restrict_iota_terms(stack, secs, key, iota_sign):
+def _restrict_iota_terms(secs, key, iota_sign):
     """Image of a Koszul or Cartan key (j, sid, exps, idxs) under the
     chart-Cech restriction, which keeps j, plus iota_sign times the
     Euler contraction, which raises j."""
     j, sid, exps, idxs = key
     out = {}
-    res = _restrict_to_overlap(stack, sid, exps, idxs)
+    res = _restrict(secs[sid], exps, idxs)
     if res is not None:
-        coeff, e2, i2 = res
-        out[j, 2, e2, i2] = coeff
+        target, coeff, e2, i2 = res
+        out[j, target, e2, i2] = coeff
     csign = -1 if secs[sid].cech % 2 else 1
     for coeff, e2, i2 in _iota(secs[sid], exps, idxs):
         out[j + 1, sid, e2, i2] = iota_sign * csign * coeff
@@ -524,7 +509,7 @@ def koszul_consistency(stack, p):
     pieces keep or raise the stage index; the stable-page totals must
     reproduce the directly computed dimensions in every degree.
     """
-    if stack.kind in ("bgm", "bga"):
+    if not stack.sectors[0].weights:
         raise UnsupportedStack("Koszul model applies to quotient models")
     basis, mats = _koszul_complex(stack, p, _CHAR_BOUND)
     stable = pages(_coordinate_filtered(basis, mats, lambda key: key[0]))[-1]
@@ -549,7 +534,7 @@ def derham_cohomology(stack, n_max, ring=QQ_R):
     _require_rational(ring)
     if n_max < 0:
         return []
-    if stack.kind == "bga":
+    if stack.group == "ga":
         return _bga_derham(n_max)[0]
     cap = n_max + 1
     lo = _TotModel(stack, cap, 1).cohomology(n_max)
@@ -578,7 +563,7 @@ def _bga_derham(n_max):
 def cartan_model_dims(stack, n_max):
     """H^n of the small Cartan model ((Omega_X x Q[u])^(wt 0), d - u iota)
     for n <= n_max; the independent second route to de Rham dims."""
-    if stack.kind == "bga":
+    if stack.group == "ga":
         raise UnsupportedStack("no Cartan model for a unipotent group")
     return cohomology_dims(_cartan_complex(stack, n_max))[:n_max + 1]
 
@@ -586,7 +571,7 @@ def cartan_model_dims(stack, n_max):
 def _cartan_complex(stack, n_max):
     """The Cartan model as a FilteredComplex (Hodge filtration by
     form degree + u power)."""
-    secs = _sectors(stack)
+    secs = stack.sectors
     x_table = _x_basis(stack)
     cap = n_max + 1
     basis = [[] for _ in range(cap + 1)]
@@ -603,7 +588,7 @@ def _cartan_complex(stack, n_max):
         # d - u iota; d_x keeps the u power j and adds a dx, so its keys
         # are new
         j, sid, exps, idxs = key
-        out = _restrict_iota_terms(stack, secs, key, -1)
+        out = _restrict_iota_terms(secs, key, -1)
         csign = -1 if secs[sid].cech % 2 else 1
         for (e2, i2), coeff in _d_key((exps, idxs)).items():
             out[j, sid, e2, i2] = csign * coeff
@@ -632,16 +617,15 @@ def verify_cartan_homotopy(stack, seed=None):
     each strand checked.
     """
     import random
-    if stack.kind == "bga":
+    if stack.group == "ga":
         raise UnsupportedStack("the Euler homotopy needs a G_m grading")
     rng = random.Random(PROPERTY_SEEDS["cartan"] if seed is None else seed)
     weights = sorted({rng.randrange(1, 6) * rng.choice((1, -1))
                       for _ in range(4)})
-    secs = _sectors(stack)
     entries = []
     for k in weights:
         for s in range(3):
-            for sid, sec in enumerate(secs):
+            for sid, sec in enumerate(stack.sectors):
                 ok, dim = _homotopy_identity(sec, k, s, 3)
                 entries.append({"weight": k, "level": s, "sector": sid,
                                 "dim": dim, "ok": ok})
@@ -649,54 +633,21 @@ def verify_cartan_homotopy(stack, seed=None):
 
 
 def _homotopy_identity(sec, k, s, bound):
-    """iota d + d iota on the weight-k strand of Omega(U x G^s)."""
+    """(iota d + d iota == k I, dim) on the weight-k strand of
+    Omega(U x G^s), both maps read off the model's own d and iota."""
     basis = []
     for nf in range(len(sec.weights) + 1):
         for exps, idxs in _sector_monomials(sec, k, bound, nf):
             for slots in _slot_tuples("gm", 1, s, s):
                 basis.append((exps, idxs, slots))
-    if not basis:
-        return True, 0
-
-    def apply_d(vec):
-        out = {}
-        for (exps, idxs, slots), c in vec.items():
-            for (e2, i2), coeff in _d_key((exps, idxs)).items():
-                key = (e2, i2, slots)
-                out[key] = out.get(key, 0) + c * coeff
-            fsign = -1 if len(idxs) % 2 else 1
-            nw = 0
-            for j, content in enumerate(slots):
-                if content[0] == "f":
-                    sign = fsign * (-1 if nw % 2 else 1)
-                    for coeff, new in _slot_d("gm", content):
-                        key = (exps, idxs,
-                               slots[:j] + (new,) + slots[j + 1:])
-                        out[key] = out.get(key, 0) + c * sign * coeff
-                else:
-                    nw += 1
-        return out
-
-    def apply_iota(vec):
-        out = {}
-        for (exps, idxs, slots), c in vec.items():
-            for coeff, e2, i2 in _iota(sec, exps, idxs):
-                key = (e2, i2, slots)
-                out[key] = out.get(key, 0) + c * coeff
-        return out
-
-    for b in basis:
-        vec = {b: 1}
-        acc = {}
-        for key, c in apply_d(apply_iota(vec)).items():
-            acc[key] = acc.get(key, 0) + c
-        for key, c in apply_iota(apply_d(vec)).items():
-            acc[key] = acc.get(key, 0) + c
-        acc[b] = acc.get(b, 0) - k
-        # drop exact zeros; anything else falsifies the identity on b
-        if any(v for v in acc.values()):
-            return False, len(basis)
-    return True, len(basis)
+    d = IntMat.from_images(basis, basis, lambda key: _form_d("gm", key))
+    iota = IntMat.from_images(basis, basis, lambda key: {
+        (e2, i2, key[2]): c for c, e2, i2 in _iota(sec, key[0], key[1])})
+    excess = {(i, i): -k for i in range(len(basis))}
+    for prod in (iota.matmul(d), d.matmul(iota)):
+        for ij, c in prod.entries.items():
+            excess[ij] = excess.get(ij, 0) + c
+    return not any(excess.values()), len(basis)
 
 
 # -- Hodge-to-de Rham assembly ----------------------------------------------
@@ -730,7 +681,7 @@ def hdr_report(stack, n_max):
     the dimension verdict to see it; a smaller n_max raises
     :class:`UnsupportedStack`.
     """
-    if stack.kind == "bga" and n_max < 1:
+    if stack.group == "ga" and n_max < 1:
         raise UnsupportedStack("hdr for B G_a needs n_max >= 1: its first "
                                "nonzero d_1 leaves degree 1")
     hodge = {}
@@ -740,10 +691,11 @@ def hdr_report(stack, n_max):
                 hodge[(p2, q)] = d
     e1_totals = [sum(d for (p2, q), d in hodge.items() if p2 + q == n)
                  for n in range(n_max + 1)]
-    if stack.kind == "bga":
+    if stack.group == "ga":
         derham, strands = _bga_derham(n_max)
     else:
         derham = derham_cohomology(stack, n_max)
+        fc = _cartan_complex(stack, n_max)
     entry = {
         "stack": repr(stack),
         "n_max": n_max,
@@ -751,22 +703,20 @@ def hdr_report(stack, n_max):
         "e1_totals": e1_totals,
         "derham": derham,
     }
-    if stack.kind != "bga":
-        cartan = cartan_model_dims(stack, n_max)
-        entry["cartan"] = cartan
-        if list(cartan) != list(derham):
+    if stack.group != "ga":
+        entry["cartan"] = cohomology_dims(fc)[:n_max + 1]
+        if entry["cartan"] != list(derham):
             raise AssertionError("Cech and Cartan de Rham routes disagree")
     failures = [n for n in range(n_max + 1) if e1_totals[n] != derham[n]]
     entry["degenerate"] = not failures
     entry["failures"] = failures
-    if stack.kind == "bga":
+    if stack.group == "ga":
         located = []
         for strand in strands[1:n_max + 2]:
             located += _located_d1(_bga_strand_filtered(strand))
         entry["located_d1"] = located
         entry["specseq"] = degenerates_at(_bga_strand_filtered(strands[1]), 1)
     else:
-        fc = _cartan_complex(stack, n_max)
         entry["specseq"] = degenerates_at(fc, 1)
         entry["located_d1"] = []
     if entry["degenerate"] != entry["specseq"]["degenerate"]:

@@ -272,9 +272,23 @@ def test_unstable_truncation_exits_two_without_traceback(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("stack", ["BGm", "BGa", "A1", "P1", "P1:2",
-                                   "affine:1,2", "affine:1,-1",
-                                   "affine:1,-2", "affine:2,-3"])
+# each stack spec and the name that `hdr` writes into its report
+STACK_NAMES = {
+    "BGm": "BGm", "BGa": "BGa", "A1": "GradedAffine(weights=(1,))",
+    "P1": "TwoChartP1(1)", "P1:2": "TwoChartP1(2)",
+    "affine:1,2": "GradedAffine(weights=(1, 2))",
+    "affine:1,-1": "GradedAffine(weights=(1, -1))",
+    "affine:1,-2": "GradedAffine(weights=(1, -2))",
+    "affine:2,-3": "GradedAffine(weights=(2, -3))",
+}
+
+
+def test_stack_specs_print_their_names():
+    for spec, name in STACK_NAMES.items():
+        assert repr(cli._parse_stack(spec)) == name
+
+
+@pytest.mark.parametrize("stack", list(STACK_NAMES))
 def test_hdr_ends_in_a_report_or_one_error_line(stack, capsys):
     # hdr, hodge and derham-stack at every n_max from 0 to 4: a JSON
     # report, or one error line and no traceback; hdr on B G_a at n_max 0

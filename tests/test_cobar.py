@@ -12,8 +12,8 @@ from hodgelab.cobar import (
     CohClass, LiftNotExact, NotACocycle, apply_d, bockstein, class_is_zero,
     classes_equal, cup, group_cohomology, group_table, hilbert_dims_f2,
     hilbert_dims_odd, is_scalar_multiple, kzthree_group, phi_class,
-    phi_span_divisors, strand_basis, strand_matrix, torsion_census,
-    torsion_class, v_one, w_class,
+    strand_basis, strand_matrix, torsion_census, torsion_class, v_one,
+    w_class,
 )
 from hodgelab.exactlin import AbGroup
 from hodgelab.gralg import FP, QQ_R, ZP2, ZZ
@@ -258,6 +258,35 @@ def test_oracle_euler_characteristic_vanishes():
         for w in (4, 6, 8):
             chi = sum((-1) ** n * dims.get((n, w), 0) for n in range(0, 5))
             assert chi == 0, (p, w)
+
+
+def phi_span_divisors(n):
+    """Elementary divisors of the two differential-convention spans.
+
+    Returns (ours, alternate) where ours is the span of d_1(x^n) and the
+    alternate is the span of (y-z)^n - y^n + z^n, both inside the full
+    weight-2n bidegree-(2) monomial lattice.  The two conventions differ
+    by an antipode twist; their coboundary lattices must agree up to
+    elementary divisors.
+    """
+    ours = phi_class(n)
+    alt = {}
+    for j in range(0, n + 1):
+        c = comb(n, j) * ((-1) ** (n - j))
+        if j == n:
+            c -= 1
+        if j == 0:
+            c += 1
+        if c:
+            alt[(j, n - j)] = c
+    full = [(j, n - j) for j in range(0, n + 1)]
+
+    def divisors(vec_dict):
+        col = [[vec_dict.get(m, 0)] for m in full]
+        mat = exactlin.IntMat.from_rows(col)
+        return exactlin.snf_diagonal(mat)
+
+    return divisors(ours), divisors(alt)
 
 
 def test_phi_span_convention_invariance():

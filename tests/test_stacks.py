@@ -124,6 +124,7 @@ def test_laurent_quotients_are_the_free_orbits():
     assert [hodge_cohomology(point, p, 2) for p in range(2)] == \
         [[1, 0, 0], [0, 0, 0]]
     torus = GradedAffine((1, 2), laurent=(0, 1))
+    assert repr(torus) == "GradedAffine(weights=(1, 2), laurent=[0, 1])"
     assert derham_cohomology(torus, 3) == [1, 1, 0, 0]
     assert cartan_model_dims(torus, 3) == [1, 1, 0, 0]
 
@@ -225,7 +226,7 @@ def test_koszul_stage_filtration_pages(monkeypatch):
                 for key in keys:
                     counts[(key[0], n)] = counts.get((key[0], n), 0) + 1
             assert e0.entries == counts, (repr(stack), p)
-            if stack.kind == "affine":
+            if all(sec.restrict is None for sec in stack.sectors):
                 assert e1.entries == counts, (repr(stack), p)
             else:
                 assert e1.entries == {(p, p): 1, (p - 1, p): 1}, p
@@ -279,6 +280,22 @@ def test_hdr_report_is_deterministic():
     assert hdr_report(BGa(), 2) == hdr_report(BGa(), 2)
 
 
+def test_chart_restriction_pulls_back_in_character_coordinates():
+    """P^1's chart-Cech restriction, (delta f)_01 = f_1 - f_0: chart 0
+    enters the overlap with sign -1 as it is, and chart 1 through
+    y = 1/x, so y^e = x^(-e) and y^e dy = -x^(-e-2) dx."""
+    chart0, chart1, overlap = TwoChartP1(3).sectors
+    for e in range(-3, 4):
+        assert stacks._restrict(chart0, (e,), ()) == (2, -1, (e,), ())
+        assert stacks._restrict(chart0, (e,), (0,)) == (2, -1, (e,), (0,))
+        assert stacks._restrict(chart1, (e,), ()) == (2, 1, (-e,), ())
+        assert stacks._restrict(chart1, (e,), (0,)) == \
+            (2, -1, (-e - 2,), (0,))
+        assert stacks._restrict(overlap, (e,), (0,)) is None
+    sec = GradedAffine((1, 2)).sectors[0]
+    assert stacks._restrict(sec, (1, 0), (1,)) is None
+
+
 def test_cotangent_two_term_contraction():
     """a^*(f dg) = f wt(g) g on homogeneous coordinates."""
     sec = stacks._Sector(0, (3, 5), frozenset())
@@ -322,9 +339,6 @@ def test_unsupported_shapes_are_refused():
         GradedAffine((1,), laurent=(3,))
     with pytest.raises(UnsupportedStack, match="name no variable"):
         GradedAffine((1, 2), laurent=(0, -1))
-    for kind, weights in (("bgm", ()), ("bga", ()), ("p1", (1,))):
-        with pytest.raises(UnsupportedStack, match="name no variable"):
-            stacks.GmQuotient(kind, weights, laurent=(0,))
     with pytest.raises(UnsupportedStack):
         cartan_model_dims(BGa(), 2)
     with pytest.raises(UnsupportedStack):
@@ -468,8 +482,8 @@ def test_cartan_homotopy_flags_a_doubled_contraction(monkeypatch):
 
 
 def test_hdr_report_rejects_a_wrong_cartan_route(monkeypatch):
-    monkeypatch.setattr(stacks, "cartan_model_dims",
-                        lambda stack, n_max: [1] * (n_max + 1))
+    monkeypatch.setattr(stacks, "cohomology_dims",
+                        lambda fc: [1] * len(fc.dims))
     with pytest.raises(AssertionError, match="Cartan"):
         hdr_report(BGm(), 2)
 
