@@ -327,8 +327,7 @@ def _run_unfold(ps):
 def _run_hodge(ps):
     stack = _parse_stack(ps["stack"])
     nmax = ps["nmax"]
-    rows = [stacks.hodge_cohomology(stack, pp, nmax)
-            for pp in range(nmax + 1)]
+    rows = stacks._hodge_rows(stack, [nmax] * (nmax + 1))
     has_x = bool(stack.sectors[0].weights)
     if has_x:
         # the second route: E_1 of the Cartan model's Hodge filtration

@@ -281,12 +281,18 @@ class _SchurWork:
 
     def __init__(self, entries, modulus=None):
         self.mod = modulus
-        self.rows, self.cols = {}, {}
+        self.rows, self.cols = rows, cols = {}, {}
         for (i, j), v in entries.items():
             v = v % modulus if modulus else v
             if v:
-                self.rows.setdefault(i, {})[j] = v
-                self.cols.setdefault(j, set()).add(i)
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = {}
+                row[j] = v
+                col = cols.get(j)
+                if col is None:
+                    col = cols[j] = set()
+                col.add(i)
         self.heap = [(len(row), i) for i, row in self.rows.items()]
         heapq.heapify(self.heap)
 

@@ -14,7 +14,8 @@ action nerve X x G^s, reduced to the weight-zero strand, with a small
 Cartan model as an independent second route.  Both sides of the
 comparison build each complex once, up to the top degree asked for,
 and read every degree from it: de Rham dimensions once per stack,
-Hodge dimensions once per exterior power p.  The filtered complexes
+Hodge dimensions once per exterior power p (B G_a: one cobar table for
+every p).  The filtered complexes
 for the spectral sequences come from one coordinate filtration builder.
 
 Every model keeps the forms x^e dx_I = x^c dlog x_I whose character
@@ -25,6 +26,13 @@ is a sum of whole character summands and IntMat.from_images reads every
 differential with no term dropped: a term off the target basis raises,
 as does a unit slot that survives the total model's coface sum
 :func:`_coface_terms`.
+
+The G_m total model is graded in the slot direction too: the cofaces,
+the slot d, d_x and the chart restriction all keep the set E of nonzero
+G-slot exponents of a key.  The reported de Rham model is the window
+at slot bound 1, the keys with E within {-1, 1}; the window at slot
+bound 2 adds one summand per other E, and each of those is ranked on
+its own and must be acyclic.
 """
 
 from itertools import combinations, product
@@ -281,31 +289,36 @@ def _comult(group, content):
 
 def _slot_tuples(group, bound, s, max_forms, weight=None):
     """Normalized s-slot tuples with at most max_forms form slots and,
-    when weight is given, of that total weight; in product order."""
+    when weight is given, of that total weight; in product order, as
+    (slots, form count, mask).  For G_m, bit a + bound of mask is set
+    when some slot has the exponent a != 0; a G_a mask is 0, since its
+    comultiplication splits exponents."""
     fs, ws = _slot_contents(group, bound)
-    pool = [(c, c[0] == "w", _slot_weight(group, c)) for c in fs + ws]
-    lightest = min(cw for _, _, cw in pool)
-    heaviest = max(cw for _, _, cw in pool)
+    pool = [(c, c[0] == "w", _slot_weight(group, c),
+             1 << (c[1] + bound) if group == "gm" and c[1] else 0)
+            for c in fs + ws]
+    lightest = min(cw for _, _, cw, _ in pool)
+    heaviest = max(cw for _, _, cw, _ in pool)
     out = []
 
-    def grow(prefix, forms, left):
+    def grow(prefix, forms, left, mask):
         k = len(prefix)
         if k == s:
             if not left:
-                out.append(tuple(prefix))
+                out.append((tuple(prefix), max_forms - forms, mask))
             return
         if left is not None and not (
                 (s - k) * lightest <= left <= (s - k) * heaviest):
             return
-        for c, is_form, cw in pool:
+        for c, is_form, cw, bit in pool:
             if (is_form and not forms) or (left is not None and cw > left):
                 continue
             prefix.append(c)
             grow(prefix, forms - is_form,
-                 None if left is None else left - cw)
+                 None if left is None else left - cw, mask | bit)
             prefix.pop()
 
-    grow([], max_forms, weight)
+    grow([], max_forms, weight, 0)
     del grow  # grow holds itself through its closure cell: free that cycle
     return out
 
@@ -352,6 +365,45 @@ def _coface_terms(group, weights, key):
 # -- the Cech-de Rham total complex -----------------------------------------
 
 
+def _tot_keys(stack, degree_cap, g_bound, weight=None):
+    """The total-model keys (sector_id, exps, idxs, slots) of degree <=
+    degree_cap, unsorted and filed by the mask of their slot tuple (see
+    :func:`_slot_tuples`): {mask: [keys of degree n for n <= cap]}."""
+    x_table = _x_basis(stack)
+    parts = {}
+    for s in range(degree_cap + 1):
+        for xdeg, xs in x_table.items():
+            max_forms = degree_cap - s - xdeg
+            if max_forms < 0:
+                continue
+            for slots, nf, mask in _slot_tuples(stack.group, g_bound, s,
+                                                max_forms, weight):
+                part = parts.get(mask)
+                if part is None:
+                    part = parts[mask] = [[] for _ in range(degree_cap + 1)]
+                part[s + xdeg + nf] += [(sid, exps, idxs, slots)
+                                        for sid, exps, idxs in xs]
+    return parts
+
+
+def _window_summands(stack, degree_cap):
+    """The G_m total model at slot bound 2, split by the set E of nonzero
+    slot exponents of a key, which every piece of d keeps: (narrow,
+    wide), where narrow holds the keys with E within {-1, 1}, the model
+    at slot bound 1, and wide is {E: keys} for every other E, each an
+    unsorted list of keys per degree."""
+    narrow = [[] for _ in range(degree_cap + 1)]
+    wide = {}
+    for mask, part in _tot_keys(stack, degree_cap, 2).items():
+        exps = tuple(a for a in range(-2, 3) if mask >> (a + 2) & 1)
+        if set(exps) <= {-1, 1}:
+            for keys, more in zip(narrow, part):
+                keys += more
+        else:
+            wide[exps] = part
+    return narrow, wide
+
+
 class _TotModel:
     """Weight-zero truncated Cech-de Rham bicomplex of [X/G].
 
@@ -363,27 +415,21 @@ class _TotModel:
     a FilteredComplex its whole chain.  basis[n] for n <= degree_cap
     and mats[n] for n < degree_cap do not depend on the cap, so one
     model serves every degree below it.  weight keeps one G_a strand.
+    keys, when given, are the model's keys per degree, such as one
+    summand of :func:`_window_summands`, in place of the whole window.
     """
 
-    def __init__(self, stack, degree_cap, g_bound, *, weight=None):
+    def __init__(self, stack, degree_cap, g_bound, *, weight=None,
+                 keys=None):
         self.secs = stack.sectors
         self.group = stack.group
-        self.basis = [[] for _ in range(degree_cap + 1)]
-        x_table = _x_basis(stack)
-        for s in range(degree_cap + 1):
-            for xdeg, xs in x_table.items():
-                max_forms = degree_cap - s - xdeg
-                if max_forms < 0:
-                    continue
-                for slots in _slot_tuples(self.group, g_bound, s, max_forms,
-                                          weight):
-                    nf = sum(1 for c in slots if c[0] == "w")
-                    n = s + xdeg + nf
-                    if n <= degree_cap:
-                        for sid, exps, idxs in xs:
-                            self.basis[n].append((sid, exps, idxs, slots))
-        for keys in self.basis:
-            keys.sort()
+        if keys is None:
+            keys = [[] for _ in range(degree_cap + 1)]
+            for part in _tot_keys(stack, degree_cap, g_bound,
+                                  weight).values():
+                for basis, more in zip(keys, part):
+                    basis += more
+        self.basis = [sorted(basis) for basis in keys]
         self.mats = [IntMat.from_images(self.basis[n], self.basis[n + 1],
                                         self._d_terms)
                      for n in range(degree_cap)]
@@ -450,9 +496,8 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R):
     if q_max < 0 or p < 0:
         return [0] * (q_max + 1)
     if stack.group == "ga":
-        table = cobar.group_table(q_max - p, _BGA_WEIGHT_CAP)
-        return [sum(g.rank for (m, _w), g in table.items() if p + m == q)
-                for q in range(q_max + 1)]
+        return _bga_hodge_row(cobar.group_table(q_max - p, _BGA_WEIGHT_CAP),
+                              p, q_max)
     spread = max((abs(w) for sec in stack.sectors for w in sec.weights),
                  default=0)
     bounds = (_CHAR_BOUND, _CHAR_BOUND + spread) if spread else (_CHAR_BOUND,)
@@ -466,6 +511,27 @@ def hodge_cohomology(stack, p, q_max, ring=QQ_R):
         if rows[0][q] != rows[-1][q]:
             raise UnstableTruncation(p, q, bounds, (rows[0][q], rows[-1][q]))
     return rows[0]
+
+
+def _bga_hodge_row(table, p, q_max):
+    # H^q(B G_a, Lambda^p) = H^(q-p)(G_a, Sym^p g*), read off a
+    # cobar.group_table that reaches degree q_max - p
+    return [sum(g.rank for (m, _w), g in table.items() if p + m == q)
+            for q in range(q_max + 1)]
+
+
+def _hodge_rows(stack, q_maxes):
+    """[hodge_cohomology(stack, p, q_max) for p, q_max in
+    enumerate(q_maxes)], every B G_a row read off one cobar table at the
+    largest q_max - p: H^m of a weight strand does not depend on the
+    table's top degree."""
+    if stack.group != "ga":
+        return [hodge_cohomology(stack, p, q_max)
+                for p, q_max in enumerate(q_maxes)]
+    table = cobar.group_table(max(q - p for p, q in enumerate(q_maxes)),
+                              _BGA_WEIGHT_CAP)
+    return [_bga_hodge_row(table, p, q_max)
+            for p, q_max in enumerate(q_maxes)]
 
 
 def _koszul_complex(stack, p, bound):
@@ -525,11 +591,17 @@ def derham_cohomology(stack, n_max, ring=QQ_R):
     Every degree is read from one model of degree cap n_max + 1, the
     least cap whose maps reach H^n_max.  A character c != 0 spans an
     acyclic summand (L_E = [d - u iota_v, iota_E] for an Euler field E
-    with <c, E> != 0), so the character bound is exact; G_m-type models
-    are rebuilt at a wider G-slot window and must agree.  The
-    B G_a complex splits into exact finite weight strands, one model per
-    weight w <= n_max + 2 at degree cap n_max + 2, and degree n sums the
-    strands w <= n + 2; its answer needs no stability pass.
+    with <c, E> != 0), so the character bound is exact.  A G_m-type
+    model is read at slot bound 1 and checked at slot bound 2 through
+    the grading by the set of nonzero slot exponents: one enumeration
+    at bound 2 gives the reported model, the keys whose exponents lie in
+    {-1, 1}, and one summand per other exponent set, each built on its
+    own keys and required to be acyclic through n_max.  That is the
+    comparison of the two windows, since the wider one is the narrower
+    plus those summands.  The B G_a complex splits into exact finite
+    weight strands, one model per weight w <= n_max + 2 at degree cap
+    n_max + 2, and degree n sums the strands w <= n + 2; its answer
+    needs no stability pass.
     """
     _require_rational(ring)
     if n_max < 0:
@@ -537,13 +609,18 @@ def derham_cohomology(stack, n_max, ring=QQ_R):
     if stack.group == "ga":
         return _bga_derham(n_max)[0]
     cap = n_max + 1
-    lo = _TotModel(stack, cap, 1).cohomology(n_max)
-    hi = _TotModel(stack, cap, 2).cohomology(n_max)
-    for n in range(n_max + 1):
-        if lo[n] != hi[n]:
-            raise AssertionError(
-                "de Rham dim not stable under truncation at degree %d" % n)
-    return lo
+    narrow, wide = _window_summands(stack, cap)
+    dims = _TotModel(stack, cap, 1, keys=narrow).cohomology(n_max)
+    unstable = []
+    for exps, keys in sorted(wide.items()):
+        row = _TotModel(stack, cap, 2, keys=keys).cohomology(n_max)
+        unstable += [(n, exps) for n, d in enumerate(row) if d]
+    if unstable:
+        n, exps = min(unstable)
+        raise AssertionError(
+            "de Rham dim not stable under truncation at degree %d: the "
+            "summand with slot exponents %s is not acyclic" % (n, list(exps)))
+    return dims
 
 
 def _bga_derham(n_max):
@@ -638,7 +715,7 @@ def _homotopy_identity(sec, k, s, bound):
     basis = []
     for nf in range(len(sec.weights) + 1):
         for exps, idxs in _sector_monomials(sec, k, bound, nf):
-            for slots in _slot_tuples("gm", 1, s, s):
+            for slots, _, _ in _slot_tuples("gm", 1, s, s):
                 basis.append((exps, idxs, slots))
     d = IntMat.from_images(basis, basis, lambda key: _form_d("gm", key))
     iota = IntMat.from_images(basis, basis, lambda key: {
@@ -685,8 +762,9 @@ def hdr_report(stack, n_max):
         raise UnsupportedStack("hdr for B G_a needs n_max >= 1: its first "
                                "nonzero d_1 leaves degree 1")
     hodge = {}
-    for p2 in range(n_max + 2):
-        for q, d in enumerate(hodge_cohomology(stack, p2, n_max + 1 - p2)):
+    rows = _hodge_rows(stack, [n_max + 1 - p2 for p2 in range(n_max + 2)])
+    for p2, row in enumerate(rows):
+        for q, d in enumerate(row):
             if d:
                 hodge[(p2, q)] = d
     e1_totals = [sum(d for (p2, q), d in hodge.items() if p2 + q == n)

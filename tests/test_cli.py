@@ -197,6 +197,19 @@ def test_hodge_rejects_a_group_row_with_an_extra_class(
     assert bad == [(p, p + extra) for p in range(4 - extra)]
 
 
+@pytest.mark.parametrize("cmd, top", [("hodge", 3), ("hdr", 4)])
+def test_bga_hodge_rows_come_from_one_cobar_table(monkeypatch, cmd, top):
+    # H^m of a weight strand does not depend on the table's top degree,
+    # so one table, reaching the largest q - p, serves every row p
+    tops = []
+    real = cobar.group_table
+    monkeypatch.setattr(cobar, "group_table", lambda n_max, w_max: (
+        tops.append(n_max) or real(n_max, w_max)))
+    report, code = cli.run(cli.RunConfig(cmd, {"stack": "BGa", "nmax": 3}))
+    assert code == 0 and report["entries"]
+    assert tops == [top]
+
+
 @pytest.mark.parametrize("stack", ["A1", "P1", "affine:1,2"])
 def test_hodge_rejects_a_quotient_row_off_the_cartan_e1_page(
         monkeypatch, stack):

@@ -48,7 +48,8 @@ def _gm_bar_row(m_max, bound):
     """[dim H^0, ..., dim H^m_max](G_m, Q) from the reduced bar complex
     of Q[t, 1/t] truncated to |exponent| <= bound: the total model's keys
     with no X part and no form slots."""
-    bases = [[(0, (), (), slots) for slots in _slot_tuples("gm", bound, s, 0)]
+    bases = [[(0, (), (), slots)
+              for slots, _, _ in _slot_tuples("gm", bound, s, 0)]
              for s in range(m_max + 2)]
     mats = [IntMat.from_images(src, tgt, lambda key: _coface_terms(
         "gm", (), key)) for src, tgt in zip(bases, bases[1:])]
@@ -88,6 +89,16 @@ def test_hodge_rows_do_not_depend_on_the_top_degree():
         for p in range(4):
             assert hodge_cohomology(stack, p, 2) == \
                 hodge_cohomology(stack, p, 4)[:3], (repr(stack), p)
+
+
+def test_hodge_rows_of_one_report_match_row_by_row():
+    """A report reads every B G_a row off one cobar table; each row is
+    the one hodge_cohomology reads off a table of its own."""
+    for stack in (BGm(), BGa(), GradedAffine((1,))):
+        for q_maxes in ([4, 3, 2, 1, 0], [3] * 4):
+            assert stacks._hodge_rows(stack, q_maxes) == [
+                hodge_cohomology(stack, p, q)
+                for p, q in enumerate(q_maxes)], (repr(stack), q_maxes)
 
 
 def test_bga_is_de_rham_contractible():
@@ -144,9 +155,12 @@ def test_derham_degrees_do_not_depend_on_the_top_degree():
 
 
 def _slot_tuples_oracle(group, bound, s):
-    """(tuple, form count, weight) for every s-slot tuple, product order."""
+    """(tuple, form count, mask, weight) for every s-slot tuple, product
+    order; the G_m mask sets bit a + bound for each slot exponent a != 0."""
     fs, ws = _slot_contents(group, bound)
     return [(t, sum(1 for c in t if c[0] == "w"),
+             sum(1 << (a + bound) for a in {c[1] for c in t} if a)
+             if group == "gm" else 0,
              sum(_slot_weight(group, c) for c in t))
             for t in product(fs + ws, repeat=s)]
 
@@ -163,8 +177,8 @@ def test_slot_tuples_match_the_product_oracle():
                 oracle = _slot_tuples_oracle(group, bound, s)
                 for max_forms in range(s + 2):
                     for weight in (None,) + tuple(range(9)):
-                        want = [t for t, nf, wt in oracle if nf <= max_forms
-                                and weight in (None, wt)]
+                        want = [(t, nf, mask) for t, nf, mask, wt in oracle
+                                if nf <= max_forms and weight in (None, wt)]
                         got = _slot_tuples(group, bound, s, max_forms, weight)
                         assert got == want, (group, bound, s, max_forms,
                                              weight)
@@ -500,6 +514,94 @@ def test_tot_model_below_its_cap_does_not_depend_on_it():
             assert lo.basis == hi.basis[:n + 2], (repr(stack), g_bound)
             assert lo.mats == hi.mats[:n + 1], (repr(stack), g_bound)
             assert lo.cohomology(n) == hi.cohomology(n)
+
+
+def _slot_exponents(key):
+    """E: the nonzero slot exponents of a total-model key."""
+    return frozenset(c[1] for c in key[3] if c[1])
+
+
+GRADED = {"BGm": BGm(), "P1": TwoChartP1(1),
+          "affine:1,-1": GradedAffine((1, -1)),
+          "affine:1,2": GradedAffine((1, 2)),
+          "affine:2,-3": GradedAffine((2, -3))}
+
+
+@pytest.mark.parametrize("name", ["BGm", "P1", "affine:1,-1", "affine:1,2"])
+def test_every_map_of_the_wide_window_keeps_the_slot_exponents(name):
+    """The G_m total model is a direct sum over E: each coface, the slot
+    d, d_x and the chart restriction keep the set of nonzero slot
+    exponents."""
+    model = _TotModel(GRADED[name], 5, 2)
+    assert any(mat.entries for mat in model.mats)
+    for n, mat in enumerate(model.mats):
+        src, tgt = model.basis[n], model.basis[n + 1]
+        for i, j in mat.entries:
+            assert _slot_exponents(tgt[i]) == _slot_exponents(src[j]), \
+                (name, tgt[i], src[j])
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_the_window_summands_split_the_wide_model(name):
+    """One enumeration at slot bound 2 files every key by E: the part
+    with E within {-1, 1} is the slot bound 1 model, basis and maps, and
+    with the other summands it makes up the slot bound 2 model."""
+    stack, cap = GRADED[name], 4
+    narrow, wide = stacks._window_summands(stack, cap)
+    lo = _TotModel(stack, cap, 1)
+    built = _TotModel(stack, cap, 1, keys=narrow)
+    assert built.basis == lo.basis and built.mats == lo.mats
+    assert wide and all(not set(exps) <= {-1, 1} for exps in wide)
+    for exps, keys in wide.items():
+        assert all(_slot_exponents(key) == set(exps)
+                   for basis in keys for key in basis)
+    hi = _TotModel(stack, cap, 2)
+    assert hi.basis == [sorted(lo.basis[n] + [key for keys in wide.values()
+                                              for key in keys[n]])
+                        for n in range(cap + 1)]
+
+
+def test_a_coface_that_changes_the_slot_exponents_breaks_a_summand(
+        monkeypatch):
+    # negative control: f_a (x) f_a -> f_a (x) f_-a in the G_m
+    # comultiplication moves a term from E = {a} to {-a, a}.  The whole
+    # slot bound 2 window still holds that term, but the summand of
+    # E = {2} does not, and its build must raise
+    true_comult = stacks._comult
+
+    def mixed(group, content):
+        kind, k = content
+        return [(c, left, ("f", -k) if (left, right) == (content, content)
+                 and kind == "f" else right)
+                for c, left, right in true_comult(group, content)]
+
+    monkeypatch.setattr(stacks, "_comult", mixed)
+    _TotModel(BGm(), 3, 2)
+    _, wide = stacks._window_summands(BGm(), 3)
+    with pytest.raises(AssertionError, match="leaves the target basis"):
+        _TotModel(BGm(), 3, 2, keys=wide[(2,)])
+
+
+def test_a_wide_summand_with_a_class_fails_the_window_verdict(monkeypatch):
+    # negative control: the wide window is the reported model plus the
+    # summands with a slot exponent of size 2, each acyclic.  Give the
+    # summand of E = {2} one class in H^2, and the verdict must turn
+    assert derham_cohomology(BGm(), 4) == [1, 0, 1, 0, 1]
+    true_cohomology = _TotModel.cohomology
+
+    def with_a_class(model, n_max):
+        row = true_cohomology(model, n_max)
+        if {_slot_exponents(key) for keys in model.basis
+                for key in keys} == {frozenset({2})}:
+            row[2] += 1
+        return row
+
+    monkeypatch.setattr(_TotModel, "cohomology", with_a_class)
+    with pytest.raises(AssertionError) as err:
+        derham_cohomology(BGm(), 4)
+    assert str(err.value) == (
+        "de Rham dim not stable under truncation at degree 2: the summand "
+        "with slot exponents [2] is not acyclic")
 
 
 def test_hdr_report_bga_nmax4_is_pinned():
