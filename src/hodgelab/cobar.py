@@ -29,15 +29,25 @@ minors of the diagonal blocks is a nonsingular block-triangular minor,
 whence the bound.  d^n o d^(n-1) = 0, which is checked, gives
 r_(n-1) + r_n <= dim C^n; where the lower bounds meet that upper bound,
 both ranks are exact, with no rank elimination at all.
+
+Corollary: the Smith modulus.  Where the bound is the rank r of d^n_w,
+every union of r_a x r_a minors of the diagonal blocks, r_a the rank of
+d^(n-1)_(w-2a), is an r x r minor of d^n_w, and block triangular, so
+its determinant is the product of theirs.  The gcd of those
+determinants is the product over a of the gcd of the r_a x r_a minors
+of d^(n-1)_(w-2a), the product of its invariant factors: the torsion
+order of H^n_(w-2a).  So s_1...s_r of d^n_w divides the product of the
+torsion orders of H^n at the lower weights, and the Smith form of
+d^n_w takes that product as its modulus with no determinant of its
+own.  d^1_w has one column, whose gcd is its one invariant factor.
 """
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .exactlin import (
-    AbGroup, IntMat, complex_cohomology, fp_solve, snf_diagonal,
-    strand_cohomology,
+    IntMat, complex_cohomology, fp_solve, snf_diagonal, strand_cohomology,
 )
 from .gralg import FP, QQ_R, ZZ
 
@@ -46,7 +56,7 @@ __all__ = [
     "strand_basis", "strand_matrix", "group_cohomology", "group_table",
     "phi_class", "torsion_class", "cup", "bockstein", "torsion_census",
     "class_is_zero", "classes_equal", "hilbert_dims_f2", "hilbert_dims_odd",
-    "kzthree_group", "apply_d",
+    "apply_d",
 ]
 
 
@@ -109,14 +119,30 @@ def _differential_terms(exps):
     return terms
 
 
+def _split_terms(exps):
+    # d on one monomial by the normalized formula, sum over i of
+    # (-1)^i sum over 0 < c < e_i of C(e_i, c) (e_i split at c): the
+    # terms of _differential_terms on degenerate monomials cancel in
+    # pairs (split i at e_i against split i + 1 at 0, the first face
+    # against split 1 at 0 and the last against split n at e_n), and no
+    # two splits give the same monomial
+    terms = {}
+    for i, e in enumerate(exps, 1):
+        sign = -1 if i % 2 else 1
+        head, tail = exps[: i - 1], exps[i:]
+        for c in range(1, e):
+            terms[head + (c, e - c) + tail] = sign * comb(e, c)
+    return terms
+
+
 def strand_matrix(n, w):
     """The differential C^n_w -> C^{n+1}_w as an integer matrix.
 
-    Degenerate monomials (an exponent 0) are not in the target basis,
-    so a term on one that fails to cancel raises.
+    Built from the normalized formula; a term on a monomial outside the
+    target basis raises.
     """
     return IntMat.from_images(strand_basis(n, w), strand_basis(n + 1, w),
-                              _differential_terms)
+                              _split_terms)
 
 
 def apply_d(n, w, cochain):
@@ -153,7 +179,10 @@ def group_table(n_max, w_max):
     lower weights, once :func:`_block_lower_bound` has checked the block
     shape against the kept lower-weight matrices.  Those ranks come from
     the rows: r_n = dim C^n - r_(n-1) - rank H^n.  Only the matrices of
-    degree < n_max are kept.
+    degree < n_max are kept.  The same check gives each map's Smith
+    modulus by the corollary above, from the torsion of the table's
+    lower weights; :func:`complex_cohomology` takes it where the bound
+    is the certified rank.
 
     >>> group_table(2, 6)[2, 6]
     AbGroup(rank=0, torsion=(3,))
@@ -161,9 +190,15 @@ def group_table(n_max, w_max):
     table, kept, ranks = {}, {}, {}
     for w in range(w_max + 1):
         mats = [strand_matrix(n, w) for n in range(n_max + 1)]
-        lower = [_block_lower_bound(mats[k], k, w, kept, ranks)
-                 if k >= 2 else None for k in range(n_max + 1)]
-        row = complex_cohomology([m.ncols for m in mats], mats, ZZ, lower)
+        lower, moduli = [None] * (n_max + 1), [None] * (n_max + 1)
+        if n_max >= 1 and not mats[1].is_zero():
+            lower[1], moduli[1] = 1, gcd(*mats[1].entries.values())
+        for k in range(2, n_max + 1):
+            lower[k] = _block_lower_bound(mats[k], k, w, kept, ranks)
+            if lower[k] is not None:
+                moduli[k] = _block_modulus(table, k, w)
+        row = complex_cohomology([m.ncols for m in mats], mats, ZZ, lower,
+                                 moduli)
         r = 0
         for n, g in enumerate(row):
             table[n, w] = g
@@ -200,6 +235,13 @@ def _block_lower_bound(mat, k, w, kept, ranks):
     if on_diagonal != sum(len(blk.entries) for blk in blocks):
         return None
     return sum(ranks[k - 1, w - 2 * a] for a in range(1, w // 2 + 1))
+
+
+def _block_modulus(table, k, w):
+    # the corollary's multiple of s_1...s_r for d^k_w at the lemma's
+    # bound: the product over a >= 1 of the torsion order of H^k_(w-2a)
+    return prod(prod(table[k, w - 2 * a].torsion)
+                for a in range(1, w // 2 + 1))
 
 
 class CohClass:
@@ -399,23 +441,3 @@ def _poly_algebra_dims(sym_gens, ext_gens, n_max, w_max):
         table = new
     return {k: v for k, v in table.items() if v}
 
-
-def kzthree_group(m):
-    """The regraded sum of strand groups with n = cohdeg + weight.
-
-    Matches the low-degree singular cohomology of the third integral
-    Eilenberg-MacLane space under the doubling convention used here.
-    """
-    rank = 0
-    torsion = []
-    for i in range(0, m + 1):
-        w = m - i
-        if w < 0 or w % 2:
-            continue
-        if i == 0:
-            g = AbGroup(1, ()) if w == 0 else AbGroup(0, ())
-        else:
-            g = group_cohomology(i, w, ZZ)
-        rank += g.rank
-        torsion.extend(g.torsion)
-    return AbGroup(rank, tuple(torsion))

@@ -2,7 +2,8 @@
 
 Everything here is exact: integer work uses arbitrary-precision ints and
 Smith normal forms, computed modulo twice a nonsingular minor's
-determinant so that no entry outgrows it; rational work uses
+determinant, or twice a caller's multiple of the product of the
+invariant factors, so that no entry outgrows it; rational work uses
 Fractions.  One sparse elimination engine, exact over Z or mod any
 modulus in Python ints, gives the rank mod p (:func:`fp_rank_sparse`),
 the saturated integer kernel (:func:`kernel_basis`), the Smith unit
@@ -467,12 +468,15 @@ def _minor_abs_det(mat, cols):
     return det, sorted(rows)
 
 
+_SMALL_PRIMES = tuple(filter(_is_prime, range(2, 1 << 10)))
+
+
 def _coprime_parts(n):
     # n > 0 as pairwise coprime factors (prime, part): the full power of
     # each prime below 2^10 that divides it, then (None, cofactor) if
     # the cofactor is not 1
     parts = []
-    for f in range(2, 1 << 10):
+    for f in _SMALL_PRIMES:
         if n % f == 0:
             q = 1
             while n % f == 0:
@@ -544,14 +548,17 @@ def _kernel_rank(mat):
     return mat.ncols - kernel_basis(mat).ncols
 
 
-def smith_normal_form(mat, rank=None):
+def smith_normal_form(mat, rank=None, det_multiple=None):
     """The Smith normal form D of mat, an :class:`IntMat` of its shape.
 
     D is zero off the diagonal, and its nonzero entries d1 | d2 | ... are
     mat's invariant factors, positive and first on the diagonal.  The
     transforms are not computed.  ``rank``, when given, is mat's rank
-    over Q as the caller has certified it.  No entry grows past
-    N = 2D, D = |det| of one nonsingular r x r minor:
+    over Q as the caller has certified it.  ``det_multiple``, when given
+    (only with ``rank``), is a positive multiple of the product s_1...s_r
+    of mat's invariant factors, such as the gcd of a family of its
+    r x r minors that the caller knows.  No entry grows past N = 2D,
+    D = ``det_multiple`` or else |det| of one nonsingular r x r minor:
 
     1. +-1 pivots are eliminated exactly over Z by Schur complement, each
        one an invariant factor 1; a matrix with no +-1 entry is its own
@@ -559,14 +566,15 @@ def smith_normal_form(mat, rank=None):
     2. the rank r of what is left (the core) is the given rank minus
        those pivots or, with no rank given, its column count minus the
        size of :func:`kernel_basis` of it;
-    3. primes are tried in turn: the two rank primes, then every prime
-       below 2^31 - 1, descending.  The first prime whose rank mod p is
-       r gives, from one :func:`fp_rref` of the core, r pivot columns
-       independent over Q.  Sparse fraction-free elimination on those
-       columns, a shortest row's sparsest column first, picks r pivot
-       rows and D, the |det| of that minor.  Each updated row is divided
-       by its content, and the factor by which it has been scaled enters
-       D only when the row becomes a pivot;
+    3. with no ``det_multiple``, primes are tried in turn: the two rank
+       primes, then every prime below 2^31 - 1, descending.  The first
+       prime whose rank mod p is r gives, from one :func:`fp_rref` of
+       the core, r pivot columns independent over Q.  Sparse
+       fraction-free elimination on those columns, a shortest row's
+       sparsest column first, picks r pivot rows and D, the |det| of
+       that minor.  Each updated row is divided by its content, and the
+       factor by which it has been scaled enters D only when the row
+       becomes a pivot;
     4. the core is diagonalised over Z/N one coprime part of N at a time
        (the power of each prime below 2^10, then the cofactor), keeping
        gcd(pivot, part) for each pivot and the part for each missing one,
@@ -590,11 +598,19 @@ def smith_normal_form(mat, rank=None):
     some prime, a core whose exact kernel disagrees with it once neither
     rank prime reaches it (so a rank too high cannot send the search past
     every prime), pivots past r in some part, and pivot columns that the
-    fraction-free elimination finds dependent.
+    fraction-free elimination finds dependent.  With a ``det_multiple``
+    there is no prime search: the rank of the core's short side mod the
+    first rank prime may not exceed r, and the count in step 5 refuses
+    a rank too high, or a D that s_1...s_r does not divide, wherever
+    that loses a pivot.
 
     >>> smith_normal_form(IntMat.from_rows([[2, 4], [6, 8]])).to_rows()
     [[2, 0], [0, 4]]
+    >>> smith_normal_form(IntMat.from_rows([[2, 4], [6, 8]]), 2, 8).diagonal()
+    [2, 4]
     """
+    if det_multiple is not None and (rank is None or det_multiple < 1):
+        raise ValueError("det_multiple must be a positive int, with a rank")
     ones, core = 0, mat
     if any(v == 1 or v == -1 for v in mat.entries.values()):
         work = _SchurWork(mat.entries)
@@ -615,21 +631,6 @@ def smith_normal_form(mat, rank=None):
         return IntMat._built(mat.nrows, mat.ncols,
                              {(t, t): 1 for t in range(ones)})
     r = _kernel_rank(core) if rank is None else rank - ones
-    for k, p in enumerate(_rank_primes()):
-        if (k == len(_RANK_PRIMES) and rank is not None
-                and _kernel_rank(core) != r):
-            raise ExactLinError("rank %d given, the exact kernel of the "
-                                "core disagrees" % rank)
-        pivot_cols = fp_rref(core, p)[1]
-        if len(pivot_cols) > r:
-            raise ExactLinError("rank mod %d exceeds the rank %d" % (
-                p, ones + r))
-        if len(pivot_cols) == r:
-            break
-    else:
-        raise ExactLinError("no prime below 2^31 reaches the rank %d"
-                            % (ones + r))
-    n_mod = 2 * _minor_abs_det(core, pivot_cols)[0]
     # Z/N is the product of the rings Z/part over coprime parts, so one
     # diagonal mod N is the pivots' gcds mod every part, with each part's
     # missing pivots as zeros (the part itself); the pairwise gcd/lcm
@@ -640,6 +641,14 @@ def smith_normal_form(mat, rank=None):
     ncols = len({j for _, j in core.entries})
     short = core.entries if nrows <= ncols else core.transpose().entries
     size = min(nrows, ncols)
+    if det_multiple is None:
+        n_mod = 2 * _minor_modulus(core, rank, r, ones)
+    else:
+        p = _RANK_PRIMES[0]
+        if fp_rank_sparse(short, p) > r:
+            raise ExactLinError("rank mod %d exceeds the rank %d" % (
+                p, ones + r))
+        n_mod = 2 * det_multiple
     found = []
     for ell, part in _coprime_parts(n_mod):
         if ell is None:
@@ -658,18 +667,40 @@ def smith_normal_form(mat, rank=None):
                          {(t, t): d for t, d in enumerate(diag)})
 
 
-def snf_diagonal(mat, rank=None):
+def _minor_modulus(core, rank, r, ones):
+    # |det| of a nonsingular r x r minor of the core, step 3 of
+    # smith_normal_form: pivot columns from the first prime whose rank
+    # mod p is r, then the fraction-free minor on them
+    for k, p in enumerate(_rank_primes()):
+        if (k == len(_RANK_PRIMES) and rank is not None
+                and _kernel_rank(core) != r):
+            raise ExactLinError("rank %d given, the exact kernel of the "
+                                "core disagrees" % rank)
+        pivot_cols = fp_rref(core, p)[1]
+        if len(pivot_cols) > r:
+            raise ExactLinError("rank mod %d exceeds the rank %d" % (
+                p, ones + r))
+        if len(pivot_cols) == r:
+            return _minor_abs_det(core, pivot_cols)[0]
+    raise ExactLinError("no prime below 2^31 reaches the rank %d"
+                        % (ones + r))
+
+
+def snf_diagonal(mat, rank=None, det_multiple=None):
     """The nonzero invariant factors of mat, ascending: the diagonal of
     :func:`smith_normal_form`.  The rank is the caller's certified
     ``rank`` when given, which the route cross-checks; otherwise an exact
-    kernel of the core left after the unit pivots certifies it.
+    kernel of the core left after the unit pivots certifies it.  A
+    ``det_multiple`` of s_1...s_r, given with the rank, replaces the
+    prime search and the minor's determinant as the modulus's D; the
+    rank mod one prime and the count of pivots mod 2D check both.
 
     >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]))
     [2, 4]
     >>> snf_diagonal(IntMat.from_rows([[2, 4], [6, 8]]), rank=2)
     [2, 4]
     """
-    return smith_normal_form(mat, rank).diagonal()
+    return smith_normal_form(mat, rank, det_multiple).diagonal()
 
 
 def kernel_basis(mat):
@@ -749,7 +780,7 @@ def strand_cohomology(d_in, d_out, ring):
                               ring)[1]
 
 
-def complex_cohomology(dims, mats, ring, lower=None):
+def complex_cohomology(dims, mats, ring, lower=None, det_multiples=None):
     """[H^0, ..., H^(len(dims)-1)] of the complex with dim C^n = dims[n]
     and d: C^n -> C^(n+1) given by mats[n]; maps past the end of mats
     are zero.  Every consecutive pair is checked to compose to zero (mod
@@ -762,9 +793,15 @@ def complex_cohomology(dims, mats, ring, lower=None):
     r_n): by the rank mod the first rank prime where the d o d = 0
     bounds then close, else by an exact kernel.  Each map's Smith form
     is taken once by :func:`snf_diagonal`, from that rank or while
-    ranking it, and H^n = Z^(dims[n] - r_(n-1) - r_n) plus the torsion
-    of d_(n-1).  That torsion is all of it: C^n/ker(d_n) is free,
-    so 0 -> ker/im -> C^n/im -> C^n/ker -> 0 splits, and the torsion of
+    ranking it.  ``det_multiples[n]``, given with ``lower`` at least as
+    long, and not None, must be a multiple of the product of d_n's
+    invariant factors whenever r_n equals ``lower[n]``.  Where it does,
+    the Smith form takes it as its D (see :func:`smith_normal_form`) in
+    place of a prime search and a minor's determinant, and cross-checks
+    r_n by the rank mod one prime and by its count of pivots mod 2D.
+    H^n = Z^(dims[n] - r_(n-1) - r_n) plus the torsion of d_(n-1).
+    That torsion is all of it: C^n/ker(d_n) is free, so
+    0 -> ker/im -> C^n/im -> C^n/ker -> 0 splits, and the torsion of
     C^n/im(d_(n-1)) is read off d_(n-1)'s invariant factors.
 
     >>> from hodgelab.gralg import FP
@@ -793,10 +830,12 @@ def complex_cohomology(dims, mats, ring, lower=None):
             return []
         ranks, diags = _certified_ranks(list(dims) + [outs[-1].nrows],
                                         outs, lower)
-        torsion = [()]
+        torsion, given = [()], det_multiples or ()
         for n, mat in enumerate(outs[:-1]):
             if n not in diags:
-                diags[n] = snf_diagonal(mat, ranks[n]) if ranks[n] else []
+                dm = (given[n] if n < len(given) and lower[n] == ranks[n]
+                      else None)
+                diags[n] = snf_diagonal(mat, ranks[n], dm) if ranks[n] else []
             torsion.append([d for d in diags[n] if d > 1])
         return [AbGroup(dims[n] - ranks[n] - (ranks[n - 1] if n else 0),
                         torsion[n]) for n in range(top)]

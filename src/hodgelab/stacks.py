@@ -368,19 +368,25 @@ def _coface_terms(group, weights, key):
 def _tot_keys(stack, degree_cap, g_bound, weight=None):
     """The total-model keys (sector_id, exps, idxs, slots) of degree <=
     degree_cap, unsorted and filed by the mask of their slot tuple (see
-    :func:`_slot_tuples`): {mask: [keys of degree n for n <= cap]}."""
-    x_table = _x_basis(stack)
+    :func:`_slot_tuples`): {mask: [keys of degree n for n <= cap]}.
+
+    The slot tuples of each slot count are enumerated once, at the form
+    budget of the lowest x degree, and each is filed under every x
+    degree whose budget its form count fits."""
+    x_table = sorted(_x_basis(stack).items())
     parts = {}
     for s in range(degree_cap + 1):
-        for xdeg, xs in x_table.items():
-            max_forms = degree_cap - s - xdeg
-            if max_forms < 0:
-                continue
-            for slots, nf, mask in _slot_tuples(stack.group, g_bound, s,
-                                                max_forms, weight):
-                part = parts.get(mask)
-                if part is None:
-                    part = parts[mask] = [[] for _ in range(degree_cap + 1)]
+        max_forms = degree_cap - s - x_table[0][0]
+        if max_forms < 0:
+            continue
+        for slots, nf, mask in _slot_tuples(stack.group, g_bound, s,
+                                            max_forms, weight):
+            part = parts.get(mask)
+            if part is None:
+                part = parts[mask] = [[] for _ in range(degree_cap + 1)]
+            for xdeg, xs in x_table:
+                if s + xdeg + nf > degree_cap:
+                    break
                 part[s + xdeg + nf] += [(sid, exps, idxs, slots)
                                         for sid, exps, idxs in xs]
     return parts

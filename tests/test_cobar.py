@@ -3,7 +3,7 @@ coefficients as the independent oracle, distinguished classes, cup and
 Bockstein structure, and the regrading identity."""
 
 import pytest
-from math import comb
+from math import comb, prod
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +11,7 @@ from hodgelab import cobar, exactlin
 from hodgelab.cobar import (
     CohClass, LiftNotExact, NotACocycle, apply_d, bockstein, class_is_zero,
     classes_equal, cup, group_cohomology, group_table, hilbert_dims_f2,
-    hilbert_dims_odd, is_scalar_multiple, kzthree_group, phi_class,
+    hilbert_dims_odd, is_scalar_multiple, phi_class,
     strand_basis, strand_matrix, torsion_census, torsion_class, v_one,
     w_class,
 )
@@ -137,6 +137,70 @@ def test_block_check_rejects_a_corrupted_matrix(monkeypatch, corrupt):
     assert seen and all(bound is None for bound in seen)
     for (n, w), g in table.items():
         assert g == group_cohomology(n, w), (n, w)
+
+
+@pytest.mark.parametrize("n_max, w_max", [(4, 30), (3, 60)])
+def test_group_table_matches_the_per_strand_oracle(n_max, w_max):
+    # group_cohomology takes no block modulus: each Smith form finds its
+    # own by the prime search and a minor's determinant
+    for (n, w), g in group_table(n_max, w_max).items():
+        assert g == group_cohomology(n, w), (n, w)
+
+
+def test_group_table_takes_every_smith_modulus_from_the_blocks(monkeypatch):
+    # with the block modulus no Smith form of the table searches for a
+    # prime or takes a minor's determinant
+    calls = []
+    for name in ("fp_rref", "_minor_abs_det"):
+        real = getattr(exactlin, name)
+        monkeypatch.setattr(exactlin, name, lambda *a, _f=real, _n=name:
+                            calls.append(_n) or _f(*a))
+    for n_max, w_max in ((3, 54), (4, 28), (5, 20)):
+        assert group_table(n_max, w_max)
+        assert calls == [], (n_max, w_max)
+
+
+def test_a_modulus_without_the_first_block_is_refused(monkeypatch):
+    # leaving the a = 1 block's torsion out of the product gives a D that
+    # s_1...s_r need not divide: the Smith form must raise, or the table
+    # must disagree with the per-strand oracle
+    def mutant(table, k, w):
+        return prod(prod(table[k, w - 2 * a].torsion)
+                    for a in range(2, w // 2 + 1))
+
+    monkeypatch.setattr(cobar, "_block_modulus", mutant)
+    try:
+        table = group_table(3, 30)
+    except exactlin.ExactLinError as e:
+        assert "lost the rank" in str(e)
+        return
+    assert any(g != group_cohomology(n, w) for (n, w), g in table.items())
+
+
+def test_strand_matrix_matches_the_unnormalized_differential():
+    # the 2n + 2 degenerate terms of d cancel in pairs, so the normalized
+    # formula gives the same matrix
+    for n in range(6):
+        for w in range(31):
+            want = exactlin.IntMat.from_images(
+                strand_basis(n, w), strand_basis(n + 1, w),
+                cobar._differential_terms)
+            assert strand_matrix(n, w) == want, (n, w)
+
+
+def test_a_degenerate_split_leaves_the_target_basis(monkeypatch):
+    # a split at c = 0 lands on a monomial with an exponent 0
+    def mutant(exps):
+        terms = {}
+        for i, e in enumerate(exps, 1):
+            for c in range(0, e):
+                key = exps[: i - 1] + (c, e - c) + exps[i:]
+                terms[key] = (-1 if i % 2 else 1) * comb(e, c)
+        return terms
+
+    monkeypatch.setattr(cobar, "_split_terms", mutant)
+    with pytest.raises(AssertionError, match="leaves the target basis"):
+        strand_matrix(2, 8)
 
 
 def test_universal_coefficients_oracle():
@@ -293,6 +357,27 @@ def test_phi_span_convention_invariance():
     for n in (2, 3, 4, 6, 8, 9, 12):
         ours, alt = phi_span_divisors(n)
         assert ours == alt, n
+
+
+def kzthree_group(m):
+    """The regraded sum of strand groups with n = cohdeg + weight.
+
+    Matches the low-degree singular cohomology of the third integral
+    Eilenberg-MacLane space under the doubling convention used here.
+    """
+    rank = 0
+    torsion = []
+    for i in range(0, m + 1):
+        w = m - i
+        if w < 0 or w % 2:
+            continue
+        if i == 0:
+            g = AbGroup(1, ()) if w == 0 else AbGroup(0, ())
+        else:
+            g = group_cohomology(i, w, ZZ)
+        rank += g.rank
+        torsion.extend(g.torsion)
+    return AbGroup(rank, tuple(torsion))
 
 
 def test_kzthree_regrading():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,18 @@ def test_complex_cohomology_rejects_rank_bounds_past_dd_zero():
         complex_cohomology([2, 2, 1], [d0, d1], ZZ, [2, None])
 
 
+def test_complex_cohomology_takes_a_det_multiple_only_at_its_bound():
+    # d0 = 2 I has rank 2 and s_1 s_2 = 4.  D = 1 is no multiple of 4:
+    # taken at the bound 2 it loses the rank, and below the true rank
+    # (lower 1) it must not be taken at all
+    d0 = IntMat.from_rows([[2, 0], [0, 2]])
+    want = [AbGroup(0), AbGroup(0, (2, 2))]
+    assert complex_cohomology([2, 2], [d0], ZZ, [2], [4]) == want
+    assert complex_cohomology([2, 2], [d0], ZZ, [1], [1]) == want
+    with pytest.raises(ExactLinError, match="lost the rank"):
+        complex_cohomology([2, 2], [d0], ZZ, [2], [1])
+
+
 def _unimodular(rng, n):
     # a few elementary steps from the identity: sparse, small entries
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -351,6 +364,61 @@ def test_snf_route_matches_the_minor_oracle_on_planted_local_factors(
         assert snf_diagonal(mat, len(want)) == want, mat.to_rows()
     assert {(2, 8), (2, 16), (3, 27), (3, 81)} <= levels
     assert any(c > 1 << 10 for c in cofactors)
+
+
+def test_a_given_det_multiple_gives_the_same_smith_form(minor_divisors):
+    # any positive multiple D of s_1...s_r serves as the modulus's D,
+    # with no prime search and no minor's determinant
+    rng = random.Random(PROPERTY_SEEDS["snf_local"] + 1)
+    for k in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        diag = [rng.choice(_LOCAL) for _ in range(rng.randint(1, min(m, n)))]
+        if k % 3 == 0:
+            diag[0] = 1
+        mid = IntMat(m, n, {(t, t): d for t, d in enumerate(diag)})
+        mat = _unimodular(rng, m).matmul(mid).matmul(_unimodular(rng, n))
+        want = minor_divisors(mat.to_rows())
+        dm = prod(want) * rng.choice((1, 2, 3, 1031, 2111 * 1033))
+        assert snf_diagonal(mat, len(want), dm) == want, mat.to_rows()
+
+
+def test_a_det_multiple_with_a_wrong_rank_is_refused():
+    # one rank too low: the rank mod the first rank prime exceeds it; one
+    # too high: the pivots mod 2D come one short
+    for mat, dm in ((strand_matrix(2, 24), 66),
+                    (IntMat.from_rows([[2, 4], [6, 8]]), 8),
+                    (strand_matrix(3, 28), prod(snf_diagonal(
+                        strand_matrix(3, 28))))):
+        r = len(snf_diagonal(mat))
+        assert snf_diagonal(mat, r, dm) == snf_diagonal(mat)
+        with pytest.raises(ExactLinError, match="rank mod 2147483647"):
+            snf_diagonal(mat, r - 1, dm)
+        with pytest.raises(ExactLinError, match="lost the rank"):
+            snf_diagonal(mat, r + 1, dm)
+    with pytest.raises(ValueError):
+        snf_diagonal(IntMat.from_rows([[2]]), None, 2)
+
+
+def _coprime_parts_by_every_factor(n):
+    # the old loop: every f < 2^10, composites included
+    parts = []
+    for f in range(2, 1 << 10):
+        if n % f == 0:
+            q = 1
+            while n % f == 0:
+                n, q = n // f, q * f
+            parts.append((f, q))
+    return parts + [(None, n)] if n > 1 else parts
+
+
+def test_coprime_parts_try_only_the_primes_below_2_to_the_10():
+    assert len(exactlin._SMALL_PRIMES) == 172
+    cases = [1, 2, 1 << 10, 1 << 40, 2 * 3 * 5 * 7 * 11 * 13,
+             2 ** 5 * 3 ** 4 * 1021 ** 2, 1031, 2 * 1031 * 1033,
+             2 ** 3 * 3 * 2111 * 1033, 79833600, 2 * (2 ** 61 - 1)]
+    for n in cases:
+        assert exactlin._coprime_parts(n) == \
+            _coprime_parts_by_every_factor(n), n
 
 
 def _dense_abs_det(rows):

@@ -186,6 +186,40 @@ def test_slot_tuples_match_the_product_oracle():
     assert checked == (2 * 4 * sum(s + 2 for s in range(6)) - 7) * 10
 
 
+def _tot_keys_per_x_degree(stack, cap, g_bound):
+    # the per-(slot count, x degree) enumeration, as key sets per mask
+    # and degree
+    parts = {}
+    for s in range(cap + 1):
+        for xdeg, xs in stacks._x_basis(stack).items():
+            if cap - s - xdeg < 0:
+                continue
+            for slots, nf, mask in _slot_tuples(stack.group, g_bound, s,
+                                                cap - s - xdeg):
+                part = parts.setdefault(mask, [set() for _ in range(cap + 1)])
+                part[s + xdeg + nf] |= {(sid, exps, idxs, slots)
+                                        for sid, exps, idxs in xs}
+    return parts
+
+
+def test_tot_keys_enumerate_the_slot_tuples_once_per_slot_count(
+        monkeypatch):
+    calls = []
+    real = stacks._slot_tuples
+    monkeypatch.setattr(stacks, "_slot_tuples",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    for stack in (TwoChartP1(1), BGm(), GradedAffine((1, -1))):
+        for cap, g_bound in ((5, 1), (5, 2)):
+            del calls[:]
+            got = stacks._tot_keys(stack, cap, g_bound)
+            assert calls == list(range(cap + 1)), repr(stack)
+            want = _tot_keys_per_x_degree(stack, cap, g_bound)
+            assert list(got) == list(want), repr(stack)
+            for mask, part in got.items():
+                assert [set(keys) for keys in part] == want[mask]
+                assert all(len(set(keys)) == len(keys) for keys in part)
+
+
 def test_cartan_e1_page_is_the_hodge_table():
     """The Hodge filtration of the Cartan model (form degree + u power)
     has E_1 equal to Hodge cohomology from the Koszul model; a wrong
