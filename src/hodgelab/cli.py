@@ -4,8 +4,9 @@ Each subcommand runs one named verification suite against the library
 and emits a deterministic report, as a text table or as JSON with
 sorted keys.  Exit status: 0 when every verdict matches expectation,
 2 when any check fails or a truncated model is not stable under its
-truncation, 1 on usage or configuration errors.  A flat
-key=value config file can supply defaults; command-line flags win.
+truncation, 1 on usage or configuration errors and on a truncation
+too small for the request.  A flat key=value config file can supply
+defaults; command-line flags win.
 """
 
 import argparse
@@ -142,7 +143,10 @@ def _parse_stack(spec):
 def _crystal_model(p, depth, wmax, model):
     relators = [("var", 0)] if model == "point" else [("diff", 0, 1)]
     nvars = 1 if model == "point" else 2
-    return crystal.SemiperfectModel(p, nvars, relators, depth, wmax)
+    try:
+        return crystal.SemiperfectModel(p, nvars, relators, depth, wmax)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 # -- runners; each returns a list of entry dicts carrying "ok" --------------
@@ -662,7 +666,8 @@ def main(argv=None):
         else:
             sys.stdout.write(text)
         return code
-    except (ConfigError, stacks.UnsupportedStack) as e:
+    except (ConfigError, stacks.UnsupportedStack, crystal.TruncationOverflow,
+            crystal.TruncationTooSmall) as e:
         sys.stderr.write("hodgelab: error: %s\n" % e)
         return 1
     except stacks.UnstableTruncation as e:

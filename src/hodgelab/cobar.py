@@ -46,9 +46,7 @@ from __future__ import annotations
 
 from math import comb, gcd, prod
 
-from .exactlin import (
-    IntMat, complex_cohomology, fp_solve, snf_diagonal, strand_cohomology,
-)
+from .exactlin import IntMat, complex_cohomology, fp_solve, snf_diagonal
 from .gralg import FP, QQ_R, ZZ
 
 __all__ = [
@@ -96,36 +94,13 @@ def strand_basis(n, w):
     return out
 
 
-def _differential_terms(exps):
-    """Signed expansion of d on one monomial; keys are (n+1)-tuples."""
-    n = len(exps)
-    terms = {}
-
-    def add(key, c):
-        nc = terms.get(key, 0) + c
-        if nc:
-            terms[key] = nc
-        else:
-            terms.pop(key, None)
-
-    add((0,) + exps, 1)
-    for i in range(1, n + 1):
-        sign = -1 if i % 2 else 1
-        e = exps[i - 1]
-        head, tail = exps[: i - 1], exps[i:]
-        for c in range(e + 1):
-            add(head + (c, e - c) + tail, sign * comb(e, c))
-    add(exps + (0,), -1 if (n + 1) % 2 else 1)
-    return terms
-
-
 def _split_terms(exps):
-    # d on one monomial by the normalized formula, sum over i of
+    # d on one strand monomial by the normalized formula, sum over i of
     # (-1)^i sum over 0 < c < e_i of C(e_i, c) (e_i split at c): the
-    # terms of _differential_terms on degenerate monomials cancel in
-    # pairs (split i at e_i against split i + 1 at 0, the first face
-    # against split 1 at 0 and the last against split n at e_n), and no
-    # two splits give the same monomial
+    # terms of the inhomogeneous formula above on degenerate monomials
+    # cancel in pairs (split i at e_i against split i + 1 at 0, the
+    # first face against split 1 at 0 and the last against split n at
+    # e_n), and no two splits give the same monomial
     terms = {}
     for i, e in enumerate(exps, 1):
         sign = -1 if i % 2 else 1
@@ -146,14 +121,14 @@ def strand_matrix(n, w):
 
 
 def apply_d(n, w, cochain):
-    """Apply the differential to a cochain given as {monomial: coeff}."""
+    """Apply the differential to a cochain given as {monomial: coeff}.
+
+    The monomials are strand monomials (every exponent >= 1), and d on
+    each is the normalized formula that :func:`strand_matrix` reads.
+    """
     out = {}
     for exps, c in cochain.items():
-        if c == 0:
-            continue
-        for key, dc in _differential_terms(exps).items():
-            if min(key) == 0:
-                continue  # cancels across the cochain; dropped termwise
+        for key, dc in _split_terms(exps).items():
             nc = out.get(key, 0) + c * dc
             if nc:
                 out[key] = nc
@@ -164,9 +139,11 @@ def apply_d(n, w, cochain):
 
 def group_cohomology(n, w, ring=ZZ):
     """H^n(G_a)_w: an AbGroup over Z, a dimension over Q or F_p."""
-    d_in = strand_matrix(n - 1, w) if n >= 1 else IntMat.zeros(
-        len(strand_basis(0, w)), 0)
-    return strand_cohomology(d_in, strand_matrix(n, w), ring)
+    d_out = strand_matrix(n, w)
+    d_in = (strand_matrix(n - 1, w) if n >= 1
+            else IntMat.zeros(d_out.ncols, 0))
+    return complex_cohomology([d_in.ncols, d_out.ncols], [d_in, d_out],
+                              ring)[1]
 
 
 def group_table(n_max, w_max):

@@ -14,9 +14,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from math import factorial
 
-from .exactlin import (
-    IntMat, complex_cohomology, fp_kernel, fp_rank, strand_cohomology,
-)
+from .exactlin import IntMat, complex_cohomology, fp_kernel, fp_rank
 from .gralg import (FP, ZZ, PDContext, RingMismatch, TruncationOverflow,
                     ZP2)
 
@@ -267,7 +265,9 @@ def de_rham_cohomology(dga, n, w):
     if ring is not ZZ and not ring.is_field():
         raise UnsupportedBase("cohomology over Z/p^2 is not strand-finite"
                               " in this model")
-    return strand_cohomology(*_in_out(dga, n, w), ring)
+    d_in, d_out = _in_out(dga, n, w)
+    return complex_cohomology([d_in.ncols, d_out.ncols], [d_in, d_out],
+                              ring)[1]
 
 
 # -- Cartier ------------------------------------------------------------------

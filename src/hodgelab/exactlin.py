@@ -21,17 +21,17 @@ The central consumer-facing pieces are
 
 * :func:`smith_normal_form` -- the diagonal D of the Smith form, its
   nonzero entries forming a divisibility chain d1 | d2 | ...;
-* :func:`complex_cohomology` -- every degree of one complex at once.
+* :func:`complex_cohomology` -- every degree of one complex at once,
+  over Z, Q or F_p, the one place that picks the route for each ring.
   Over Z it certifies each map's rank once, from lower bounds (the
   caller's, a nonzero map's 1, the rank mod one prime) that meet the
   d o d = 0 upper bounds, with an exact kernel only where no such chain
-  closes, and takes each map's Smith form once from that rank; over F_p
-  it ranks each map once;
-* :func:`cohomology_of_pair` -- the finitely generated abelian group
-  ker(d_out)/im(d_in) of a pair of integer matrices, degree 1 of the
+  closes, and takes each map's Smith form once from that rank; over Q
+  each degree is the rank of the group over Z; over F_p it ranks each
+  map once.  One pair's quotient ker(d_out)/im(d_in) is degree 1 of the
   two-map complex;
-* :func:`strand_cohomology` -- the same quotient over Z, Q or F_p, the
-  one place that picks the route for each ring.
+* :func:`cohomology_of_pair` -- that quotient over Z, as a finitely
+  generated abelian group.
 
 >>> m = IntMat.from_rows([[2, 4], [6, 8]])
 >>> smith_normal_form(m).diagonal()
@@ -755,31 +755,6 @@ def cohomology_of_pair(d_in, d_out):
                               ZZ)[1]
 
 
-def strand_cohomology(d_in, d_out, ring):
-    """ker(d_out)/im(d_in) over ``ring``: an AbGroup over Z, a dimension
-    over Q or F_p.  Each ring has exactly one route:
-
-    * ZZ -- :func:`cohomology_of_pair`;
-    * QQ_R -- the rank of that group, exact since Q is flat over Z;
-    * FP(p) -- degree 1 of :func:`complex_cohomology` on the pair.
-
-    Any other ring, such as Z/p^2, raises ValueError.
-
-    >>> from hodgelab.gralg import FP
-    >>> d = IntMat.from_rows([[2]])
-    >>> strand_cohomology(d, IntMat.zeros(0, 1), ZZ)
-    AbGroup(rank=0, torsion=(2,))
-    >>> strand_cohomology(d, IntMat.zeros(0, 1), FP(2))
-    1
-    """
-    if ring is ZZ:
-        return cohomology_of_pair(d_in, d_out)
-    if ring is QQ_R:
-        return cohomology_of_pair(d_in, d_out).rank
-    return complex_cohomology([d_in.ncols, d_in.nrows], [d_in, d_out],
-                              ring)[1]
-
-
 def complex_cohomology(dims, mats, ring, lower=None, det_multiples=None):
     """[H^0, ..., H^(len(dims)-1)] of the complex with dim C^n = dims[n]
     and d: C^n -> C^(n+1) given by mats[n]; maps past the end of mats
@@ -787,18 +762,20 @@ def complex_cohomology(dims, mats, ring, lower=None, det_multiples=None):
     p over F_p), else :class:`CompositionNonzero`.
 
     Over F_p each map is ranked once with :func:`fp_rank_sparse`.  Over
-    Q each degree is the rank of :func:`cohomology_of_pair`.  Over Z each
-    map's rank r_n over Q is certified once (see :func:`_certified_ranks`;
-    ``lower[n]``, when given and not None, is a certified lower bound on
-    r_n): by the rank mod the first rank prime where the d o d = 0
-    bounds then close, else by an exact kernel.  Each map's Smith form
-    is taken once by :func:`snf_diagonal`, from that rank or while
-    ranking it.  ``det_multiples[n]``, given with ``lower`` at least as
-    long, and not None, must be a multiple of the product of d_n's
-    invariant factors whenever r_n equals ``lower[n]``.  Where it does,
-    the Smith form takes it as its D (see :func:`smith_normal_form`) in
-    place of a prime search and a minor's determinant, and cross-checks
-    r_n by the rank mod one prime and by its count of pivots mod 2D.
+    Q each degree is the rank of :func:`cohomology_of_pair`, exact since
+    Q is flat over Z.  Any other ring, such as Z/p^2, raises ValueError.
+    Over Z each map's rank r_n over Q is certified once (see
+    :func:`_certified_ranks`; ``lower[n]``, when given and not None, is a
+    certified lower bound on r_n): by the rank mod the first rank prime
+    where the d o d = 0 bounds then close, else by an exact kernel.
+    Each map's Smith form is taken once by :func:`snf_diagonal`, from
+    that rank or while ranking it.  ``det_multiples[n]``, given with
+    ``lower`` at least as long, and not None, must be a multiple of the
+    product of d_n's invariant factors whenever r_n equals ``lower[n]``.
+    Where it does, the Smith form takes it as its D (see
+    :func:`smith_normal_form`) in place of a prime search and a minor's
+    determinant, and cross-checks r_n by the rank mod one prime and by
+    its count of pivots mod 2D.
     H^n = Z^(dims[n] - r_(n-1) - r_n) plus the torsion of d_(n-1).
     That torsion is all of it: C^n/ker(d_n) is free, so
     0 -> ker/im -> C^n/im -> C^n/ker -> 0 splits, and the torsion of
@@ -820,7 +797,7 @@ def complex_cohomology(dims, mats, ring, lower=None, det_multiples=None):
             raise ValueError("chain degrees do not line up")
     if ring is QQ_R:
         ins = [IntMat.zeros(dims[0], 0)] + outs[:-1] if top else []
-        return [strand_cohomology(d_in, d_out, ring)
+        return [cohomology_of_pair(d_in, d_out).rank
                 for d_in, d_out in zip(ins, outs)]
     if ring is ZZ:
         for d_in, d_out in zip(outs, outs[1:]):
@@ -896,7 +873,7 @@ def _certified_ranks(dims, mats, lower=None):
             diags[n] = snf_diagonal(mats[n])
             low[n] = len(diags[n])
         else:
-            low[n] = mats[n].ncols - kernel_basis(mats[n]).ncols
+            low[n] = _kernel_rank(mats[n])
         exact[n] = True
         close()
     return low, diags

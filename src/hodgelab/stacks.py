@@ -795,11 +795,9 @@ def hdr_report(stack, n_max):
     entry["degenerate"] = not failures
     entry["failures"] = failures
     if stack.group == "ga":
-        located = []
-        for strand in strands[1:n_max + 2]:
-            located += _located_d1(_bga_strand_filtered(strand))
-        entry["located_d1"] = located
-        entry["specseq"] = degenerates_at(_bga_strand_filtered(strands[1]), 1)
+        filtered = [_bga_strand_filtered(s) for s in strands[1:n_max + 2]]
+        entry["located_d1"] = [a for fc in filtered for a in _located_d1(fc)]
+        entry["specseq"] = degenerates_at(filtered[0], 1)
     else:
         entry["specseq"] = degenerates_at(fc, 1)
         entry["located_d1"] = []

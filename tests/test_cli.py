@@ -285,6 +285,22 @@ def test_unstable_truncation_exits_two_without_traceback(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--p", "11"], ["acrys", "--p", "11"], ["di-split", "--p", "11"],
+    ["unfold", "--p", "2", "--wmax", "1"],
+    ["unfold", "--p", "2", "--depth", "1"],
+    ["cech-alexander", "--p", "3", "--wmax", "2"],
+    ["di-split", "--p", "3", "--rmax", "5"]])
+def test_a_refused_truncation_exits_one_without_traceback(argv, capsys):
+    # a weight bound below p, a truncation too small for the stability
+    # check, or a splitting past grade p - 1 is refused before any report
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("hodgelab: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # each stack spec and the name that `hdr` writes into its report
 STACK_NAMES = {
     "BGm": "BGm", "BGa": "BGa", "A1": "GradedAffine(weights=(1,))",

@@ -2,8 +2,10 @@
 coefficients as the independent oracle, distinguished classes, cup and
 Bockstein structure, and the regrading identity."""
 
-import pytest
+import random
 from math import comb, prod
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +44,7 @@ def test_differential_examples():
 
 def test_standard_complex_strand_examples():
     # d o d = 0 is covered by test_dd_zero_on_random_cochains and by the
-    # composition checks inside strand_cohomology
+    # composition checks inside complex_cohomology
     assert strand_basis(2, 8) == [(1, 3), (2, 2), (3, 1)]
     d = strand_matrix(1, 4)
     assert d.columns()[0] == {0: -2}  # d(x^2) against basis [(1,1)]
@@ -177,6 +179,30 @@ def test_a_modulus_without_the_first_block_is_refused(monkeypatch):
     assert any(g != group_cohomology(n, w) for (n, w), g in table.items())
 
 
+def _differential_terms(exps):
+    # the oracle: the inhomogeneous formula of the cobar docstring on one
+    # monomial, every face written out, degenerate terms included
+    n = len(exps)
+    terms = {}
+
+    def add(key, c):
+        nc = terms.get(key, 0) + c
+        if nc:
+            terms[key] = nc
+        else:
+            terms.pop(key, None)
+
+    add((0,) + exps, 1)
+    for i in range(1, n + 1):
+        sign = -1 if i % 2 else 1
+        e = exps[i - 1]
+        head, tail = exps[: i - 1], exps[i:]
+        for c in range(e + 1):
+            add(head + (c, e - c) + tail, sign * comb(e, c))
+    add(exps + (0,), -1 if (n + 1) % 2 else 1)
+    return terms
+
+
 def test_strand_matrix_matches_the_unnormalized_differential():
     # the 2n + 2 degenerate terms of d cancel in pairs, so the normalized
     # formula gives the same matrix
@@ -184,8 +210,41 @@ def test_strand_matrix_matches_the_unnormalized_differential():
         for w in range(31):
             want = exactlin.IntMat.from_images(
                 strand_basis(n, w), strand_basis(n + 1, w),
-                cobar._differential_terms)
+                _differential_terms)
             assert strand_matrix(n, w) == want, (n, w)
+
+
+def test_apply_d_matches_the_oracle_and_the_strand_matrix():
+    # on seeded random cochains, apply_d is the unnormalized formula
+    # summed over the cochain, and the same combination of the columns
+    # of strand_matrix(n, w)
+    rng = random.Random(29)
+    seen = 0
+    for n in range(5):
+        for w in range(0, 25, 2):
+            basis = strand_basis(n, w)
+            if not basis:
+                continue
+            target = strand_basis(n + 1, w)
+            cols = strand_matrix(n, w).columns()
+            for _ in range(3):
+                vec = [rng.choice((0, 0, rng.randint(-9, 9)))
+                       for _ in basis]
+                cochain = {m: c for m, c in zip(basis, vec) if c}
+                oracle = {}
+                for exps, c in cochain.items():
+                    for key, dc in _differential_terms(exps).items():
+                        oracle[key] = oracle.get(key, 0) + c * dc
+                by_matrix = {}
+                for j, c in enumerate(vec):
+                    for i, v in cols[j].items():
+                        by_matrix[target[i]] = (by_matrix.get(target[i], 0)
+                                                + c * v)
+                got = apply_d(n, w, cochain)
+                assert got == {k: v for k, v in oracle.items() if v}, (n, w)
+                assert got == {k: v for k, v in by_matrix.items() if v}
+                seen += bool(got)
+    assert seen > 60
 
 
 def test_a_degenerate_split_leaves_the_target_basis(monkeypatch):

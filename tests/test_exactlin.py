@@ -14,7 +14,7 @@ from hodgelab.exactlin import (_RANK_PRIMES, AbGroup, CompositionNonzero,
                                complex_cohomology, field_rank, field_rref,
                                fp_kernel, fp_rank, fp_rank_sparse, fp_rref,
                                fp_solve, kernel_basis, smith_normal_form,
-                               snf_diagonal, strand_cohomology)
+                               snf_diagonal)
 from hodgelab.gralg import FP, QQ_R, ZP2, ZZ, _is_prime
 from hodgelab.stacks import BGm, _TotModel
 from hodgelab.utils import PROPERTY_SEEDS
@@ -143,6 +143,17 @@ def test_cohomology_of_pair_small():
     assert cohomology_of_pair(d_in2, d_out) == AbGroup(2)
 
 
+def strand_cohomology(d_in, d_out, ring):
+    # the per-pair, per-ring oracle: ker(d_out)/im(d_in) as an AbGroup
+    # over Z, its rank over Q, degree 1 of the two-map complex over F_p
+    if ring is ZZ:
+        return cohomology_of_pair(d_in, d_out)
+    if ring is QQ_R:
+        return cohomology_of_pair(d_in, d_out).rank
+    return complex_cohomology([d_in.ncols, d_in.nrows], [d_in, d_out],
+                              ring)[1]
+
+
 def test_cohomology_composition_check():
     d_in = IntMat.from_rows([[1], [0]])
     d_out = IntMat.from_rows([[1, 0]])
@@ -151,6 +162,22 @@ def test_cohomology_composition_check():
     for ring in (ZZ, QQ_R, FP(3)):
         with pytest.raises(CompositionNonzero):
             strand_cohomology(d_in, d_out, ring)
+        with pytest.raises(CompositionNonzero):
+            complex_cohomology([1, 2, 1], [d_in, d_out], ring)
+
+
+def test_z_mod_p_squared_is_refused_on_every_route():
+    # Z/p^2 is no field, so no dimension answers; complex_cohomology
+    # refuses it, G_a strands through it, and de Rham strands before it
+    from hodgelab.cobar import group_cohomology
+    from hodgelab.derham import DgaForms, UnsupportedBase, de_rham_cohomology
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="no strand cohomology route"):
+            complex_cohomology([1, 1], [IntMat.from_rows([[p]])], ZP2(p))
+        with pytest.raises(ValueError, match="no strand cohomology route"):
+            group_cohomology(2, 2 * p, ZP2(p))
+        with pytest.raises(UnsupportedBase, match="Z/p\\^2"):
+            de_rham_cohomology(DgaForms(ZP2(p), [("x", 1)]), 1, p)
 
 
 def test_strand_cohomology_checks_composition_mod_p():

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from hodgelab import stacks
-from hodgelab.exactlin import IntMat, complex_cohomology
+from hodgelab.exactlin import CompositionNonzero, IntMat, complex_cohomology
 from hodgelab.gralg import FP, QQ_R
 from hodgelab.specseq import pages
 from hodgelab.stacks import (
@@ -658,3 +658,36 @@ def test_hdr_report_bga_nmax4_is_pinned():
     assert rep["specseq"] == {
         "page": 1, "degenerate": False, "by_vanishing": False,
         "by_dimension": False, "first_nonzero": (1, 0, 1)}
+
+
+def test_bga_derham_reads_no_strand_top_pair(monkeypatch):
+    # derham-stack builds each B G_a strand to degree cap n_max + 2 and
+    # reads degrees <= n_max, so mats[n_max + 1] enters no printed number
+    # and no d o d check: replacing it in every strand leaves the row,
+    # while corrupting mats[n_max] raises or changes it
+    n_max = 4
+    want = derham_cohomology(BGa(), n_max)
+    assert want == [1, 0, 0, 0, 0]
+    build = _TotModel.__init__
+    replaced = []
+
+    def with_ones_at(k):
+        def init(model, *args, **kwargs):
+            build(model, *args, **kwargs)
+            old = model.mats[k]
+            ones = IntMat(old.nrows, old.ncols,
+                          {(i, j): 1 for i in range(old.nrows)
+                           for j in range(old.ncols)})
+            replaced.append((k, ones != old))
+            model.mats[k] = ones
+        return init
+
+    monkeypatch.setattr(_TotModel, "__init__", with_ones_at(n_max + 1))
+    assert derham_cohomology(BGa(), n_max) == want
+    assert sum(changed for k, changed in replaced if k == n_max + 1) >= 3
+    monkeypatch.setattr(_TotModel, "__init__", with_ones_at(n_max))
+    try:
+        row = derham_cohomology(BGa(), n_max)
+    except CompositionNonzero:
+        return
+    assert row != want
