@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import __version__, cobar, crystal, derham, stacks
-from .exactlin import AbGroup
+from .exactlin import AbGroup, fp_rank
 from .gralg import FP, _is_prime
 from .specseq import pages
 from .utils import PROPERTY_SEEDS
@@ -103,9 +103,12 @@ def _validate(command, params):
         if key == "p" and not (value < _P_LIMIT and _is_prime(value)):
             raise ConfigError("p must be a prime below 2^31, got %r"
                               % (value,))
-        if key in ("nmax", "wmax", "depth", "vars", "pairs", "rmax", "n"):
+        if key in ("nmax", "wmax", "depth", "vars", "pairs", "rmax"):
             if value < 0 or (key in ("depth", "vars") and value < 1):
                 raise ConfigError("%s out of range: %r" % (key, value))
+        if key == "n" and value < 2:
+            # H^0 and H^1 of G_a over Z are torsion-free
+            raise ConfigError("census needs n >= 2, got %r" % (value,))
         if key == "model" and value not in ("point", "glued"):
             raise ConfigError("model must be point or glued, got %r"
                               % (value,))
@@ -264,12 +267,10 @@ def _run_acrys(ps):
         if not basis:
             continue
         theta = a.theta_matrix(w)
-        live = {c for (_, c), v in theta.entries.items() if v % p}
+        kernel = theta.ncols - fp_rank(theta, p)
         pd_pos = sum(1 for _, comps in basis if sum(comps) > 0)
-        entries.append({"w": w, "dim": len(basis),
-                        "theta_kernel": theta.ncols - len(live),
-                        "pd_positive": pd_pos,
-                        "ok": theta.ncols - len(live) == pd_pos})
+        entries.append({"w": w, "dim": len(basis), "theta_kernel": kernel,
+                        "pd_positive": pd_pos, "ok": kernel == pd_pos})
     for w in range(wmax + 1):
         dim = len(a.strand_basis(w))
         reached = None
@@ -283,10 +284,13 @@ def _run_acrys(ps):
         entries.append({"id": "filtrations", "w": w, "conj_full_at": reached,
                         "ok": reached is not None and falls})
     rng = random.Random(PROPERTY_SEEDS["acrys"])
+    # Frobenius multiplies weights by p, so the ring-map check runs in a
+    # model of cap p * wmax; its strands below the cap are those of s
+    wide = _crystal_model(p, depth, p * wmax, ps["model"])
 
     def sample(alg):
-        # weights at most wmax/2, so products and Frobenius images
-        # stay inside the truncation window
+        # weights at most wmax/2, so products stay inside the window
+        # wmax and their Frobenius images inside p * wmax
         el = alg.ctx.zero()
         for num in range(1, (wmax * den) // 2 + 1):
             for key in alg.strand_basis(Fraction(num, den)):
@@ -296,7 +300,7 @@ def _run_acrys(ps):
 
     fails = 0
     for modulus in (p, p * p):
-        am = crystal.acrys_mod(s, modulus)
+        am = crystal.acrys_mod(wide, modulus)
         for _ in range(6):
             x, y = sample(am), sample(am)
             if (am.frobenius(x * y)

@@ -493,8 +493,7 @@ def unfold_derham(p, w_max, depth=None):
         if got != _unfold_strand_dims(shallow, w):
             raise TruncationTooSmall(
                 "strand %s has not stabilized at depth %d" % (w, depth))
-        want = (de_rham_cohomology(base, 0, w),
-                de_rham_cohomology(base, 1, w))
+        want = tuple(de_rham_cohomology(base, w))
         entries.append({"w": w, "h0": got[0], "h1": got[1],
                         "dr0": want[0], "dr1": want[1],
                         "ok": bool(got == want)})

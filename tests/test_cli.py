@@ -290,15 +290,32 @@ def test_unstable_truncation_exits_two_without_traceback(capsys):
     ["unfold", "--p", "2", "--wmax", "1"],
     ["unfold", "--p", "2", "--depth", "1"],
     ["cech-alexander", "--p", "3", "--wmax", "2"],
-    ["di-split", "--p", "3", "--rmax", "5"]])
+    ["di-split", "--p", "3", "--rmax", "5"],
+    ["census", "--n", "0"], ["census", "--n", "1"]])
 def test_a_refused_truncation_exits_one_without_traceback(argv, capsys):
     # a weight bound below p, a truncation too small for the stability
-    # check, or a splitting past grade p - 1 is refused before any report
+    # check, a splitting past grade p - 1, or a census degree whose
+    # cohomology has no torsion is refused before any report
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("hodgelab: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "2"], ["--p", "3", "--depth", "2"], ["--p", "2", "--depth", "2"],
+    ["--p", "2", "--wmax", "8"]])
+def test_glued_acrys_checks_frobenius_inside_its_window(argv, capsys):
+    # Frobenius images of the samples reach weight p * wmax, past the
+    # report's window; the glued model's terms there do not vanish
+    code = cli.main(["acrys", "--model", "glued", "--format", "json"] + argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    (row,) = [e for e in json.loads(out)["entries"]
+              if e.get("id") == "frobenius-ring-map"]
+    assert row == {"id": "frobenius-ring-map", "pairs": 12, "failures": 0,
+                   "ok": True}
 
 
 # each stack spec and the name that `hdr` writes into its report

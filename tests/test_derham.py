@@ -10,7 +10,8 @@ from hodgelab.derham import (
     de_rham_cohomology, verify_cartier_iso, NotCharP,
 )
 from hodgelab import derham
-from hodgelab.exactlin import AbGroup, IntMat
+from hodgelab.exactlin import (AbGroup, CompositionNonzero, IntMat,
+                               complex_cohomology)
 from hodgelab.gralg import FP, QQ_R, ZZ
 from hodgelab.utils import PROPERTY_SEEDS
 
@@ -21,27 +22,24 @@ def poly_line(ring):
 
 def test_affine_line_rational():
     base = poly_line(QQ_R)
-    assert de_rham_cohomology(base, 0, 0) == 1
+    assert de_rham_cohomology(base, 0)[0] == 1
     for w in range(1, 8):
-        assert de_rham_cohomology(base, 0, w) == 0
-        assert de_rham_cohomology(base, 1, w) == 0
+        assert de_rham_cohomology(base, w) == [0, 0]
 
 
 def test_laurent_line_rational():
     base = DgaForms(QQ_R, [("x", 1, True)])
-    assert de_rham_cohomology(base, 0, 0) == 1
-    assert de_rham_cohomology(base, 1, 0) == 1  # dlog class
+    assert de_rham_cohomology(base, 0) == [1, 1]  # H^1: the dlog class
     for w in (-3, -1, 1, 2, 5):
-        assert de_rham_cohomology(base, 0, w) == 0
-        assert de_rham_cohomology(base, 1, w) == 0
+        assert de_rham_cohomology(base, w) == [0, 0]
 
 
 def test_integral_line_torsion():
     base = poly_line(ZZ)
     # d(x^m) = m x^{m-1} dx, so H^1 in weight m is Z/m
-    assert de_rham_cohomology(base, 1, 4) == AbGroup(0, (4,))
-    assert de_rham_cohomology(base, 1, 1) == AbGroup(0, ())
-    assert de_rham_cohomology(base, 0, 0) == AbGroup(1, ())
+    assert de_rham_cohomology(base, 4)[1] == AbGroup(0, (4,))
+    assert de_rham_cohomology(base, 1)[1] == AbGroup(0, ())
+    assert de_rham_cohomology(base, 0)[0] == AbGroup(1, ())
 
 
 def test_char_p_line_strands():
@@ -50,8 +48,7 @@ def test_char_p_line_strands():
     p = 3
     base = poly_line(FP(p))
     for w in range(0, 19):
-        h0 = de_rham_cohomology(base, 0, w)
-        h1 = de_rham_cohomology(base, 1, w)
+        h0, h1 = de_rham_cohomology(base, w)
         assert h0 == (1 if w % p == 0 else 0)
         assert h1 == (1 if w % p == 0 and w > 0 else 0)
 
@@ -60,14 +57,48 @@ def test_kunneth_two_variables():
     p = 2
     line = poly_line(FP(p))
     plane = DgaForms(FP(p), [("x", 1), ("y", 1)])
+    # a line's row [H^0, H^1], padded with its H^2 = 0
+    rows = [de_rham_cohomology(line, u) + [0] for u in range(0, 9)]
     for n in range(0, 3):
         for w in range(0, 9):
             want = 0
             for i in range(0, n + 1):
                 for u in range(0, w + 1):
-                    want += (de_rham_cohomology(line, i, u)
-                             * de_rham_cohomology(line, n - i, w - u))
-            assert de_rham_cohomology(plane, n, w) == want
+                    want += rows[u][i] * rows[w - u][n - i]
+            assert de_rham_cohomology(plane, w)[n] == want
+
+
+def _per_degree(dga, n, w):
+    """Oracle: H^n of the de Rham strand w from the two maps around
+    degree n, each complex read at its own degree 1."""
+    d_out = dga.strand_matrix(n, w)
+    d_in = (dga.strand_matrix(n - 1, w) if n
+            else IntMat.zeros(d_out.ncols, 0))
+    return complex_cohomology([d_in.ncols, d_out.ncols], [d_in, d_out],
+                              dga.ring)[1]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ_R, FP(2), FP(3)], ids=str)
+def test_row_matches_the_per_degree_oracle(ring):
+    for base, weights in ((poly_line(ring), range(0, 13)),
+                          (DgaForms(ring, [("x", 1, True)]), range(-6, 7)),
+                          (DgaForms(ring, [("x", 1), ("y", 1)]), range(0, 9)),
+                          (DgaForms(ring, [("x", 1), ("y", 2)]), range(0, 9))):
+        for w in weights:
+            assert de_rham_cohomology(base, w) == [
+                _per_degree(base, n, w) for n in range(base.nvars + 1)]
+
+
+def test_cartier_iso_checks_d_squared_mod_p(monkeypatch):
+    # negative control: with every dx_v inserted with sign +1, d(dx dy)
+    # terms no longer cancel, so d o d = 2 x^a y^b dx dy != 0 mod 3; at
+    # p = 2 that mutant is invisible, since 2ab = 0
+    assert all(e["ok"] for e in verify_cartier_iso(3, 2, 6))
+    true_insert = derham._insert_index
+    monkeypatch.setattr(derham, "_insert_index",
+                        lambda idxs, v: (true_insert(idxs, v)[0], 1))
+    with pytest.raises(CompositionNonzero):
+        verify_cartier_iso(3, 2, 6)
 
 
 def test_d_squares_to_zero_random_forms():
@@ -176,6 +207,21 @@ def test_cartier_iso_rejects_a_corrupted_inverse(monkeypatch):
     monkeypatch.setattr(derham, "cartier_inverse", corrupted)
     entries = verify_cartier_iso(3, 1, 6)
     assert [(e["i"], e["w"]) for e in entries if not e["ok"]] == [(0, 0)]
+
+
+def test_cartier_iso_rejects_an_image_that_is_no_cocycle(monkeypatch):
+    # negative control: C^{-1}(dx_1) = x_2^2 dx_1 keeps weight 3, but
+    # d of it is 2 x_2 dx_2 ^ dx_1 != 0 mod 3
+    true_inverse = derham.cartier_inverse
+
+    def moved(form, p):
+        if form.terms == {((0, 0), (0,)): 1}:
+            return form.dga.monomial_form((0, p - 1), (0,))
+        return true_inverse(form, p)
+
+    monkeypatch.setattr(derham, "cartier_inverse", moved)
+    entries = verify_cartier_iso(3, 2, 6)
+    assert [(e["i"], e["w"]) for e in entries if not e["ok"]] == [(1, 3)]
 
 
 def test_cartier_multiplicativity_rejects_a_non_multiplicative_inverse(

@@ -177,7 +177,7 @@ def test_z_mod_p_squared_is_refused_on_every_route():
         with pytest.raises(ValueError, match="no strand cohomology route"):
             group_cohomology(2, 2 * p, ZP2(p))
         with pytest.raises(UnsupportedBase, match="Z/p\\^2"):
-            de_rham_cohomology(DgaForms(ZP2(p), [("x", 1)]), 1, p)
+            de_rham_cohomology(DgaForms(ZP2(p), [("x", 1)]), p)
 
 
 def test_strand_cohomology_checks_composition_mod_p():
