@@ -127,18 +127,15 @@ def _parse_stack(spec):
         return stacks.BGa()
     if low == "a1":
         return stacks.GradedAffine((1,))
-    if low == "p1" or low.startswith("p1:"):
-        w = int(s.split(":", 1)[1]) if ":" in s else 1
-        try:
-            return stacks.TwoChartP1(w)
-        except stacks.UnsupportedStack as e:
-            raise ConfigError(str(e))
-    if low.startswith("affine:"):
-        try:
-            weights = tuple(int(x) for x in s.split(":", 1)[1].split(","))
-            return stacks.GradedAffine(weights)
-        except (ValueError, stacks.UnsupportedStack) as e:
-            raise ConfigError("bad stack spec %r: %s" % (spec, e))
+    try:
+        if low == "p1" or low.startswith("p1:"):
+            return stacks.TwoChartP1(int(s.split(":", 1)[1])
+                                     if ":" in s else 1)
+        if low.startswith("affine:"):
+            return stacks.GradedAffine(
+                tuple(int(x) for x in s.split(":", 1)[1].split(",")))
+    except (ValueError, stacks.UnsupportedStack) as e:
+        raise ConfigError("bad stack spec %r: %s" % (spec, e))
     raise ConfigError("unknown stack spec %r (use BGm, BGa, A1, P1[:w], "
                       "affine:w1,w2,...)" % (spec,))
 
@@ -295,7 +292,7 @@ def _run_acrys(ps):
         for num in range(1, (wmax * den) // 2 + 1):
             for key in alg.strand_basis(Fraction(num, den)):
                 if rng.randrange(4) == 0:
-                    el = el + alg.ctx.monomial(*key) * rng.randrange(1, p + 2)
+                    el += alg.ctx.monomial(*key) * rng.randrange(1, p + 2)
         return el
 
     fails = 0
@@ -665,8 +662,11 @@ def main(argv=None):
         else:
             text = _format_text(report, elapsed)
         if config.out:
-            with open(config.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(config.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise ConfigError("cannot write %s: %s" % (config.out, e))
         else:
             sys.stdout.write(text)
         return code

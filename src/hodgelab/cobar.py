@@ -121,7 +121,7 @@ def strand_matrix(n, w):
 
 
 def apply_d(n, w, cochain):
-    """Apply the differential to a cochain given as {monomial: coeff}.
+    """Apply the differential to an integer cochain {monomial: coeff}.
 
     The monomials are strand monomials (every exponent >= 1), and d on
     each is the normalized formula that :func:`strand_matrix` reads.
@@ -129,11 +129,7 @@ def apply_d(n, w, cochain):
     out = {}
     for exps, c in cochain.items():
         for key, dc in _split_terms(exps).items():
-            nc = out.get(key, 0) + c * dc
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            ZZ.add_to(out, key, c * dc)
     return out
 
 
@@ -297,8 +293,7 @@ def cup(a, b):
     out = {}
     for e1, c1 in a.cocycle.items():
         for e2, c2 in b.cocycle.items():
-            key = e1 + e2
-            out[key] = ring.normalize(out.get(key, 0) + c1 * c2)
+            ring.add_to(out, e1 + e2, c1 * c2)
     cl = CohClass(a.cohdeg + b.cohdeg, a.weight + b.weight, out, ring,
                   check=False)
     if not cl._is_cocycle():
@@ -344,7 +339,7 @@ def classes_equal(a, b):
         return False
     diff = dict(a.cocycle)
     for k, v in b.cocycle.items():
-        diff[k] = diff.get(k, 0) - v
+        a.ring.add_to(diff, k, -v)
     return class_is_zero(CohClass(a.cohdeg, a.weight, diff, a.ring,
                                   check=False))
 

@@ -104,7 +104,7 @@ class CrysAlgebra:
         out = self.ctx.zero()
         for (exps, pd), c in el.terms.items():
             if not any(pd):
-                out = out + self.ctx.monomial(exps, pd, c)
+                out += self.ctx.monomial(exps, pd, c)
         return out
 
     def frobenius(self, el):
@@ -118,7 +118,7 @@ class CrysAlgebra:
             for j, k in enumerate(pd):
                 if k:
                     term = term * self._phi_pd_gen(j, k)
-            out = out + term
+            out += term
         return out
 
     def _phi_pd_gen(self, j, k):
@@ -163,7 +163,7 @@ class CrysAlgebra:
                 pd = [0] * len(self.ctx.relators)
                 pd[j] = a * c
                 term = term * self.ctx.monomial(tuple(exps), tuple(pd), 1)
-            out = out + term.scale(coeff)
+            out += term.scale(coeff)
         return out
 
     def theta_matrix(self, w):
@@ -294,7 +294,7 @@ def kappa(A, r, elt):
         pd = tuple(p * k for k in comps)
         pexps = tuple(e * p for e in exps)
         term = A.ctx.monomial(pexps, pd, coeff)
-        out = out + term.scale(scal)
+        out += term.scale(scal)
     return out
 
 
@@ -384,7 +384,7 @@ def di_splitting(S, r_max=None):
             c = int(c)
             if c % p:
                 raise AssertionError("phi(K) escaped p A/p^2")
-            el1 = el1 + A1.ctx.monomial(key[0], key[1], (c // p) % p)
+            el1 += A1.ctx.monomial(key[0], key[1], (c // p) % p)
         phi1_gen.append(el1)
 
     def f(elt):
@@ -395,7 +395,7 @@ def di_splitting(S, r_max=None):
             for j, k in enumerate(comps):
                 if k:
                     term = term * phi1_gen[j].divided_power(k)
-            out = out + term
+            out += term
         return out
 
     entries = []
@@ -445,7 +445,7 @@ def di_splitting(S, r_max=None):
                 c = int(c)
                 if c % p:
                     inter_ok = False
-                half = half + A1.ctx.monomial(k2[0], k2[1], (c // p) % p)
+                half += A1.ctx.monomial(k2[0], k2[1], (c // p) % p)
             direct = A1.frobenius(A1.ctx.monomial(key[0], key[1], 1))
             if not (half - direct).is_zero():
                 inter_ok = False

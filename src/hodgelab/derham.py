@@ -11,6 +11,7 @@ column by column and :meth:`Form.d` sums it over a form's terms.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain, combinations
 from math import factorial
 
@@ -227,10 +228,11 @@ class Form:
 
 def _form_sum(dga, terms):
     """The form summing (key, coeff) pairs in which a key may repeat."""
-    out = {}
+    out = Form(dga, {})
+    add_to = dga.ring.add_to
     for key, c in terms:
-        out[key] = out.get(key, 0) + c
-    return Form(dga, out)
+        add_to(out.terms, key, c)
+    return out
 
 
 def _merge_indices(i1, i2):
@@ -394,7 +396,7 @@ class CAComplex:
             e = exps[0]
             tgt = [0, 0]
             tgt[which] = e
-            out = out + self.d2.monomial(tuple(tgt), (0,), c)
+            out += self.d2.monomial(tuple(tgt), (0,), c)
         return out
 
     def coface23(self, el, which):
@@ -408,7 +410,7 @@ class CAComplex:
             term = self.d3.monomial(tuple(tgt), (0, 0), c)
             if pd[0]:
                 term = term * self._image_of_s(keep, pd[0])
-            out = out + term
+            out += term
         return out
 
     def _image_of_s(self, keep, k):
@@ -425,7 +427,7 @@ class CAComplex:
             # x_1 - x_3 = s_1 + s_2: gamma_k(u+v) = sum gamma_a(u) gamma_b(v)
             out = self.d3.zero()
             for a in range(k + 1):
-                out = out + self.d3.monomial((0, 0, 0), (a, k - a), 1)
+                out += self.d3.monomial((0, 0, 0), (a, k - a), 1)
         self._s_images[keep, k] = out
         return out
 
@@ -449,11 +451,7 @@ class CAComplex:
 
     def d_dr(self, ctx, el):
         """d of a 0-form over a PD model; returns {(i,): PDElement}."""
-        out = {}
-
-        def add(i, term):
-            out[(i,)] = out[(i,)] + term if (i,) in out else term
-
+        out = defaultdict(ctx.zero)
         rel_ds = []
         for rel in ctx.relators:
             rel_ds.append((rel[1], rel[2]) if rel[0] == "diff"
@@ -465,7 +463,7 @@ class CAComplex:
                     continue
                 ne = list(exps)
                 ne[v] = e - 1
-                add(v, ctx.monomial(tuple(ne), pd, c * e))
+                out[(v,)] += ctx.monomial(tuple(ne), pd, c * e)
             for j, k in enumerate(pd):
                 if k == 0:
                     continue
@@ -473,9 +471,9 @@ class CAComplex:
                 npd[j] = k - 1
                 base = ctx.monomial(exps, tuple(npd), c)
                 a, b = rel_ds[j]
-                add(a, base)
+                out[(a,)] += base
                 if b is not None:
-                    add(b, -base)
+                    out[(b,)] += -base
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def element_a(self):
@@ -486,7 +484,7 @@ class CAComplex:
         for key, c in lift.terms.items():
             if c % p:
                 raise AssertionError("lift not divisible by p")
-            out = out + self.d2.monomial(key[0], key[1], (c // p) % p)
+            out += self.d2.monomial(key[0], key[1], (c // p) % p)
         return out
 
 

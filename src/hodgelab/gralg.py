@@ -57,7 +57,8 @@ class _Ring:
     and Z/p^2 a Fraction a/b is a * b^-1, and ZeroDivisionError is
     raised when p divides b; over Z a non-integral Fraction raises
     ValueError.  Any other type, a float included, raises TypeError.
-    zero, one, div and is_field serve the field eliminations.
+    zero, one, div and is_field serve the field eliminations, and
+    add_to is the one in-place sparse accumulation.
     """
 
     __slots__ = ("name", "char", "modulus", "p", "zero", "one")
@@ -99,6 +100,15 @@ class _Ring:
 
     def add(self, a, b):
         return self.normalize(a + b)
+
+    def add_to(self, terms, key, c):
+        """terms[key] += c in place, normalized once; a zero sum drops
+        the key."""
+        s = self.normalize(terms.get(key, 0) + c)
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
 
     def sub(self, a, b):
         return self.normalize(a - b)
@@ -412,26 +422,26 @@ class PDElement:
             raise WeightOverflow("PD term of weight %s exceeds cap %s"
                                  % (Fraction(ctx.key_weight(key), q),
                                     ctx.max_weight))
-        nv = ring.add(self.terms.get(key, 0), coeff)
-        if ring.is_zero(nv):
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = nv
+        ring.add_to(self.terms, key, coeff)
 
     def _require(self, other):
         if self.ctx is not other.ctx:
             raise RingMismatch("PD elements from different models")
 
-    def __add__(self, other):
+    def __iadd__(self, other):
+        """Sum in place: the left operand changes, so it must never be
+        an element some cache still hands out."""
         self._require(other)
-        out = PDElement(self.ctx, self.terms)
-        ring = self.ctx.ring
-        for k, v in other.terms.items():
-            nv = ring.add(out.terms.get(k, 0), v)
-            if ring.is_zero(nv):
-                out.terms.pop(k, None)
-            else:
-                out.terms[k] = nv
+        add_to = self.ctx.ring.add_to
+        # a copy of the items, since other may be self
+        for k, v in list(other.terms.items()):
+            add_to(self.terms, k, v)
+        return self
+
+    def __add__(self, other):
+        out = PDElement(self.ctx, {})
+        out.terms.update(self.terms)
+        out += other
         return out
 
     def __neg__(self):

@@ -41,16 +41,6 @@ class FiltrationNotPreserved(Exception):
     pass
 
 
-def _axpy(fld, y, a, x):
-    """y += a x for sparse vectors {index: value}, dropping zeros."""
-    for i, v in x.items():
-        s = fld.add(y.get(i, fld.zero), fld.mul(a, v))
-        if fld.is_zero(s):
-            y.pop(i, None)
-        else:
-            y[i] = s
-
-
 class FilteredComplex:
     """Finite complex over the field ``fld``, filtered by coordinates.
 
@@ -136,8 +126,9 @@ def _pairs(fc):
                     paired.add((n, j))
                     paired.add((n + 1, piv))
                     break
-                _axpy(fld, col, fld.neg(fld.div(col[piv], other[piv])),
-                      other)
+                a = fld.neg(fld.div(col[piv], other[piv]))
+                for i, v in other.items():
+                    fld.add_to(col, i, a * v)
     essential = [(lv, n) for n, lvl in enumerate(fc.levels)
                  for i, lv in enumerate(lvl) if (n, i) not in paired]
     return pairs, essential
@@ -188,8 +179,9 @@ def degenerates_at(fc, r):
     """Does the sequence degenerate at page r?
 
     Two routes: (1) every d_r' for r' >= r vanishes, and (2) the page-r
-    totals already equal the cohomology dimensions.  The routes must
-    agree or an AssertionError flags the engine itself.
+    totals already equal the cohomology dimensions, which the verdict
+    carries as "cohomology_dims".  The routes must agree or an
+    AssertionError flags the engine itself.
     """
     stable = fc.n_levels() + 1
     pgs = pages(fc, max(r, stable))[r:]
@@ -208,4 +200,5 @@ def degenerates_at(fc, r):
         "by_vanishing": by_vanishing,
         "by_dimension": by_dimension,
         "first_nonzero": first_nonzero,
+        "cohomology_dims": h,
     }

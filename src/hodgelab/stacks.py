@@ -777,9 +777,11 @@ def hdr_report(stack, n_max):
                  for n in range(n_max + 1)]
     if stack.group == "ga":
         derham, strands = _bga_derham(n_max)
+        filtered = [_bga_strand_filtered(s) for s in strands[1:n_max + 2]]
+        verdict = degenerates_at(filtered[0], 1)
     else:
         derham = derham_cohomology(stack, n_max)
-        fc = _cartan_complex(stack, n_max)
+        verdict = degenerates_at(_cartan_complex(stack, n_max), 1)
     entry = {
         "stack": repr(stack),
         "n_max": n_max,
@@ -788,19 +790,19 @@ def hdr_report(stack, n_max):
         "derham": derham,
     }
     if stack.group != "ga":
-        entry["cartan"] = cohomology_dims(fc)[:n_max + 1]
+        # the verdict ranked the Cartan complex once, for its dimension
+        # route; that is the second route to de Rham dims
+        entry["cartan"] = verdict["cohomology_dims"][:n_max + 1]
         if entry["cartan"] != list(derham):
             raise AssertionError("Cech and Cartan de Rham routes disagree")
     failures = [n for n in range(n_max + 1) if e1_totals[n] != derham[n]]
     entry["degenerate"] = not failures
     entry["failures"] = failures
     if stack.group == "ga":
-        filtered = [_bga_strand_filtered(s) for s in strands[1:n_max + 2]]
         entry["located_d1"] = [a for fc in filtered for a in _located_d1(fc)]
-        entry["specseq"] = degenerates_at(filtered[0], 1)
     else:
-        entry["specseq"] = degenerates_at(fc, 1)
         entry["located_d1"] = []
+    entry["specseq"] = verdict
     if entry["degenerate"] != entry["specseq"]["degenerate"]:
         raise AssertionError("dimension and page verdicts disagree")
     return entry

@@ -304,6 +304,20 @@ def test_a_refused_truncation_exits_one_without_traceback(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["hodge", "--stack", "p1:x"], ["hodge", "--stack", "p1:"],
+    ["hodge", "--config", "{cfg}"], ["bockstein", "--out", "{tmp}/no/x"]])
+def test_a_bad_stack_spec_or_output_path_exits_one_without_traceback(
+        argv, tmp_path, capsys):
+    cfg = tmp_path / "p1.cfg"
+    cfg.write_text("stack = p1:y\n")
+    code = cli.main([a.format(cfg=cfg, tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("hodgelab: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--p", "2"], ["--p", "3", "--depth", "2"], ["--p", "2", "--depth", "2"],
     ["--p", "2", "--wmax", "8"]])
 def test_glued_acrys_checks_frobenius_inside_its_window(argv, capsys):

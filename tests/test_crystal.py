@@ -1,5 +1,6 @@
 """Crystalline period models: filtrations, kappa, lift splittings, unfolding."""
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import product
@@ -258,6 +259,40 @@ def _from_vector(A, w, vec):
     for key, c in zip(A.strand_basis(w), vec):
         el = el + A.ctx.monomial(*key) * int(c)
     return el
+
+
+def test_frobenius_and_the_splitting_leave_their_cached_generators_alone():
+    # sums run in place, so a cached element must never be a left
+    # operand: after Frobenius and the splitting have used them, phi of
+    # each divided generator and the splitting's phi_1 generators equal
+    # a fresh computation
+    S = glued_model(p=3)
+    A = acrys_mod(S, 9)
+    for num in range(1, 2 * 9 + 1):
+        for key in A.strand_basis(Fraction(num, 9)):
+            A.frobenius(A.ctx.monomial(*key) + A.ctx.one())
+    assert A._phi_gen_cache
+    fresh = acrys_mod(S, 9)
+    for (j, k), el in A._phi_gen_cache.items():
+        assert el.terms == fresh._phi_pd_gen(j, k).terms
+    f, entries = di_splitting(S)
+    assert all(e["ok"] for e in entries)
+    z = Fraction(0)
+    f({((z, z), (1,)): 1, ((z, z), (0,)): 1})
+    (phi1,) = inspect.getclosurevars(f).nonlocals["phi1_gen"]
+    img = fresh._phi_pd_gen(0, 1)
+    assert phi1.terms == {key: c // 3 for key, c in img.terms.items()}
+
+
+def test_coface23_leaves_its_cached_images_of_s_alone():
+    ca = CAComplex(3, 6, depth=1)
+    for num in range(0, 6 * 3 + 1):
+        for key in ca.d2.strand_basis(Fraction(num, 3)):
+            ca.delta2(ca.d2.monomial(*key) + ca.d2.one())
+    assert any(keep == (0, 2) and k > 1 for keep, k in ca._s_images)
+    fresh = CAComplex(3, 6, depth=1)
+    for (keep, k), el in ca._s_images.items():
+        assert el.terms == fresh._image_of_s(keep, k).terms
 
 
 def test_lift_splitting_point_models():

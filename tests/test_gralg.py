@@ -114,6 +114,25 @@ def test_normalize_maps_fractions_exactly_and_refuses_floats():
         False, True, True, False]
 
 
+def test_add_to_folds_in_place_and_drops_a_zero_sum():
+    # the one sparse accumulation: a cancelling sum leaves no key, a new
+    # key enters normalized, and every other key stays as it was
+    for ring, c in ((ZZ, 3), (QQ_R, Fraction(1, 2)), (FP(5), 3),
+                    (ZP2(3), 4)):
+        terms = {"a": ring.normalize(c), "b": ring.one}
+        ring.add_to(terms, "a", -c)
+        assert terms == {"b": ring.one}
+        ring.add_to(terms, "c", c)
+        ring.add_to(terms, "b", 1)
+        assert terms == {"b": ring.normalize(2), "c": ring.normalize(c)}
+    # a sum that vanishes only in the ring is dropped too
+    terms = {"a": 2}
+    FP(5).add_to(terms, "a", 3)
+    assert terms == {}
+    FP(5).add_to(terms, "a", 7)
+    assert terms == {"a": 2}
+
+
 # -- PD models --------------------------------------------------------------
 
 
@@ -185,6 +204,26 @@ def test_pd_ring_axioms(data):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def test_pd_sums_change_only_their_left_operand():
+    # a + b copies a; a += b folds b into a and leaves b as it was
+    ctx = PDContext(FP(2), 2, [("diff", 0, 1)])
+    a = ctx.var(1) + ctx.pd_gen(0, 2)
+    b = ctx.var(0)  # x1 = x2 + s, so the x2 terms cancel in a + b
+    a_terms, b_terms = dict(a.terms), dict(b.terms)
+    c = a + b
+    assert c.terms == {((0, 0), (1,)): 1, ((0, 0), (2,)): 1}
+    c += b
+    assert a.terms == a_terms and b.terms == b_terms
+    a += b
+    assert a.terms == {((0, 0), (1,)): 1, ((0, 0), (2,)): 1}
+    assert b.terms == b_terms
+    # the right operand may be the left one: 2a = 0 in characteristic 2
+    a += a
+    assert a.is_zero()
+    with pytest.raises(RingMismatch):
+        a += PDContext(FP(2), 2, [("diff", 0, 1)]).one()
 
 
 def test_pd_strand_enumeration():

@@ -530,8 +530,10 @@ def test_cartan_homotopy_flags_a_doubled_contraction(monkeypatch):
 
 
 def test_hdr_report_rejects_a_wrong_cartan_route(monkeypatch):
-    monkeypatch.setattr(stacks, "cohomology_dims",
-                        lambda fc: [1] * len(fc.dims))
+    # the Cartan row is the dimension route of the degeneration verdict
+    true = stacks.degenerates_at
+    monkeypatch.setattr(stacks, "degenerates_at", lambda fc, r: dict(
+        true(fc, r), cohomology_dims=[1] * len(fc.dims)))
     with pytest.raises(AssertionError, match="Cartan"):
         hdr_report(BGm(), 2)
 
@@ -657,7 +659,8 @@ def test_hdr_report_bga_nmax4_is_pinned():
     assert rep["failures"] == [1, 2, 3, 4]
     assert rep["specseq"] == {
         "page": 1, "degenerate": False, "by_vanishing": False,
-        "by_dimension": False, "first_nonzero": (1, 0, 1)}
+        "by_dimension": False, "first_nonzero": (1, 0, 1),
+        "cohomology_dims": [0, 0, 0, 0, 0, 0, 0]}
 
 
 def test_bga_derham_reads_no_strand_top_pair(monkeypatch):
