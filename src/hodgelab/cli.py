@@ -11,6 +11,7 @@ defaults; command-line flags win.
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -651,9 +652,20 @@ def build_config(argv=None):
     return RunConfig(args.command, params, fmt=fmt, out=out)
 
 
+def _check_out(path):
+    """Refuse an --out path that cannot be written, before the run and
+    without creating or truncating the file."""
+    there = path if os.path.exists(path) else os.path.dirname(
+        os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(there, os.W_OK):
+        raise ConfigError("cannot write %s: not a writable file path" % path)
+
+
 def main(argv=None):
     try:
         config = build_config(argv)
+        if config.out:
+            _check_out(config.out)
         start = time.time()
         report, code = run(config)
         elapsed = time.time() - start

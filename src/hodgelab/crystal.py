@@ -123,47 +123,38 @@ class CrysAlgebra:
 
     def _phi_pd_gen(self, j, k):
         """phi(s_j^[k]) as an element, cached."""
-        key = (j, k)
-        got = self._phi_gen_cache.get(key)
-        if got is not None:
-            return got
-        p = self.p
-        rel = self.ctx.relators[j]
-        if rel[0] == "var":
-            # phi(gamma_k(x)) = gamma_k(x^p) = ((pk)!/k!) gamma_pk(x)
-            pd = [0] * len(self.ctx.relators)
-            pd[j] = p * k
-            el = self.ctx.monomial((0,) * self.ctx.nvars, tuple(pd),
-                                   factorial(p * k) // factorial(k))
-        else:
-            el = self._gamma_of_phi_s(j, k)
-        self._phi_gen_cache[key] = el
-        return el
+        got = self._phi_gen_cache.get((j, k))
+        if got is None:
+            got = self._phi_gen_cache[j, k] = self._gamma_of_phi_s(j, k)
+        return got
 
     def _gamma_of_phi_s(self, j, k):
-        """gamma_k(x_i^p - x_t^p) for the relator s_j = x_i - x_t."""
+        """gamma_k(x_i^p - x_t^p) for the relator s_j = x_i - x_t, and
+        gamma_k(x_i^p) = ((pk)!/k!) gamma_pk(s) for s_j = x_i."""
         p = self.p
-        _, i, t = self.ctx.relators[j]
-        # phi(s) = sum_{c=1}^{p} binom(p,c) c! x_t^(p-c) gamma_c(s)
-        parts = [(comb(p, c) * factorial(c), p - c, c) for c in range(1, p + 1)]
+        rel = self.ctx.relators[j]
+        # phi(s) = sum_{c=1}^{p} binom(p,c) c! x_t^(p-c) gamma_c(s); s_j = x_i
+        # has no x_t, so only c = p is left, where t = i gets x^0
+        first, t = (1, rel[2]) if rel[0] == "diff" else (p, rel[1])
+        parts = [(comb(p, c) * factorial(c), p - c, c)
+                 for c in range(first, p + 1)]
         out = self.ctx.zero()
         for split in _compositions(k, len(parts)):
             term = self.ctx.one()
-            coeff = 1
             for (scal, texp, c), a in zip(parts, split):
                 if a == 0:
                     continue
                 # gamma_a(scal * x_t^texp * gamma_c(s)) =
-                #   scal^a x_t^(a*texp) ((ac)!/(a!(c!)^a)) gamma_(ac)(s)
-                coeff *= scal ** a
-                coeff *= factorial(a * c) // (factorial(a)
-                                              * factorial(c) ** a)
+                #   scal^a x_t^(a*texp) ((ac)!/(a!(c!)^a)) gamma_(ac)(s),
+                # scalar included, so a vanishing factor skips the cap test
                 exps = [0] * self.ctx.nvars
                 exps[t] = a * texp * self.ctx.q
                 pd = [0] * len(self.ctx.relators)
                 pd[j] = a * c
-                term = term * self.ctx.monomial(tuple(exps), tuple(pd), 1)
-            out += term.scale(coeff)
+                term = term * self.ctx.monomial(
+                    tuple(exps), tuple(pd), scal ** a * factorial(a * c)
+                    // (factorial(a) * factorial(c) ** a))
+            out += term
         return out
 
     def theta_matrix(self, w):

@@ -16,16 +16,17 @@ Weight conventions: every generator carries a weight; the weight of a
 monomial is the exponent-weighted sum.  A PD model adjoins p^depth-th
 roots of its generators and stores each exponent as a non-negative int
 in units of 1/q, q = p^depth, so every key is a pair of int tuples.  A
-PD model may carry a weight cap; arithmetic that would leave the
-modelled window raises :class:`WeightOverflow`, and an exponent finer
-than 1/q raises :class:`TruncationOverflow`, instead of silently
-truncating.
+PD model may carry a weight cap: a nonzero normal-form term past it
+raises :class:`WeightOverflow`, while a product that vanishes mod p
+(mod p^2 over Z/p^2) does not.  An exponent finer than 1/q raises
+:class:`TruncationOverflow`; nothing is silently truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
+from operator import add
 
 __all__ = [
     "RingMismatch", "WrongCharacteristic", "WeightOverflow",
@@ -225,11 +226,17 @@ class PDContext:
         x^e * prod_j s_j^[k_j],
 
     where for a ('var', i) or ('diff', i, j) relator the exponent e_i lies
-    in [0, q), that is x_i^(u/q) with u/q in [0, 1) (for a difference,
-    integer parts are rewritten through x_i = x_j + s_j).  Distinct
+    in [0, q), that is x_i^(u/q) with u/q in [0, 1).  One rewrite rule
+    takes integer parts out: x_i^a = (x_j + s_j)^a, where a ('var', i)
+    relator has no x_j and keeps only s_j^a = a! s_j^[a].  Distinct
     relators must have distinct i, ordered increasingly, and a
     difference target j must not itself be a leading index of an earlier
     relator.
+
+    With max_weight set, a nonzero normal-form term of larger weight
+    raises WeightOverflow; a product that vanishes in the ring (mod p,
+    or mod p^2) is zero and does not raise, even when its raw weight is
+    past the cap.
     """
 
     __slots__ = ("ring", "p", "q", "nvars", "relators", "depth",
@@ -278,11 +285,6 @@ class PDContext:
                 "exponent of %s units of 1/%d exceeds root depth %d"
                 % (e, self.q, self.depth))
 
-    def key_weight(self, key):
-        """The weight of a key, in units of 1/q."""
-        exps, pd = key
-        return sum(exps) + sum(pd) * self.q
-
     def zero(self):
         return PDElement(self, {})
 
@@ -293,9 +295,11 @@ class PDContext:
         """coeff * x^exps * prod_j s_j^[pd_j], exps in units of 1/q."""
         for e in exps:
             self.check_exp(e)
+        exps = tuple(int(e) for e in exps)
+        pd = tuple(int(k) for k in pd)
         el = PDElement(self, {})
-        el._accumulate(tuple(int(e) for e in exps), tuple(int(k) for k in pd),
-                       self.ring.normalize(coeff))
+        el._accumulate(exps, pd, self.ring.normalize(coeff),
+                       sum(exps) + sum(pd) * self.q)
         return el
 
     def var(self, i, exp=1):
@@ -375,10 +379,12 @@ class PDElement:
 
     # normal-form accumulation: rewrite a raw monomial into basis keys
 
-    def _accumulate(self, exps, pd, coeff):
+    def _accumulate(self, exps, pd, coeff, weight):
+        # coeff is a raw int, reduced once where its term lands; weight, in
+        # 1/q units, is kept by every rewrite, and the zero test comes
+        # first, so a branch that vanishes never reaches the cap test
         ctx = self.ctx
-        ring = ctx.ring
-        if ring.is_zero(coeff):
+        if not coeff % ctx.ring.modulus:
             return
         q = ctx.q
         # find first relator whose leading variable has integer part >= 1
@@ -386,43 +392,25 @@ class PDElement:
             i = rel[1]
             a, frac = divmod(exps[i], q)
             if a:
-                if rel[0] == "var":
-                    # x_i^a s^[k] = ((k+a)!/k!) s^[k+a]
-                    k = pd[j]
-                    scale = 1
-                    for t in range(k + 1, k + a + 1):
-                        scale *= t
+                # x_i^a = (x_t + s)^a, s^c s^[k] = ((k+c)!/k!) s^[k+c]; a
+                # ('var', i) relator has no x_t: only c = a, and t = i gains 0
+                first, t = (0, rel[2]) if rel[0] == "diff" else (a, i)
+                k = pd[j]
+                for c in range(first, a + 1):
                     ne = list(exps)
                     ne[i] = frac
+                    ne[t] += (a - c) * q
                     npd = list(pd)
-                    npd[j] = k + a
+                    npd[j] = k + c
                     self._accumulate(tuple(ne), tuple(npd),
-                                     ring.mul(coeff, ring.normalize(scale)))
-                else:
-                    # x_i^a = (x_j' + s)^a, s^c s^[k] = ((c+k)!/k!) s^[c+k]
-                    tgt = rel[2]
-                    k = pd[j]
-                    for c in range(a + 1):
-                        scale = comb(a, c)
-                        for t in range(k + 1, k + c + 1):
-                            scale *= t
-                        ne = list(exps)
-                        ne[i] = frac
-                        ne[tgt] += (a - c) * q
-                        npd = list(pd)
-                        npd[j] = k + c
-                        self._accumulate(tuple(ne), tuple(npd),
-                                         ring.mul(coeff,
-                                                  ring.normalize(scale)))
+                                     coeff * comb(a, c) * perm(k + c, c),
+                                     weight)
                 return
         # normal form reached
-        key = (exps, pd)
-        if ctx.max_weight is not None and \
-                ctx.key_weight(key) > ctx.max_weight * q:
+        if ctx.max_weight is not None and weight > ctx.max_weight * q:
             raise WeightOverflow("PD term of weight %s exceeds cap %s"
-                                 % (Fraction(ctx.key_weight(key), q),
-                                    ctx.max_weight))
-        ring.add_to(self.terms, key, coeff)
+                                 % (Fraction(weight, q), ctx.max_weight))
+        ctx.ring.add_to(self.terms, (exps, pd), coeff)
 
     def _require(self, other):
         if self.ctx is not other.ctx:
@@ -463,18 +451,20 @@ class PDElement:
             return self.scale(other)
         self._require(other)
         ctx = self.ctx
-        ring = ctx.ring
+        q = ctx.q
         out = PDElement(ctx, {})
+        # a product's weight is the sum of its factors' weights
+        rhs = [(e2, k2, c2, sum(e2) + sum(k2) * q)
+               for (e2, k2), c2 in other.terms.items()]
         for (e1, k1), c1 in self.terms.items():
-            for (e2, k2), c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                scale = 1
-                pd = []
+            w1 = sum(e1) + sum(k1) * q
+            for e2, k2, c2, w2 in rhs:
+                # s^[a] s^[b] = C(a+b, a) s^[a+b]; one raw int per pair
+                c = c1 * c2
                 for a, b in zip(k1, k2):
-                    scale *= comb(a + b, a)
-                    pd.append(a + b)
-                cc = ring.mul(ring.mul(c1, c2), ring.normalize(scale))
-                out._accumulate(exps, tuple(pd), cc)
+                    c *= comb(a + b, a)
+                out._accumulate(tuple(map(add, e1, e2)),
+                                tuple(map(add, k1, k2)), c, w1 + w2)
         return out
 
     __rmul__ = __mul__

@@ -1,5 +1,6 @@
 """Batch front end: exit codes, report determinism, config layering."""
 
+import hashlib
 import json
 
 import pytest
@@ -317,19 +318,65 @@ def test_a_bad_stack_spec_or_output_path_exits_one_without_traceback(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--p", "2"], ["--p", "3", "--depth", "2"], ["--p", "2", "--depth", "2"],
-    ["--p", "2", "--wmax", "8"]])
+@pytest.mark.parametrize("out", ["{tmp}/no/x", "{tmp}"])
+def test_an_unwritable_out_path_is_refused_before_the_run(
+        out, tmp_path, monkeypatch, capsys):
+    def spy(config):
+        raise AssertionError("the suite ran before --out was checked")
+    monkeypatch.setattr(cli, "run", spy)
+    code = cli.main(["bockstein", "--out", out.format(tmp=tmp_path)])
+    stdout, err = capsys.readouterr()
+    assert code == 1 and stdout == ""
+    assert err.startswith("hodgelab: error: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["old.json", "new.json"])
+def test_an_out_file_is_written_only_once_its_report_exists(
+        name, tmp_path, monkeypatch):
+    (tmp_path / "old.json").write_text("kept\n")
+    path = tmp_path / name
+    real = cli.run
+
+    def spy(config):
+        # the check before the run neither truncates nor creates the file
+        assert [f.name for f in tmp_path.iterdir()] == ["old.json"]
+        assert (tmp_path / "old.json").read_text() == "kept\n"
+        return real(config)
+    monkeypatch.setattr(cli, "run", spy)
+    assert cli.main(["bockstein", "--format", "json", "--out",
+                     str(path)]) == 0
+    assert json.loads(path.read_text())["command"] == "bockstein"
+
+
+# the sha256 of each whole JSON report, taken before the divided-power
+# rewrite rule was folded into one loop
+GLUED_ACRYS_SHA256 = {
+    ("--p", "2"):
+        "9f408493c21d4f84072acafd53f69e690dcda149524515c6de22fc0f2eaf4c81",
+    ("--p", "3", "--depth", "2"):
+        "e3819cbee90a1d268ad1b66ef8998347209dd603e9e454d148e396e0c39ce36a",
+    ("--p", "2", "--depth", "2"):
+        "6e07a1754d3c69069aab81900e210aa450232a6e8eb186953b3c2367543edf23",
+    ("--p", "2", "--wmax", "8"):
+        "f4517c9bacf9ddda5c45f5fb78f2ab3018dbe1477fcc4976d919d9cf8f04f3cd",
+}
+
+
+@pytest.mark.parametrize("argv", list(GLUED_ACRYS_SHA256))
 def test_glued_acrys_checks_frobenius_inside_its_window(argv, capsys):
     # Frobenius images of the samples reach weight p * wmax, past the
     # report's window; the glued model's terms there do not vanish
-    code = cli.main(["acrys", "--model", "glued", "--format", "json"] + argv)
+    code = cli.main(["acrys", "--model", "glued", "--format", "json"]
+                    + list(argv))
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     (row,) = [e for e in json.loads(out)["entries"]
               if e.get("id") == "frobenius-ring-map"]
     assert row == {"id": "frobenius-ring-map", "pairs": 12, "failures": 0,
                    "ok": True}
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == GLUED_ACRYS_SHA256[argv])
 
 
 # each stack spec and the name that `hdr` writes into its report

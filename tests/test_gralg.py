@@ -316,6 +316,18 @@ def test_pd_weight_cap():
         deep.pd_gen(0, 1) * deep.pd_gen(0, 3)
     with pytest.raises(WeightOverflow):
         top * deep.var(1, Fraction(2, 3))
+    # past the cap only a nonzero normal-form term raises: a product that
+    # vanishes mod p is zero, since the zero test comes before the cap test
+    low = PDContext(FP(3), 1, [("var", 0)], max_weight=2)
+    s = low.pd_gen(0)
+    assert (s * low.pd_gen(0, 2)).is_zero()  # C(3, 1) s^[3]
+    assert (s * s * s).is_zero()  # 2 s^[2] * s = 6 s^[3]
+    diff = PDContext(FP(2), 2, [("diff", 0, 1)], depth=1, max_weight=1)
+    s = diff.pd_gen(0)
+    assert (s * s).is_zero()  # 2 s^[2]
+    x1 = diff.var(0)
+    with pytest.raises(WeightOverflow):
+        x1 * x1  # (x_2 + s)^2 = x_2^2 + 2 x_2 s + 2 s^[2], and x_2^2 stays
 
 
 def test_pd_zp2_coefficients():

@@ -663,6 +663,20 @@ def test_hdr_report_bga_nmax4_is_pinned():
         "cohomology_dims": [0, 0, 0, 0, 0, 0, 0]}
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_bga_strand_bounds_past_the_used_ones_change_no_report(n_max):
+    # every strand of weight w >= 1 is acyclic through n_max, so summing
+    # w <= n + 3 instead of w <= n + 2 adds nothing to a de Rham row; and
+    # the last strand hdr_report locates arrows on has none, so dropping
+    # it leaves located_d1 as it is
+    dims, strands = stacks._bga_derham(n_max)
+    assert dims == [1] + [0] * n_max
+    for strand in strands[1:]:
+        assert strand.cohomology(n_max) == [0] * (n_max + 1)
+    last = stacks._bga_strand_filtered(strands[n_max + 1])
+    assert stacks._located_d1(last) == []
+
+
 def test_bga_derham_reads_no_strand_top_pair(monkeypatch):
     # derham-stack builds each B G_a strand to degree cap n_max + 2 and
     # reads degrees <= n_max, so mats[n_max + 1] enters no printed number
