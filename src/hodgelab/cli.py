@@ -53,10 +53,6 @@ _SCHEMAS = {
     "selftest": {"fast": False},
 }
 
-# the CLI's range for p; `_is_prime` and the mod-p eliminators are
-# exact far past it
-_P_LIMIT = 1 << 31
-
 _STR_PARAMS = {"model", "stack", "expect"}
 _BOOL_PARAMS = {"fast"}
 _GLOBAL_KEYS = {"format", "out"}
@@ -101,9 +97,13 @@ def _validate(command, params):
                               % (key, command))
         if value is None:
             continue
-        if key == "p" and not (value < _P_LIMIT and _is_prime(value)):
-            raise ConfigError("p must be a prime below 2^31, got %r"
-                              % (value,))
+        if key == "p":
+            try:
+                prime = _is_prime(value)
+            except ValueError as e:
+                raise ConfigError("p = %r: %s" % (value, e))
+            if not prime:
+                raise ConfigError("p must be a prime, got %r" % (value,))
         if key in ("nmax", "wmax", "depth", "vars", "pairs", "rmax"):
             if value < 0 or (key in ("depth", "vars") and value < 1):
                 raise ConfigError("%s out of range: %r" % (key, value))
@@ -417,13 +417,17 @@ def _run_census(ps):
             distinct += 1
             entries.append({"w": w, "count": c, "cumulative": cum,
                             "result": g, "ok": True})
-    need = 0
-    k = p
-    while 2 * k <= wmax:
-        need += 1
-        k *= p
-    entries.append({"id": "distinct-weights", "found": distinct,
-                    "required": need, "ok": distinct >= need})
+    if n == 2:
+        # H^2 holds the p-torsion class v_q = [d(x^q)/p] of weight 2q for
+        # each power q > 1 of p, so one Z/p weight per q; no other degree
+        # has a class in each such weight
+        need = 0
+        k = p
+        while 2 * k <= wmax:
+            need += 1
+            k *= p
+        entries.append({"id": "distinct-weights", "found": distinct,
+                        "required": need, "ok": distinct >= need})
     entries.append({"id": "cumulative-monotone",
                     "ok": all(x <= y for x, y in zip(counts, counts[1:]))})
     return entries

@@ -7,10 +7,10 @@ invariant factors, so that no entry outgrows it; rational work uses
 Fractions.  One sparse elimination engine, exact over Z or mod any
 modulus in Python ints, gives the rank mod p (:func:`fp_rank_sparse`),
 the saturated integer kernel (:func:`kernel_basis`), the Smith unit
-pass, the fraction-free minor determinant, the l-adic levels and the
-diagonal mod N; :func:`fp_rref`, the leftmost-pivot reduced
-echelon form, gives pivot columns, kernels and solutions mod p.  No
-floating point is ever produced.
+pass, the fraction-free minor determinant and the level-by-level
+diagonal mod each coprime part of N; :func:`fp_rref`, the leftmost-pivot
+reduced echelon form, gives pivot columns, kernels and solutions mod p.
+No floating point is ever produced.
 
 :meth:`IntMat.from_images` is the one way a map becomes a matrix: every
 differential and structure map in the package is read from its source
@@ -277,8 +277,8 @@ class _SchurWork:
     # The one sparse elimination engine: rows {i: {j: v}} with a column
     # index and a lazy heap of row lengths.  Entries are exact over Z, or
     # residues mod `modulus` when one is given.  Rank mod p, the integer
-    # kernel, the Smith unit pass, the minor determinant, the l-adic
-    # levels and the diagonal mod N all drive it.
+    # kernel, the Smith unit pass, the minor determinant and the levels
+    # mod each coprime part of N all drive it.
 
     def __init__(self, entries, modulus=None):
         self.mod = modulus
@@ -406,39 +406,6 @@ class _SchurWork:
         self.heap = [(len(row), i) for i, row in self.rows.items()]
         heapq.heapify(self.heap)
 
-    # the unimodular 2x2 steps below work mod the modulus only
-
-    def combine_rows(self, i0, i, j0):
-        # row step leaving gcd(a, b) at (i0, j0) and 0 at (i, j0)
-        x, y = self.rows[i0], self.rows[i]
-        a, b = x[j0], y[j0]
-        g, s, t = _xgcd(a, b)
-        self._set_row(i0, self._combine(s, x, t, y))
-        self._set_row(i, self._combine(b // g, x, -(a // g), y))
-
-    def combine_cols(self, j0, j, i0):
-        # the same step on columns, leaving 0 at (i0, j)
-        a, c = self.rows[i0][j0], self.rows[i0][j]
-        g, s, t = _xgcd(a, c)
-        for i in self.cols[j0] | self.cols[j]:
-            row = self.rows[i]
-            x, y = row.get(j0, 0), row.get(j, 0)
-            new = dict(row)
-            new[j0] = (s * x + t * y) % self.mod
-            new[j] = ((c // g) * x - (a // g) * y) % self.mod
-            self._set_row(i, {k: v for k, v in new.items() if v})
-
-
-def _xgcd(a, b):
-    # (g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
 
 def _minor_abs_det(mat, cols):
     # (|det|, rows) of a nonsingular r x r minor of mat on the r given
@@ -471,71 +438,59 @@ def _minor_abs_det(mat, cols):
 _SMALL_PRIMES = tuple(filter(_is_prime, range(2, 1 << 10)))
 
 
+def _strip(n, g):
+    # (q, n // q) for q the part of n on the primes of g
+    q = 1
+    while (c := gcd(n, g)) > 1:
+        n, q = n // c, q * c
+    return q, n
+
+
 def _coprime_parts(n):
-    # n > 0 as pairwise coprime factors (prime, part): the full power of
-    # each prime below 2^10 that divides it, then (None, cofactor) if
-    # the cofactor is not 1
+    # n > 0 as pairwise coprime factors (base, part): the full power of
+    # each prime below 2^10 that divides it, based at that prime, then
+    # the cofactor, based at itself, if it is not 1
     parts = []
     for f in _SMALL_PRIMES:
         if n % f == 0:
-            q = 1
-            while n % f == 0:
-                n, q = n // f, q * f
+            q, n = _strip(n, f)
             parts.append((f, q))
-    return parts + [(None, n)] if n > 1 else parts
+    return parts + [(n, n)] if n > 1 else parts
 
 
-def _diagonal_mod(entries, modulus):
-    # gcd(pivot, modulus) for each pivot of a diagonalisation over
-    # Z/modulus: unimodular 2x2 steps first make each pivot's gcd with
-    # the modulus divide its row and column, then a Schur step drops it
-    work = _SchurWork(entries, modulus)
-    found = []
-    while (i := work.shortest_row()) is not None:
-        row = work.rows[i]
-        j = min(row, key=lambda c: (gcd(row[c], modulus), len(work.cols[c]),
-                                    c))
-        while True:
-            g = gcd(work.rows[i][j], modulus)
-            k = next((k for k in sorted(work.cols[j])
-                      if work.rows[k][j] % g), None)
-            if k is not None:
-                work.combine_rows(i, k, j)
-                continue
-            k = next((k for k in sorted(work.rows[i])
-                      if work.rows[i][k] % g), None)
-            if k is None:
-                break
-            work.combine_cols(j, k, i)
-        inv = pow(work.rows[i][j] // g, -1, modulus // g)
-        work.pivot_out(i, j, lambda b: b // g * inv)
-        found.append(g)
-    return found
-
-
-def _local_diagonal(entries, ell, part):
-    # gcd(pivot, part) for each pivot of a diagonalisation over Z/part,
-    # part = ell^v, level by level: at level t every entry is a multiple
-    # of ell^t, held divided by it mod part / ell^t.  Each entry that is a
-    # unit there is pivoted out as the pivot ell^t, and once none is left,
-    # what remains is divided by ell for level t + 1.  The loop ends when
-    # nothing is left, which for a matrix of rank r is once r pivots are
-    # found: a pivot past r is a rank too low, for the caller to refuse
+def _local_diagonal(entries, base, part):
+    # (gcd(pivot, part) for each pivot of a diagonalisation over Z/part,
+    # None), for a base whose primes are those of part, level by level:
+    # at level t every entry is a multiple of t, held divided by it mod
+    # part / t.  Each entry prime to base is a unit there and is pivoted
+    # out as the pivot t; once none is left, base is cut to its gcd with
+    # the modulus, and what remains is divided by it for the next level.
+    # The loop ends when nothing is left, which for a matrix of rank r is
+    # once r pivots are found: a pivot past r is a rank too low, for the
+    # caller to refuse.  A row with no unit but an entry whose gcd g with
+    # base is neither 1 nor base splits base instead: (None, g) is
+    # returned, for the caller to diagonalise the factor of part on g's
+    # primes and the rest of part apart
     work = _SchurWork(entries, part)
     found, level = [], 1
     while True:
         while (i := work.shortest_row()) is not None:
             row = work.rows[i]
-            units = [j for j, v in row.items() if v % ell]
+            units = [j for j, v in row.items() if gcd(v, base) == 1]
             if units:
                 j = min(units, key=lambda c: (len(work.cols[c]), c))
                 inv = pow(row[j], -1, work.mod)
                 work.pivot_out(i, j, lambda b: b * inv)
                 found.append(level)
+                continue
+            for v in row.values():
+                if (g := gcd(v, base)) != base:
+                    return None, g
         if not work.rows:
-            return found
-        work.divide(ell)
-        level *= ell
+            return found, None
+        base = gcd(base, work.mod)
+        work.divide(base)
+        level *= base
 
 
 def _rank_primes():
@@ -575,16 +530,20 @@ def smith_normal_form(mat, rank=None, det_multiple=None):
        that minor.  Each updated row is divided by its content, and the
        factor by which it has been scaled enters D only when the row
        becomes a pivot;
-    4. the core is diagonalised over Z/N one coprime part of N at a time
-       (the power of each prime below 2^10, then the cofactor), keeping
-       gcd(pivot, part) for each pivot and the part for each missing one,
-       on the side of the core with fewer rows (the transpose has the
-       same Smith form).  A part l^v whose rank mod l is r gives r unit
-       pivots.  Any other is diagonalised level by level: every entry
-       that is a unit mod l is pivoted out as the pivot l^t of level t,
-       then what is left is divided by l for level t + 1, until nothing
-       is left.  Only the cofactor is diagonalised by unimodular 2 x 2
-       steps and gcd pivots;
+    4. the core is diagonalised over Z/N one coprime part of N at a time,
+       keeping gcd(pivot, part) for each pivot and the part for each
+       missing one, on the side of the core with fewer rows (the
+       transpose has the same Smith form).  Each part has a base with
+       the same primes: the power of each prime l below 2^10 has the base
+       l, and the cofactor is its own base.  A part l^v whose rank mod l
+       is r gives r unit pivots.  Any other is diagonalised level by
+       level: every entry prime to the base is pivoted out as the pivot
+       t of level t, then the base is cut to its gcd with the modulus
+       and what is left is divided by it for the next level, until
+       nothing is left.  A row with no such entry, but one whose gcd g
+       with the base is neither 1 nor the base, splits the part into its
+       factor on g's primes, with the base g, and the rest, with the
+       base stripped of g's primes; each is diagonalised afresh;
     5. the pairwise gcd/lcm normal form of all of these is the Smith form
        mod N; only then are the entries equal to N dropped, and exactly r
        must remain, else :class:`ExactLinError`.
@@ -649,14 +608,18 @@ def smith_normal_form(mat, rank=None, det_multiple=None):
             raise ExactLinError("rank mod %d exceeds the rank %d" % (
                 p, ones + r))
         n_mod = 2 * det_multiple
-    found = []
-    for ell, part in _coprime_parts(n_mod):
-        if ell is None:
-            pivots = _diagonal_mod(short, part)
-        elif fp_rank_sparse(short, ell) == r:
+    found, parts = [], _coprime_parts(n_mod)
+    for base, part in parts:  # a split appends its two parts to parts
+        if base < 1 << 10 and fp_rank_sparse(short, base) == r:
             pivots = [1] * r
         else:
-            pivots = _local_diagonal(short, ell, part)
+            pivots, g = _local_diagonal(short, base, part)
+            if g is not None:
+                q, rest = _strip(part, g)
+                parts.append((g, q))
+                if rest > 1:
+                    parts.append((_strip(base, g)[1], rest))
+                continue
         found += pivots + [part] * (size - len(pivots))
     chain = _divisor_chain(found)
     torsion = [d for d in chain if d != n_mod]

@@ -58,7 +58,7 @@ def test_default_expectation_tracks_the_stack(capsys):
 
 def test_usage_errors_exit_one(capsys):
     for argv in (["bockstein", "--p", "4"],
-                 ["cartier", "--p", "2147483659"],
+                 ["cartier", "--p", str(10 ** 30 + 57)],
                  ["nosuch"],
                  [],
                  ["census", "--wmax", "-3"],
@@ -234,6 +234,14 @@ def test_census_rejects_a_census_without_torsion(monkeypatch):
     assert code == 2
     assert [e["id"] for e in report["entries"] if not e["ok"]] == \
         ["distinct-weights"]
+
+
+def test_census_counts_distinct_weights_only_in_degree_two():
+    # H^3 has no class below weight 6, so a count of one Z/2 weight per
+    # power of 2 up to wmax / 2 would fail a correct table
+    report, code = cli.run(cli.RunConfig("census", {"n": 3, "wmax": 4}))
+    assert code == 0
+    assert [e.get("id") for e in report["entries"]] == ["cumulative-monotone"]
 
 
 def _acrys_failures(monkeypatch, owner, name, corrupt):
@@ -425,12 +433,18 @@ def test_runconfig_rejects_unknown_parameter():
 
 
 def test_runconfig_bounds_p_below_2_to_the_31():
-    # 2147483647 = 2^31 - 1 is prime; 2147483659 is the next prime
-    assert cli.RunConfig("census", {"p": 2147483647}).params["p"] == \
-        2147483647
+    # 2147483647 = 2^31 - 1 is prime, and so is the next prime 2147483659:
+    # every mod-p route is exact past 2^31, and only a p whose primality
+    # Miller-Rabin cannot certify is refused, besides a composite
+    for p in (2147483647, 2147483659):
+        assert cli.RunConfig("census", {"p": p}).params["p"] == p
     with pytest.raises(cli.ConfigError) as err:
-        cli.RunConfig("census", {"p": 2147483659})
-    assert str(err.value) == "p must be a prime below 2^31, got 2147483659"
+        cli.RunConfig("census", {"p": 2147483661})
+    assert str(err.value) == "p must be a prime, got 2147483661"
+    big = 10 ** 30 + 57
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig("census", {"p": big})
+    assert str(err.value).startswith("p = %d: primality past" % big)
 
 
 def test_selftest_fast_is_green(capsys):

@@ -30,9 +30,9 @@ def test_snf_seed_example():
 def test_snf_matches_minor_oracle(minor_divisors):
     rng = random.Random(7)
     # N = 2 |det| of the top 2 x 2 minor has the cofactor 1031 * 1033 *
-    # 2111 past the primes below 2^10; the first row's entries, 2 * 1033
-    # and -4 * 1031 * 1039, have the gcds 1033 and 1031 with it, neither
-    # dividing the other, so the diagonal mod N needs a column step
+    # 2111 past the primes below 2^10, its own base; the first row's
+    # entries, 2 * 1033 and -4 * 1031 * 1039, have the gcds 1033 and 1031
+    # with it and neither is a unit, so the cofactor splits
     cases = [[[2066, -4284836], [-4260092, -3195069], [0, 4260092]]]
     for _ in range(25):
         r = rng.randint(1, 4)
@@ -357,7 +357,7 @@ def test_snf_diagonal_matches_planted_diagonal(monkeypatch):
 
 # invariant factors with 2^3, 2^4, 3^3 and 3^4 and the prime 1031 past
 # 2^10: the Smith route then takes parts 2^v and 3^v level by level, and
-# the cofactor mod N by _diagonal_mod
+# the cofactor past 2^10 level by level at its own base
 _LOCAL = (2, 8, 16, 9, 27, 81, 24, 216, 1031, 2 * 1031, 8 * 1031,
           27 * 1031)
 
@@ -365,19 +365,17 @@ _LOCAL = (2, 8, 16, 9, 27, 81, 24, 216, 1031, 2 * 1031, 8 * 1031,
 def test_snf_route_matches_the_minor_oracle_on_planted_local_factors(
         monkeypatch, minor_divisors):
     levels, cofactors = set(), []
-    real_local, real_mod = exactlin._local_diagonal, exactlin._diagonal_mod
+    real_local = exactlin._local_diagonal
 
-    def local(entries, ell, part):
-        found = real_local(entries, ell, part)
-        levels.update((ell, f) for f in found)
-        return found
-
-    def cofactor(entries, modulus):
-        cofactors.append(modulus)
-        return real_mod(entries, modulus)
+    def local(entries, base, part):
+        found, g = real_local(entries, base, part)
+        if found is not None:
+            levels.update((base, f) for f in found)
+            if base > 1 << 10:
+                cofactors.append(part)
+        return found, g
 
     monkeypatch.setattr(exactlin, "_local_diagonal", local)
-    monkeypatch.setattr(exactlin, "_diagonal_mod", cofactor)
     rng = random.Random(PROPERTY_SEEDS["snf_local"])
     for k in range(80):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
@@ -426,6 +424,46 @@ def test_a_det_multiple_with_a_wrong_rank_is_refused():
         snf_diagonal(IntMat.from_rows([[2]]), None, 2)
 
 
+def test_a_local_level_cuts_its_base_to_the_modulus():
+    # at level 1031 * 1033 the modulus is 1031^3, so the next level
+    # divides by 1031 alone, not by the whole base
+    assert exactlin._local_diagonal(
+        {(0, 0): 1031 ** 2 * 1033 ** 2 * 5}, 1031 * 1033,
+        1031 ** 4 * 1033) == ([1031 ** 2 * 1033], None)
+
+
+# invariant factors on the primes 1031 and 1033 past 2^10 with unequal
+# exponents: the cofactor of N is their product, its own base, and it
+# splits wherever a row holds no unit but a factor of it
+_SPLIT = (1031 ** 4 * 1033, 1031 ** 2 * 1033 ** 2, 1033 ** 3 * 1031,
+          1031, 1033, 2 * 1031 * 1033)
+
+
+def test_a_cofactor_splits_into_its_primes(monkeypatch, minor_divisors):
+    splits = []
+    real_local = exactlin._local_diagonal
+
+    def local(entries, base, part):
+        found, g = real_local(entries, base, part)
+        if g is not None:
+            splits.append((base, g))
+        return found, g
+
+    monkeypatch.setattr(exactlin, "_local_diagonal", local)
+    rng = random.Random(PROPERTY_SEEDS["snf_local"] + 2)
+    for k in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        diag = [rng.choice(_SPLIT) for _ in range(rng.randint(1, min(m, n)))]
+        if k % 3 == 0:
+            diag[0] = 1
+        mid = IntMat(m, n, {(t, t): d for t, d in enumerate(diag)})
+        mat = _unimodular(rng, m).matmul(mid).matmul(_unimodular(rng, n))
+        want = minor_divisors(mat.to_rows())
+        assert snf_diagonal(mat) == want, mat.to_rows()
+        assert snf_diagonal(mat, len(want)) == want, mat.to_rows()
+    assert splits
+
+
 def _coprime_parts_by_every_factor(n):
     # the old loop: every f < 2^10, composites included
     parts = []
@@ -435,7 +473,7 @@ def _coprime_parts_by_every_factor(n):
             while n % f == 0:
                 n, q = n // f, q * f
             parts.append((f, q))
-    return parts + [(None, n)] if n > 1 else parts
+    return parts + [(n, n)] if n > 1 else parts
 
 
 def test_coprime_parts_try_only_the_primes_below_2_to_the_10():
@@ -652,6 +690,20 @@ def test_mod_p_rank_is_exact_past_int64_products():
         assert fp_rank(a, p) == 1
         assert fp_rank_sparse(a.entries, p) == 1
         assert fp_rref(a, p)[1] == [0]
+
+
+def test_mod_p_rank_is_exact_past_2_to_the_32():
+    # p = 4000000007 is prime; the rank mod p of [[1, 2], [3, 6 + p]] is 1
+    # and its rank over Q is 2, and random matrices rank as the dense
+    # elimination over F_p ranks them
+    p = 4000000007
+    assert fp_rank(IntMat.from_rows([[1, 2], [3, 6 + p]]), p) == 1
+    assert fp_rank(IntMat.from_rows([[1, 2], [3, 7 + p]]), p) == 2
+    rng = random.Random(PROPERTY_SEEDS["snf"])
+    for m, n in ((6, 6), (8, 5), (5, 8), (12, 12)):
+        rows = _random_fp_rows(rng, m, n, p)
+        assert fp_rank(IntMat.from_rows(rows), p) == \
+            field_rank(rows, n, FP(p))
 
 
 def test_is_prime_matches_sieve():
