@@ -13,8 +13,10 @@ strand cohomology over Z, Q and F_p, the distinguished classes v_1,
 v_{p^i} = [d(x^{p^i})/p] and w_{p^i} = [x^{p^i} mod p], cup products by
 concatenation, Bockstein operators, and the torsion census tables.
 
-:func:`group_table` certifies the ranks of the maps of each strand from
-lower weights, by this lemma.  For n >= 1 and every w,
+:func:`group_table` builds each map d^n_w of degree n >= 2 by this
+lemma, from the maps d^(n-1) at lower weights, and certifies its rank and
+Smith modulus from theirs; the d o d = 0 check on every consecutive pair
+is what verifies the assembly.  For n >= 1 and every w,
 
     rank(d^n_w) >= sum over a >= 1 of rank(d^(n-1)_(w-2a)),
 
@@ -24,7 +26,10 @@ exponent, so every term of d(e) has first exponent <= e_1, and d^n_w is
 block lower-triangular in a: the block from first exponent a to first
 exponent b vanishes unless b <= a.  The terms that keep e_1 = a come from
 splitting e_2..e_n; their signs shift by one, so the a-th diagonal block
-is exactly -d^(n-1)_(w-2a) on the tails.  The union of nonsingular
+is exactly -d^(n-1)_(w-2a) on the tails.  The terms that split e_1 = a
+at 0 < c < a send the tail t to (c, a - c, t) with coefficient -C(a, c),
+so the block from a to c < a is -C(a, c) times an embedding of tails.
+The union of nonsingular
 minors of the diagonal blocks is a nonsingular block-triangular minor,
 whence the bound.  d^n o d^(n-1) = 0, which is checked, gives
 r_(n-1) + r_n <= dim C^n; where the lower bounds meet that upper bound,
@@ -147,29 +152,33 @@ def group_table(n_max, w_max):
 
     Weights go up in order, and each strand's complex C^0_w -> ... ->
     C^(n_max+1)_w is built once and read in every degree by
-    :func:`complex_cohomology`.  The rank of each map of degree k >= 2
-    is bounded below by the lemma above, from the ranks of d^(k-1) at
-    lower weights, once :func:`_block_lower_bound` has checked the block
-    shape against the kept lower-weight matrices.  Those ranks come from
-    the rows: r_n = dim C^n - r_(n-1) - rank H^n.  Only the matrices of
-    degree < n_max are kept.  The same check gives each map's Smith
-    modulus by the corollary above, from the torsion of the table's
-    lower weights; :func:`complex_cohomology` takes it where the bound
-    is the certified rank.
+    :func:`complex_cohomology`.  d^0_w and d^1_w come from
+    :func:`strand_matrix`.  Each map of degree k >= 2 is built by the
+    lemma above from the kept maps of degree k - 1 at lower weights (see
+    :func:`_assembled_map`), with no strand basis and no formula, and the
+    d o d = 0 check of :func:`complex_cohomology` verifies the result.
+    The lemma's lower bound on its rank is then the sum of the ranks of
+    its diagonal blocks, with no check of the block shape, and those
+    ranks come from the rows: r_n = dim C^n - r_(n-1) - rank H^n.  Only
+    the matrices of degree < n_max are kept.  The corollary above gives
+    each map's Smith modulus from the torsion of the table's lower
+    weights; :func:`complex_cohomology` takes it where the bound is the
+    certified rank.
 
     >>> group_table(2, 6)[2, 6]
     AbGroup(rank=0, torsion=(3,))
     """
-    table, kept, ranks = {}, {}, {}
+    table, kept, ranks, starts = {}, {}, {}, {}
     for w in range(w_max + 1):
-        mats = [strand_matrix(n, w) for n in range(n_max + 1)]
+        mats = [strand_matrix(n, w) for n in range(min(n_max, 1) + 1)]
         lower, moduli = [None] * (n_max + 1), [None] * (n_max + 1)
         if n_max >= 1 and not mats[1].is_zero():
             lower[1], moduli[1] = 1, gcd(*mats[1].entries.values())
         for k in range(2, n_max + 1):
-            lower[k] = _block_lower_bound(mats[k], k, w, kept, ranks)
-            if lower[k] is not None:
-                moduli[k] = _block_modulus(table, k, w)
+            mats.append(_assembled_map(k, w, kept, starts))
+            lower[k] = sum(ranks[k - 1, w - 2 * a]
+                           for a in range(1, w // 2 + 1))
+            moduli[k] = _block_modulus(table, k, w)
         row = complex_cohomology([m.ncols for m in mats], mats, ZZ, lower,
                                  moduli)
         r = 0
@@ -182,32 +191,30 @@ def group_table(n_max, w_max):
     return table
 
 
-def _block_lower_bound(mat, k, w, kept, ranks):
-    # sum over a >= 1 of rank(d^(k-1)_(w-2a)), the lemma's lower bound on
-    # the rank of mat = d^k_w, or None unless mat is block triangular
-    # with diagonal blocks exactly -d^(k-1)_(w-2a), checked entry by
-    # entry against kept[k - 1, w - 2a]
-    blocks = [kept[k - 1, w - 2 * a] for a in range(1, w // 2 + 1)]
-    col_block, row_block, col_off, row_off = [], [], [], []
-    for a, blk in enumerate(blocks):
-        col_off.append(len(col_block))
-        row_off.append(len(row_block))
-        col_block += [a] * blk.ncols
-        row_block += [a] * blk.nrows
-    if (len(row_block), len(col_block)) != mat.shape:
-        return None
-    on_diagonal = 0
-    for (i, j), v in mat.entries.items():
-        a, b = col_block[j], row_block[i]
-        if b > a:
-            return None
-        if b == a:
-            if blocks[a].entries.get((i - row_off[a], j - col_off[a])) != -v:
-                return None
-            on_diagonal += 1
-    if on_diagonal != sum(len(blk.entries) for blk in blocks):
-        return None
-    return sum(ranks[k - 1, w - 2 * a] for a in range(1, w // 2 + 1))
+def _assembled_map(k, w, kept, starts):
+    # d^k_w, k >= 2, by the lemma from kept[k - 1, w - 2a]: block (a, a)
+    # is -d^(k-1)_(w-2a), and block (c, a), c < a, sends the tail t to
+    # (c, a - c, t) with coefficient -C(a, c).  starts[k, w][a] is where
+    # first exponent a begins in C^k_w (index 0 unused); it is recorded
+    # here for the blocks of higher weights to place (a - c, t)
+    m = w // 2
+    cols, rows = [0, 0], [0, 0]
+    for a in range(1, m + 1):
+        blk = kept[k - 1, w - 2 * a]
+        cols.append(cols[a] + blk.ncols)
+        rows.append(rows[a] + blk.nrows)
+    starts[k, w] = cols
+    entries = {}
+    for a in range(1, m + 1):
+        i0, j0, size = rows[a], cols[a], cols[a + 1] - cols[a]
+        for (i, j), v in kept[k - 1, w - 2 * a].entries.items():
+            entries[i0 + i, j0 + j] = -v
+        for c in range(1, a):
+            coef = -comb(a, c)
+            i0 = rows[c] + starts[k, w - 2 * c][a - c]
+            for t in range(size):
+                entries[i0 + t, j0 + t] = coef
+    return IntMat._built(rows[-1], cols[-1], entries)
 
 
 def _block_modulus(table, k, w):

@@ -79,9 +79,6 @@ class DgaForms:
                                  % name)
         return Form(self, {(exps, tuple(idxs)): coeff})
 
-    def dx(self, i):
-        return self.monomial_form((0,) * self.nvars, (i,))
-
     # -- strand bases ---------------------------------------------------------
 
     def _check_enumerable(self):

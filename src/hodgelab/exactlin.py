@@ -162,10 +162,6 @@ class IntMat:
         return cls._built(nr, nc, ent)
 
     @classmethod
-    def identity(cls, n):
-        return cls._built(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
     def zeros(cls, nrows, ncols):
         return cls(nrows, ncols)
 

@@ -101,51 +101,78 @@ def _first_exponents(k, w):
             [e[0] for e in strand_basis(k + 1, w)])
 
 
-def _flip_block_entry(ent, src, tgt):
-    key = next(key for key in sorted(ent) if tgt[key[0]] == src[key[1]])
+def _flip_diagonal_entry(ent, src, tgt):
+    key = min(key for key in ent if tgt[key[0]] == src[key[1]])
     ent[key] = -ent[key]
 
 
-def _add_entry_below_blocks(ent, src, tgt):
-    ent[next((i, j) for j in range(len(src)) for i in range(len(tgt))
-             if tgt[i] > src[j])] = 1
+def _drop_embedding_entry(ent, src, tgt):
+    del ent[min(key for key in ent if tgt[key[0]] < src[key[1]])]
 
 
-def _drop_block_entry(ent, src, tgt):
-    del ent[next(key for key in sorted(ent) if tgt[key[0]] == src[key[1]])]
+def _double_a_binomial(ent, src, tgt):
+    # every entry of one off-diagonal block (c, a): -2 C(a, c) for -C(a, c)
+    i, j = min(key for key in ent if tgt[key[0]] < src[key[1]])
+    for key in ent:
+        if (tgt[key[0]], src[key[1]]) == (tgt[i], src[j]):
+            ent[key] *= 2
 
 
-@pytest.mark.parametrize("corrupt", [_flip_block_entry,
-                                     _add_entry_below_blocks,
-                                     _drop_block_entry])
-def test_block_check_rejects_a_corrupted_matrix(monkeypatch, corrupt):
-    # the check sees a corrupted copy of d^k_w and must give no bound;
-    # the table then falls back to modular ranks and stays right
-    real = cobar._block_lower_bound
+@pytest.mark.parametrize("corrupt", [_flip_diagonal_entry,
+                                     _drop_embedding_entry,
+                                     _double_a_binomial])
+def test_d_of_d_rejects_a_corrupted_assembly(monkeypatch, corrupt):
+    # a mutant of the lemma's assembly: the first assembled map that has
+    # an off-diagonal block is corrupted, and the d o d = 0 check of
+    # complex_cohomology must raise before any group is read off it
+    real = cobar._assembled_map
     seen = []
 
-    def checked(mat, k, w, kept, ranks):
+    def mutant(k, w, kept, starts):
+        mat = real(k, w, kept, starts)
         src, tgt = _first_exponents(k, w)
-        if not any(b > a for a in src for b in tgt):
-            return real(mat, k, w, kept, ranks)
+        if seen or not any(b < a for a in src for b in tgt):
+            return mat
         ent = dict(mat.entries)
         corrupt(ent, src, tgt)
-        seen.append(real(exactlin.IntMat(mat.nrows, mat.ncols, ent), k, w,
-                         kept, ranks))
-        return seen[-1]
+        assert ent != mat.entries
+        seen.append((k, w))
+        return exactlin.IntMat(mat.nrows, mat.ncols, ent)
 
-    monkeypatch.setattr(cobar, "_block_lower_bound", checked)
-    table = group_table(4, 16)
-    assert seen and all(bound is None for bound in seen)
-    for (n, w), g in table.items():
-        assert g == group_cohomology(n, w), (n, w)
+    monkeypatch.setattr(cobar, "_assembled_map", mutant)
+    with pytest.raises(exactlin.CompositionNonzero):
+        group_table(4, 24)
+    assert seen
 
 
-@pytest.mark.parametrize("n_max, w_max", [(4, 30), (3, 60)])
+def test_group_table_hands_on_the_formula_maps(monkeypatch):
+    # every map the table hands to complex_cohomology, assembled from
+    # the blocks for k >= 2, is the formula's strand_matrix(k, w)
+    real = cobar.complex_cohomology
+    seen = []
+
+    def spy(dims, mats, ring, lower=None, det_multiples=None):
+        seen.append(list(mats))
+        return real(dims, mats, ring, lower, det_multiples)
+
+    monkeypatch.setattr(cobar, "complex_cohomology", spy)
+    group_table(5, 30)
+    assert len(seen) == 31
+    for w, mats in enumerate(seen):
+        assert len(mats) == 6
+        for k, mat in enumerate(mats):
+            assert mat == strand_matrix(k, w), (k, w)
+
+
+@pytest.mark.parametrize("n_max, w_max", [(0, 12), (1, 20), (4, 30),
+                                          (3, 60)])
 def test_group_table_matches_the_per_strand_oracle(n_max, w_max):
     # group_cohomology takes no block modulus: each Smith form finds its
     # own by the prime search and a minor's determinant
-    for (n, w), g in group_table(n_max, w_max).items():
+    table = group_table(n_max, w_max)
+    assert set(table) == {(n, w) for n in range(n_max + 1)
+                          for w in range(w_max + 1)}
+    for (n, w), g in table.items():
         assert g == group_cohomology(n, w), (n, w)
 
 

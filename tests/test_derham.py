@@ -156,8 +156,8 @@ def test_leibniz_on_random_pairs():
 
 def test_wedge_anticommutes():
     base = DgaForms(QQ_R, [("x", 1), ("y", 1)])
-    a = base.dx(0)
-    b = base.dx(1)
+    a = base.monomial_form((0, 0), (0,))
+    b = base.monomial_form((0, 0), (1,))
     assert (a.wedge(b) + b.wedge(a)).is_zero()
     assert a.wedge(a).is_zero()
 

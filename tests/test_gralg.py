@@ -70,8 +70,8 @@ def test_poly_laurent_and_substitution():
 
 
 def test_ring_mismatch_guard():
-    a = DgaForms(ZZ, [("x", 1)]).dx(0)
-    b = DgaForms(FP(3), [("x", 1)]).dx(0)
+    a = DgaForms(ZZ, [("x", 1)]).monomial_form((0,), (0,))
+    b = DgaForms(FP(3), [("x", 1)]).monomial_form((0,), (0,))
     for op in (a.__add__, a.__sub__, a.wedge):
         with pytest.raises(RingMismatch):
             op(b)
